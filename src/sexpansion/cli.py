@@ -50,34 +50,47 @@ def _load_config(path: Optional[str]) -> dict:
         raise UsageError(f"config is not valid JSON: {exc}")
 
 
+def _by_name(lookup, name: str):
+    """A named fixture; an unknown name is a config error, not a failed check."""
+    try:
+        return lookup(name)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+
+
+def _read_path(spec: dict) -> str:
+    try:
+        with open(spec["path"]) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {spec['path']!r}: {exc.strerror}")
+
+
 def _resolve_algebra(spec) -> LieAlgebra:
     if isinstance(spec, str):
-        return algebra_by_name(spec)
+        return _by_name(algebra_by_name, spec)
     if isinstance(spec, dict) and "path" in spec:
-        with open(spec["path"]) as fh:
-            return LieAlgebra.from_json(fh.read())
+        return LieAlgebra.from_json(_read_path(spec))
     raise UsageError("algebra must be a fixture name or {'path': ...}")
 
 
 def _resolve_semigroup(spec) -> Semigroup:
     if isinstance(spec, str):
-        return semigroup_by_name(spec)
+        return _by_name(semigroup_by_name, spec)
     if isinstance(spec, dict):
         if "path" in spec:
-            with open(spec["path"]) as fh:
-                return Semigroup.from_json(fh.read())
+            return Semigroup.from_json(_read_path(spec))
         return Semigroup.from_json_dict(spec)
     raise UsageError("semigroup must be a name, a descriptor, or {'path': ...}")
 
 
 def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
     if isinstance(spec, str):
-        return tensor_by_name(spec)
+        return _by_name(tensor_by_name, spec)
     if isinstance(spec, dict) and "path" in spec:
-        with open(spec["path"]) as fh:
-            return InvariantTensor.from_json(fh.read())
+        return InvariantTensor.from_json(_read_path(spec))
     if isinstance(spec, dict) and "lift" in spec:
-        base = tensor_by_name(spec["base"])
+        base = _by_name(tensor_by_name, spec["base"])
         lift = spec["lift"]
         if lift["kind"] == "h":
             return lift_h(int(lift["n"]), algebra, base)
@@ -249,6 +262,8 @@ def cmd_semigroup(config: dict, out: Output) -> None:
     elif action == "verify":
         try:
             _resolve_semigroup(config.get("semigroup"))
+        except UsageError:
+            raise
         except Exception as exc:
             raise VerificationFailure(f"invalid semigroup: {exc}")
         out.emit_text("verify", "ok")

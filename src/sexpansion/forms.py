@@ -99,7 +99,11 @@ def monomial_degree(m: Monomial) -> int:
 
 
 class ScalarForm:
-    """Finite sum of canonical monomials with ScalarExpr coefficients."""
+    """Finite sum of canonical monomials with ScalarExpr coefficients.
+
+    `f + g` copies f and returns a new form; `f.add_form(g, c)` accumulates
+    c*g into f in place, for accumulators the caller created itself.
+    """
 
     __slots__ = ("terms",)
 
@@ -113,10 +117,6 @@ class ScalarForm:
     @staticmethod
     def zero() -> "ScalarForm":
         return ScalarForm()
-
-    @staticmethod
-    def unit() -> "ScalarForm":
-        return ScalarForm({(): ScalarExpr.const(1)})
 
     @staticmethod
     def of_symbol(s: FormSymbol, coeff: ScalarExpr | Q2 | int = 1) -> "ScalarForm":
@@ -138,6 +138,18 @@ class ScalarForm:
             self.terms.pop(m, None)
         else:
             self.terms[m] = acc
+
+    def add_form(self, other: "ScalarForm",
+                 c: ScalarExpr | Q2 | int | None = None) -> None:
+        """In place: self += c * other (c = 1 when omitted); other is unchanged."""
+        items = list(other.terms.items()) if other is self else other.terms.items()
+        if c is None:
+            for m, v in items:
+                self.add_term(m, v)
+        else:
+            c = ScalarExpr.of(c)
+            for m, v in items:
+                self.add_term(m, v * c)
 
     def __add__(self, other: "ScalarForm") -> "ScalarForm":
         out = ScalarForm(dict(self.terms))
@@ -210,15 +222,14 @@ def scalar_form_to_json_dict(f: ScalarForm) -> dict:
 
 
 def scalar_form_from_json_dict(d: dict) -> ScalarForm:
-    from fractions import Fraction as _Fr
     out = ScalarForm()
     for item in d["monomials"]:
         name = item["monomial"]
         mono = () if name == "1" else tuple(parse_symbol(t) for t in name.split("^"))
         expr = ScalarExpr()
         for c in item["coeff"]:
-            q = Q2(_Fr(c["q"]), _Fr(c.get("q_sqrt2", 0)))
-            expr = expr + ScalarExpr({(c["alpha"], c["ell_pow"]): q})
+            q = Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0)))
+            expr.add_term((c["alpha"], c["ell_pow"]), q)
         out.add_term(mono, expr)
     return out
 
@@ -317,12 +328,6 @@ class LieValuedForm:
             out.add_component(i, exterior_d(f))
         return out
 
-    def wedge_scalar(self, g: ScalarForm) -> "LieValuedForm":
-        out = LieValuedForm()
-        for i, f in self.components.items():
-            out.add_component(i, wedge(f, g))
-        return out
-
 
 def lie_bracket_form(f: LieValuedForm, g: LieValuedForm, L: LieAlgebra) -> LieValuedForm:
     """[f, g]^C = C_{AB}^C f^A wedge g^B over all ordered generator pairs."""
@@ -363,5 +368,5 @@ def contract(T, forms: Sequence[LieValuedForm]) -> ScalarForm:
             if prod.is_zero():
                 break
         else:
-            out = out + prod.scaled(val)
+            out.add_form(prod, val)
     return out

@@ -40,9 +40,6 @@ class Golden:
     def form(self) -> ScalarForm:
         return expand_target(self.text, self.dimension)
 
-    def term_forms(self) -> list[ScalarForm]:
-        return [expand_target(t, self.dimension) for t in self.terms()]
-
 
 def load_golden(name: str) -> Golden:
     reg = _registry_goldens()

@@ -92,7 +92,7 @@ class InvariantTensor:
             expr = ScalarExpr()
             for c in item["coeff"]:
                 q = Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0)))
-                expr = expr + ScalarExpr({(c["alpha"], c["ell_pow"]): q})
+                expr.add_term((c["alpha"], c["ell_pow"]), q)
             t.set_entry(tuple(item["indices"]), expr)
         return t
 

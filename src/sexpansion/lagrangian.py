@@ -69,7 +69,7 @@ def transgression(A: LieValuedForm, Abar: LieValuedForm,
         if piece.is_zero():
             continue
         weight = Q2(Fraction(k + 1, tpow + 1))
-        out = out + piece.scaled(weight)
+        out.add_form(piece, weight)
     return out
 
 
@@ -92,7 +92,7 @@ def subspace_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
     k = (dimension - 1) // 2
     out = ScalarForm.zero()
     for big, small in zip(chain, chain[1:]):
-        out = out + transgression(big, small, T, k, L)
+        out.add_form(transgression(big, small, T, k, L))
     return out
 
 

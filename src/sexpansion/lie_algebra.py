@@ -199,18 +199,6 @@ def check_axioms(L: LieAlgebra) -> AxiomReport:
 # -- exact linear algebra over Q(sqrt2) ---------------------------------------
 
 
-def mat_mul(m1: list[list[Q2]], m2: list[list[Q2]]) -> list[list[Q2]]:
-    n, k, m = len(m1), len(m2), len(m2[0])
-    out = [[Q2(0)] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = Q2(0)
-            for t in range(k):
-                acc = acc + m1[i][t] * m2[t][j]
-            out[i][j] = acc
-    return out
-
-
 def mat_identity(n: int) -> list[list[Q2]]:
     return [[Q2(1) if i == j else Q2(0) for j in range(n)] for i in range(n)]
 

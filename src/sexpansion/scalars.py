@@ -13,6 +13,8 @@ from typing import Iterable, Optional, Union
 
 Rational = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 class AlphaLinearityError(TypeError):
     """Raised when a product would be quadratic in the alpha symbols."""
@@ -23,9 +25,10 @@ class Q2:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Rational = 0, b: Rational = 0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    def __init__(self, a: Rational = 0, b: Rational = _ZERO):
+        # Fractions are immutable, so an argument that already is one is kept
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     @staticmethod
     def of(x: "Q2 | Rational") -> "Q2":
@@ -44,16 +47,25 @@ class Q2:
     def __neg__(self) -> "Q2":
         return Q2(-self.a, -self.b)
 
+    # Each operation takes a rational fast path (one Fraction operation) when
+    # neither operand has a sqrt2 part; the value is the same either way.
+
     def __add__(self, other) -> "Q2":
         other = Q2.of(other)
+        if not (self.b or other.b):
+            return Q2(self.a + other.a)
         return Q2(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other) -> "Q2":
         other = Q2.of(other)
+        if not (self.b or other.b):
+            return Q2(self.a - other.a)
         return Q2(self.a - other.a, self.b - other.b)
 
     def __mul__(self, other) -> "Q2":
         other = Q2.of(other)
+        if not (self.b or other.b):
+            return Q2(self.a * other.a)
         return Q2(self.a * other.a + 2 * self.b * other.b,
                   self.a * other.b + self.b * other.a)
 
@@ -149,6 +161,15 @@ class ScalarExpr:
     def copy(self) -> "ScalarExpr":
         return ScalarExpr(dict(self.terms))
 
+    def add_term(self, key: TermKey, val: Q2) -> None:
+        """In place: self += val * key; only for an expression the caller built."""
+        acc = self.terms.get(key)
+        acc = val if acc is None else acc + val
+        if acc:
+            self.terms[key] = acc
+        else:
+            self.terms.pop(key, None)
+
     # -- ring operations ---------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -165,17 +186,10 @@ class ScalarExpr:
         return ScalarExpr({k: -v for k, v in self.terms.items()})
 
     def __add__(self, other) -> "ScalarExpr":
-        other = ScalarExpr.of(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            acc = out.get(key)
-            acc = val if acc is None else acc + val
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
         res = ScalarExpr()
-        res.terms = out
+        res.terms = dict(self.terms)
+        for key, val in ScalarExpr.of(other).terms.items():
+            res.add_term(key, val)
         return res
 
     def __sub__(self, other) -> "ScalarExpr":
@@ -183,23 +197,14 @@ class ScalarExpr:
 
     def __mul__(self, other) -> "ScalarExpr":
         other = ScalarExpr.of(other)
-        out: dict[TermKey, Q2] = {}
+        res = ScalarExpr()
         for (a1, e1), c1 in self.terms.items():
             for (a2, e2), c2 in other.terms.items():
                 if a1 is not None and a2 is not None:
                     raise AlphaLinearityError(
                         f"product of alpha_{a1} and alpha_{a2} terms is not "
                         "representable in the alpha-linear scalar ring")
-                key = (a1 if a1 is not None else a2, e1 + e2)
-                c = c1 * c2
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        res = ScalarExpr()
-        res.terms = out
+                res.add_term((a1 if a1 is not None else a2, e1 + e2), c1 * c2)
         return res
 
     __radd__ = __add__
@@ -211,22 +216,15 @@ class ScalarExpr:
 
     # -- queries -----------------------------------------------------------
 
-    def alpha_components(self) -> dict[Optional[int], "ScalarExpr"]:
-        """Split into one ScalarExpr per alpha symbol (None = alpha-free)."""
-        out: dict[Optional[int], ScalarExpr] = {}
-        for (a, e), v in self.terms.items():
-            out.setdefault(a, ScalarExpr()).terms[(a, e)] = v
-        return out
-
     def specialize_alphas(self, ratios: Iterable[Coeff], base: int = 0) -> "ScalarExpr":
         """Substitute alpha_i -> ratios[i] * alpha_base."""
         rats = [Q2.of(r) for r in ratios]
         out = ScalarExpr()
         for (a, e), v in self.terms.items():
             if a is None:
-                out = out + ScalarExpr({(None, e): v})
+                out.add_term((None, e), v)
             else:
-                out = out + ScalarExpr({(base, e): v * rats[a]})
+                out.add_term((base, e), v * rats[a])
         return out
 
     def substitute_alpha_values(self, values: Iterable[Coeff]) -> "ScalarExpr":
@@ -234,14 +232,8 @@ class ScalarExpr:
         vals = [Q2.of(v) for v in values]
         out = ScalarExpr()
         for (a, e), v in self.terms.items():
-            coeff = v if a is None else v * vals[a]
-            out = out + ScalarExpr({(None, e): coeff})
+            out.add_term((None, e), v if a is None else v * vals[a])
         return out
-
-    def single_term(self) -> tuple[TermKey, Q2]:
-        if len(self.terms) != 1:
-            raise ValueError(f"expected a single-term scalar, got {self}")
-        return next(iter(self.terms.items()))
 
     def sorted_terms(self) -> list[tuple[TermKey, Q2]]:
         return sorted(self.terms.items(),

@@ -56,9 +56,6 @@ class Semigroup:
             if any(self.table[z][a] != z for a in range(n)):
                 raise SemigroupError("designated zero is not absorbing")
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def product(self, indices: Sequence[int]) -> int:
         """Product of a nonempty chain of elements."""
         it = iter(indices)

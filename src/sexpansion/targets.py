@@ -112,7 +112,7 @@ class _Term:
             return ScalarExpr.const(base, self.ell)
         out = ScalarExpr.zero()
         for s, a in self.alphas:
-            out = out + ScalarExpr.alpha(a, base * Q2(s), self.ell)
+            out.add_term((a, self.ell), base * Q2(s))
         return out
 
 
@@ -263,8 +263,8 @@ def _concrete_factor(name: str, indices: tuple[int, ...], dimension: int) -> Sca
         for c in range(dimension):
             s, w = pair_symbol("w", a, c)
             if s:
-                out = out + wedge(ScalarForm({(w,): ScalarExpr.const(s * eta[c])}),
-                                  ScalarForm.of_symbol(sym("e", c)))
+                out.add_form(wedge(ScalarForm({(w,): ScalarExpr.const(s * eta[c])}),
+                                   ScalarForm.of_symbol(sym("e", c))))
         return out
     if name == "Dh":
         a = indices[0]
@@ -272,8 +272,8 @@ def _concrete_factor(name: str, indices: tuple[int, ...], dimension: int) -> Sca
         for c in range(dimension):
             s, w = pair_symbol("w", a, c)
             if s:
-                out = out + wedge(ScalarForm({(w,): ScalarExpr.const(s * eta[c])}),
-                                  ScalarForm.of_symbol(sym("h", c)))
+                out.add_form(wedge(ScalarForm({(w,): ScalarExpr.const(s * eta[c])}),
+                                   ScalarForm.of_symbol(sym("h", c))))
         return out
     if name == "R":
         a, b = indices
@@ -283,8 +283,8 @@ def _concrete_factor(name: str, indices: tuple[int, ...], dimension: int) -> Sca
             s1, w1 = pair_symbol("w", a, c)
             s2, w2 = pair_symbol("w", c, b)
             if s1 and s2:
-                out = out + wedge(ScalarForm({(w1,): ScalarExpr.const(s1 * eta[c])}),
-                                  ScalarForm({(w2,): ScalarExpr.const(s2)}))
+                out.add_form(wedge(ScalarForm({(w1,): ScalarExpr.const(s1 * eta[c])}),
+                                   ScalarForm({(w2,): ScalarExpr.const(s2)})))
         return out
     if name == "Dk":
         a, b = indices
@@ -294,13 +294,13 @@ def _concrete_factor(name: str, indices: tuple[int, ...], dimension: int) -> Sca
             s1, w1 = pair_symbol("w", a, c)
             s2, k2 = pair_symbol("k", c, b)
             if s1 and s2:
-                out = out + wedge(ScalarForm({(w1,): ScalarExpr.const(s1 * eta[c])}),
-                                  ScalarForm({(k2,): ScalarExpr.const(s2)}))
+                out.add_form(wedge(ScalarForm({(w1,): ScalarExpr.const(s1 * eta[c])}),
+                                   ScalarForm({(k2,): ScalarExpr.const(s2)})))
             s3, w3 = pair_symbol("w", b, c)
             s4, k4 = pair_symbol("k", c, a)
             if s3 and s4:
-                out = out + wedge(ScalarForm({(w3,): ScalarExpr.const(-s3 * eta[c])}),
-                                  ScalarForm({(k4,): ScalarExpr.const(s4)}))
+                out.add_form(wedge(ScalarForm({(w3,): ScalarExpr.const(-s3 * eta[c])}),
+                                   ScalarForm({(k4,): ScalarExpr.const(s4)})))
         return out
     raise ValueError(f"no expansion for factor {name!r}")
 
@@ -334,5 +334,5 @@ def expand_target(text: str, dimension: int) -> ScalarForm:
                         break
                 if prod.is_zero():
                     continue
-                out = out + prod.scaled(coeff.scaled(Q2(eps_sign * weight)))
+                out.add_form(prod, coeff.scaled(Q2(eps_sign * weight)))
     return out

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sexpansion.cli import main
 from sexpansion.lie_algebra import LieAlgebra, make_named
 
@@ -195,3 +197,33 @@ def test_algebra_round_trip_through_files(tmp_path):
     out2 = tmp_path / "out2"
     assert main(["expand", "--config", cfg2, "--out", str(out2)]) == 0
     assert (out / "algebra.json").read_bytes() == (out2 / "algebra.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("check", {"algebra": "nosuch"}),
+    ("check", {"algebra": "so3", "tensor": "nosuch"}),
+    ("check", {"algebra": "so3", "tensor": {"base": "nosuch",
+                                            "lift": {"kind": "h", "n": 2}}}),
+    ("semigroup", {"action": "construct", "semigroup": "nosuch"}),
+])
+def test_unknown_name_is_usage_error(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown") and "nosuch" in err
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("check", {"algebra": {"path": "MISSING"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "MISSING"}}),
+    ("semigroup", {"action": "construct", "semigroup": {"path": "MISSING"}}),
+    ("semigroup", {"action": "verify", "semigroup": {"path": "MISSING"}}),
+])
+def test_missing_path_file_is_usage_error(tmp_path, capsys, command, payload):
+    missing = str(tmp_path / "missing.json")
+    text = json.dumps(payload).replace("MISSING", missing)
+    cfg = write_config(tmp_path, "cfg.json", json.loads(text))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "missing.json" in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -189,3 +190,60 @@ def test_symbol_validation():
         FormSymbol("w", (1, 0))
     with pytest.raises(ValueError):
         FormSymbol("e", (0, 1))
+
+
+def _random_scalar(rng, alpha: bool) -> ScalarExpr:
+    q = Q2(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+           rng.choice([0, 0, Fraction(rng.randint(-2, 2), 2)]))
+    ell = rng.randint(-2, 2)
+    if alpha and rng.random() < 0.7:
+        return ScalarExpr.alpha(rng.randint(0, 3), q, ell)
+    return ScalarExpr.const(q, ell)
+
+
+def _random_form(rng, symbols, alpha: bool) -> ScalarForm:
+    out = ScalarForm()
+    for _ in range(rng.randint(0, 8)):
+        sign, mono = canonical_monomial(rng.sample(symbols, rng.randint(1, 3)))
+        if sign:
+            out.add_term(mono, _random_scalar(rng, alpha))
+    return out
+
+
+def test_add_form_equals_copying_add():
+    rng = random.Random(2016)
+    symbols = [sym("e", i) for i in range(3)] + [sym("w", 0, 1), sym("w", 0, 1, d=True)]
+    for _ in range(300):
+        f = _random_form(rng, symbols, alpha=True)
+        g = _random_form(rng, symbols, alpha=True)
+        c = rng.choice([None, 0, -1, 2, Q2(1, -1), _random_scalar(rng, alpha=False)])
+        expected = f + (g if c is None else g.scaled(c))
+        g_before = scalar_form_to_json_dict(g)
+        f.add_form(g, c)
+        assert f == expected
+        assert list(f.terms) == list(expected.terms)  # same insertion order
+        f.add_form(g, c)  # accumulating again must not reach back into g
+        assert scalar_form_to_json_dict(g) == g_before
+
+
+def test_add_form_onto_itself_and_cancellation():
+    rng = random.Random(5)
+    symbols = [sym("e", i) for i in range(4)] + [sym("k", 1, 2)]
+    for _ in range(50):
+        f = _random_form(rng, symbols, alpha=True)
+        expected = f + f.scaled(3)
+        f.add_form(f, 3)
+        assert f == expected
+        f.add_form(f, -1)
+        assert f.is_zero()
+
+
+def test_contract_leaves_its_input_forms_unchanged():
+    from sexpansion.forms import contract
+    c3r = make_c_algebra_rotated(3)
+    A = build_connection(c3r)
+    F = curvature(A, c3r)
+    before = {i: scalar_form_to_json_dict(f) for i, f in F.components.items()}
+    first = contract(c_tensor_rotated(3), [F, A])
+    assert contract(c_tensor_rotated(3), [F, A]) == first
+    assert {i: scalar_form_to_json_dict(f) for i, f in F.components.items()} == before

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -69,3 +70,32 @@ def test_string_forms():
     expr = ScalarExpr.alpha(2, Q2(Fraction(1, 2)), -3)
     assert str(expr) == "1/2*a2*l^-3"
     assert str(Q2(1, Fraction(1, 2))) == "1+1/2*sqrt2"
+
+
+def test_q2_rational_fast_path_agrees_with_general_formula():
+    rng = random.Random(1605)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for _ in range(500):
+        x = Q2(rational(), rng.choice([0, rational()]))
+        y = Q2(rational(), rng.choice([0, rational()]))
+        general = {
+            "*": (x.a * y.a + 2 * x.b * y.b, x.a * y.b + x.b * y.a),
+            "+": (x.a + y.a, x.b + y.b),
+            "-": (x.a - y.a, x.b - y.b),
+        }
+        for op, result in (("*", x * y), ("+", x + y), ("-", x - y)):
+            assert (result.a, result.b) == general[op]
+            assert type(result.a) is Fraction and type(result.b) is Fraction
+        for mixed in (x * 3, 3 * x, x + 2, 2 + x, x - 1):
+            assert type(mixed.a) is Fraction and type(mixed.b) is Fraction
+        assert x * 3 == Q2(3 * x.a, 3 * x.b) and x - 1 == Q2(x.a - 1, x.b)
+
+
+def test_q2_keeps_fraction_arguments():
+    third = Fraction(1, 3)
+    q = Q2(third, third)
+    assert q.a is third and q.b is third
+    assert type(Q2(2).a) is Fraction and type(Q2(2).b) is Fraction

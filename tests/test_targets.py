@@ -117,3 +117,18 @@ def test_lowered_index_contraction_uses_metric():
 def test_deterministic_expansion():
     text = "(a1+a2) l^-2 eps[abc] R[ab] e[c]"
     assert expand_target(text, 3) == expand_target(text, 3)
+
+
+def test_expansion_leaves_cached_factors_unchanged():
+    from sexpansion.forms import scalar_form_to_json_dict
+    from sexpansion.targets import _concrete_factor
+    keys = [("R", (0, 1)), ("T", (2,)), ("Dk", (0, 2)), ("Dh", (1,)), ("w", (1, 0))]
+    cached = {k: _concrete_factor(k[0], k[1], 3) for k in keys}
+    before = {k: scalar_form_to_json_dict(f) for k, f in cached.items()}
+    text = ("eps[abc] R[ab] T[c] + eps[abc] Dk[ab] Dh[c] + eps[abc] w[ab] e[c]"
+            " + eps[abc] R[ab] e[c]")
+    first = expand_target(text, 3)
+    assert expand_target(text, 3) == first
+    for k, f in cached.items():
+        assert _concrete_factor(k[0], k[1], 3) is f
+        assert scalar_form_to_json_dict(f) == before[k]
