@@ -43,11 +43,14 @@ def _load_config(path: Optional[str]) -> dict:
         raise UsageError("--config is required")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise UsageError("config must be a JSON object")
+    return config
 
 
 def _by_name(lookup, name: str):
@@ -101,6 +104,27 @@ def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
     raise UsageError("tensor must be a name, {'path': ...}, or a lift spec")
 
 
+def _specialize(tensor: InvariantTensor, alphas) -> InvariantTensor:
+    """Substitute alpha_i -> alphas[i] * alpha_0 for a ratio list."""
+    needed = 1 + max((a for v in tensor.entries.values() for (a, _) in v.terms
+                      if a is not None), default=-1)
+    if not isinstance(alphas, list) or len(alphas) < needed:
+        raise UsageError(f"alphas must be 'general' or a list of {needed} ratios")
+    try:
+        ratios = [Fraction(str(r)) for r in alphas]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"alphas must be rational numbers, got {alphas}")
+    return InvariantTensor(tensor.rank, {
+        k: v.specialize_alphas(ratios) for k, v in tensor.entries.items()})
+
+
+def _name_list(config: dict, key: str, default: list[str]) -> list[str]:
+    names = config.get(key, default)
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise UsageError(f"{key} must be a list of names")
+    return names
+
+
 class Output:
     def __init__(self, out_dir: Optional[str], fmt: str):
         self.dir = Path(out_dir) if out_dir else None
@@ -144,9 +168,7 @@ def cmd_invariants(config: dict, out: Output) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
     tensor = _resolve_tensor(config.get("tensor"), algebra)
     if config.get("alphas") not in (None, "general"):
-        ratios = [Fraction(str(r)) for r in config["alphas"]]
-        tensor = InvariantTensor(tensor.rank, {
-            k: v.specialize_alphas(ratios) for k, v in tensor.entries.items()})
+        tensor = _specialize(tensor, config["alphas"])
     if config.get("verify", True):
         rep = verify_invariance(algebra, tensor)
         if not rep.ok:
@@ -188,10 +210,11 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     tensor = _resolve_tensor(config.get("tensor"), algebra)
     alphas = config.get("alphas", "general")
     if alphas != "general":
-        ratios = [Fraction(str(r)) for r in alphas]
-        tensor = InvariantTensor(tensor.rank, {
-            k: v.specialize_alphas(ratios) for k, v in tensor.entries.items()})
-    fields = tuple(config.get("fields", ["w", "e", "k", "h"]))
+        tensor = _specialize(tensor, alphas)
+    fields = tuple(_name_list(config, "fields", ["w", "e", "k", "h"]))
+    unknown = sorted(set(fields) - {"w", "e", "k", "h"})
+    if unknown:
+        raise UsageError(f"unknown fields {unknown}; fields are a subset of w e k h")
     method = config.get("method", "separated")
     if method == "separated":
         chain = [build_connection(algebra, [f for f in ("w", "e", "k", "h")
@@ -220,7 +243,7 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
         out.emit_latex("lagrangian", scalar_form_latex(lagrangian))
 
     failures = []
-    compare = list(config.get("compare", [])) + extra_compare
+    compare = _name_list(config, "compare", []) + extra_compare
     lines = []
     for name in compare:
         golden = load_golden(name)

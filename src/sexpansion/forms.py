@@ -181,7 +181,7 @@ class ScalarForm:
         for m, c in self.terms.items():
             sign, mono = canonical_monomial(m)
             if sign:
-                out.add_term(mono, c.scaled(Q2(sign)))
+                out.add_term(mono, c if sign > 0 else -c)
         return out
 
     def sorted_items(self) -> list[tuple[Monomial, ScalarExpr]]:
@@ -257,7 +257,8 @@ def wedge(f: "ScalarForm", g: "ScalarForm") -> ScalarForm:
         for m2, c2 in g.terms.items():
             sign, mono = canonical_monomial(m1 + m2)
             if sign:
-                out.add_term(mono, (c1 * c2).scaled(Q2(sign)))
+                c = c1 * c2
+                out.add_term(mono, c if sign > 0 else -c)
     return out
 
 
@@ -271,8 +272,9 @@ def exterior_d(f: "ScalarForm") -> ScalarForm:
             if ds is not None:
                 sign, mono = canonical_monomial(m[:i] + (ds,) + m[i + 1:])
                 if sign:
-                    leibniz = -1 if before_odd % 2 else 1
-                    out.add_term(mono, c.scaled(Q2(sign * leibniz)))
+                    if before_odd % 2:
+                        sign = -sign
+                    out.add_term(mono, c if sign > 0 else -c)
             before_odd += s.degree % 2
     return out
 

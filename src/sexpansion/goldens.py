@@ -9,7 +9,7 @@ from importlib import resources
 from typing import Optional
 
 from .forms import ScalarForm
-from .scalars import Q2, ScalarExpr
+from .scalars import Q2, ScalarExpr, scalar_quotient
 from .targets import expand_target
 
 
@@ -71,6 +71,44 @@ class FamilyReport:
         return self.residual_monomials == 0 and all(t.agrees for t in self.agreements)
 
 
+def _gauss_jordan(rows: list[dict[int, Q2]], rhs: list[ScalarExpr],
+                  ncols: int) -> dict[int, int]:
+    """Reduce the sparse system rows * x = rhs in place; returns {column: row}.
+
+    Each row maps a column to its nonzero entry.  Columns are taken in order
+    and the pivot is the first row at or below the next pivot position that
+    holds the column, after the row swaps made for earlier columns.  On
+    return pivot row p holds 1 at its column and the dependency coefficients
+    at the non-pivot columns; rhs[p] is that column's solution, and the rows
+    from len(pivots) on carry the residual.
+    """
+    rowi = 0
+    pivots: dict[int, int] = {}
+    for col in range(ncols):
+        piv = next((r for r in range(rowi, len(rows)) if col in rows[r]), None)
+        if piv is None:
+            continue
+        rows[rowi], rows[piv] = rows[piv], rows[rowi]
+        rhs[rowi], rhs[piv] = rhs[piv], rhs[rowi]
+        sc = rows[rowi][col].inverse()
+        pivot = {j: x * sc for j, x in rows[rowi].items()}
+        rows[rowi] = pivot
+        rhs[rowi] = rhs[rowi].scaled(sc)
+        for r, row in enumerate(rows):
+            if r != rowi and col in row:
+                f = row[col]
+                for j, y in pivot.items():
+                    x = row[j] - f * y if j in row else -(f * y)
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                rhs[r] = rhs[r] - rhs[rowi].scaled(f)
+        pivots[col] = rowi
+        rowi += 1
+    return pivots
+
+
 def per_term_report(computed: ScalarForm, golden: Golden,
                     scale: Optional[tuple[Q2, int]] = None) -> FamilyReport:
     """Decompose the computed form exactly onto the golden's term families.
@@ -83,7 +121,6 @@ def per_term_report(computed: ScalarForm, golden: Golden,
     """
     term_texts = golden.terms()
     bases = [expand_target(t, golden.dimension) for t in term_texts]
-    names = list(range(len(bases)))
     monos = sorted(set(itertools.chain(computed.terms,
                                        *(b.terms for b in bases))),
                    key=lambda m: tuple(s.sort_key for s in m))
@@ -101,34 +138,17 @@ def per_term_report(computed: ScalarForm, golden: Golden,
                 anchor = c
             # every monomial coefficient within one printed term is a rational
             # multiple of the term's scalar coefficient
-            from .scalars import scalar_quotient
             q = scalar_quotient(c, anchor)
             if q is None or q[1] != 0:
                 raise ValueError("golden term is not a single scalar family")
             shape[m] = q[0]
         shape_bases.append((anchor, shape))
-    matrix = [[shape_bases[j][1].get(m, Q2(0)) for j in names] for m in monos]
+    rows = [{j: shape[m] for j, (_, shape) in enumerate(shape_bases) if m in shape}
+            for m in monos]
     rhs = [computed.terms.get(m, ScalarExpr.zero()) for m in monos]
-    rowi = 0
-    pivots: dict[int, int] = {}
-    for col in names:
-        piv = next((r for r in range(rowi, len(matrix)) if matrix[r][col]), None)
-        if piv is None:
-            continue
-        matrix[rowi], matrix[piv] = matrix[piv], matrix[rowi]
-        rhs[rowi], rhs[piv] = rhs[piv], rhs[rowi]
-        sc = matrix[rowi][col].inverse()
-        matrix[rowi] = [x * sc for x in matrix[rowi]]
-        rhs[rowi] = rhs[rowi].scaled(sc)
-        for r in range(len(matrix)):
-            if r != rowi and matrix[r][col]:
-                f = matrix[r][col]
-                matrix[r] = [x - f * y for x, y in zip(matrix[r], matrix[rowi])]
-                rhs[r] = rhs[r] - rhs[rowi].scaled(f)
-        pivots[col] = rowi
-        rowi += 1
-    residual = sum(1 for r in range(rowi, len(monos)) if not rhs[r].is_zero())
-    dependents = [c for c in names if c not in pivots]
+    pivots = _gauss_jordan(rows, rhs, len(bases))
+    residual = sum(1 for r in rhs[len(pivots):] if r)
+    dependents = [c for c in range(len(bases)) if c not in pivots]
     agreements = []
     for col, text in enumerate(term_texts):
         if col not in pivots:
@@ -139,7 +159,7 @@ def per_term_report(computed: ScalarForm, golden: Golden,
         # reduced matrix row holds the dependency coefficients
         printed_coeff = shape_bases[col][0]
         for dep in dependents:
-            c = matrix[pivots[col]][dep]
+            c = rows[pivots[col]].get(dep)
             if c:
                 printed_coeff = printed_coeff + shape_bases[dep][0].scaled(c)
         if scale is not None:

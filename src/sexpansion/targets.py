@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .forms import ScalarForm, pair_symbol, sym, wedge
+from .forms import (Monomial, ScalarForm, canonical_monomial, monomial_name,
+                    pair_symbol, sym, wedge)
 from .invariant_tensor import perm_sign
 from .lie_algebra import lorentz_eta
 from .scalars import Q2, ScalarExpr
@@ -305,34 +306,70 @@ def _concrete_factor(name: str, indices: tuple[int, ...], dimension: int) -> Sca
     raise ValueError(f"no expansion for factor {name!r}")
 
 
+@lru_cache(maxsize=None)
+def _integer_factor(name: str, indices: tuple[int, ...],
+                    dimension: int) -> tuple[tuple[Monomial, int], ...]:
+    """The factor's expansion as (monomial, integer coefficient) pairs.
+
+    Every factor of the grammar expands with alpha-free, ell^0, integer
+    (in fact +-1) coefficients; anything else is rejected, since the
+    expansion below multiplies these coefficients as plain ints.
+    """
+    out = []
+    for m, c in _concrete_factor(name, indices, dimension).terms.items():
+        q = c.terms.get((None, 0))
+        if len(c.terms) != 1 or q is None or q.b or q.a.denominator != 1:
+            raise ValueError(f"factor {name}{list(indices)} has the non-integer "
+                             f"coefficient {c} on {monomial_name(m)}")
+        out.append((m, int(q.a)))
+    return tuple(out)
+
+
 def expand_target(text: str, dimension: int) -> ScalarForm:
     """Parse and fully expand a curvature-basis expression to concrete
-    monomials over 0..dimension-1 Lorentz indices."""
+    monomials over 0..dimension-1 Lorentz indices.
+
+    Within one term every summand is an integer multiple of the term's
+    coefficient, so the term is summed as monomial -> int over the eps
+    permutations, the dummy values and the products of the factors' terms,
+    and the coefficient multiplies each nonzero total once.
+    """
     if dimension not in (3, 5):
         raise ValueError("dimension must be 3 or 5")
     eta = lorentz_eta(dimension)
     out = ScalarForm.zero()
     for term in _parse_terms(text):
         eps_letters, dummies = _validate_term(term, dimension, text)
-        coeff = term.coefficient()
-        factors = [f for f in term.factors if f.name != "eps"]
+        factors = [(f.name, [ch for (_, ch) in f.indices])
+                   for f in term.factors if f.name != "eps"]
+        totals: dict[Monomial, int] = {}
         for values in itertools.permutations(range(dimension)):
             eps_sign = perm_sign(values)
-            assign0 = dict(zip(eps_letters, values))
+            assign = dict(zip(eps_letters, values))
             for dvals in itertools.product(range(dimension), repeat=len(dummies)):
-                assign = dict(assign0)
-                weight = 1
+                weight = eps_sign
                 for ch, v in zip(dummies, dvals):
                     assign[ch] = v
                     weight *= eta[v]
-                prod = ScalarForm({(): ScalarExpr.const(1)})
-                for f in factors:
-                    concrete = tuple(assign[ch] for (_, ch) in f.indices)
-                    piece = _concrete_factor(f.name, concrete, dimension)
-                    prod = wedge(prod, piece)
-                    if prod.is_zero():
+                pieces = []
+                for name, letters in factors:
+                    piece = _integer_factor(name, tuple(assign[ch] for ch in letters),
+                                            dimension)
+                    if not piece:
                         break
-                if prod.is_zero():
-                    continue
-                out.add_form(prod, coeff.scaled(Q2(eps_sign * weight)))
+                    pieces.append(piece)
+                else:
+                    for combo in itertools.product(*pieces):
+                        symbols = ()
+                        n = weight
+                        for m, c in combo:
+                            symbols += m
+                            n *= c
+                        sign, mono = canonical_monomial(symbols)
+                        if sign:
+                            totals[mono] = totals.get(mono, 0) + sign * n
+        coeff = term.coefficient()
+        for mono, n in totals.items():
+            if n:
+                out.add_term(mono, coeff.scaled(Q2(n)))
     return out

@@ -227,3 +227,22 @@ def test_missing_path_file_is_usage_error(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and "missing.json" in err
     assert "Traceback" not in err
+
+
+_C5 = {"dimension": 5, "algebra": "c5_rotated", "tensor": "c5_rotated"}
+
+
+@pytest.mark.parametrize("payload, message", [
+    (dict(_C5, alphas=[1]), "alphas must be"),
+    (dict(_C5, alphas=["x", 1, 1, 1]), "alphas must be rational"),
+    (dict(_C5, fields=["q"]), "unknown fields"),
+    ({"dimension": 5, "algebra": "b5", "tensor": "b5", "compare": "b5_lagrangian"},
+     "compare must be a list"),
+    ([_C5], "config must be a JSON object"),
+])
+def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main(["lagrangian", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,9 +1,17 @@
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
+from sexpansion import targets
 from sexpansion.fixtures import build_connection, make_c_algebra_rotated
 from sexpansion.forms import (canonical_monomial, curvature,
-                              lie_bracket_form, sym, ScalarForm)
-from sexpansion.lie_algebra import pair_basis
+                              lie_bracket_form, sym, wedge, ScalarForm)
+from sexpansion.goldens import golden_names, load_golden
+from sexpansion.invariant_tensor import perm_sign
+from sexpansion.lie_algebra import lorentz_eta, pair_basis
 from sexpansion.scalars import Q2, ScalarExpr
 from sexpansion.targets import TargetParseError, expand_target
 
@@ -132,3 +140,43 @@ def test_expansion_leaves_cached_factors_unchanged():
     for k, f in cached.items():
         assert _concrete_factor(k[0], k[1], 3) is f
         assert scalar_form_to_json_dict(f) == before[k]
+
+
+def wedge_chain_expand(text, dimension):
+    """Reference route: one chain of ScalarForm wedges per index assignment."""
+    eta = lorentz_eta(dimension)
+    out = ScalarForm.zero()
+    for term in targets._parse_terms(text):
+        eps_letters, dummies = targets._validate_term(term, dimension, text)
+        factors = [f for f in term.factors if f.name != "eps"]
+        for values in itertools.permutations(range(dimension)):
+            for dvals in itertools.product(range(dimension), repeat=len(dummies)):
+                assign = dict(zip(eps_letters + dummies, values + dvals))
+                prod = ScalarForm({(): ScalarExpr.const(1)})
+                for f in factors:
+                    concrete = tuple(assign[ch] for (_, ch) in f.indices)
+                    prod = wedge(prod, targets._concrete_factor(f.name, concrete, dimension))
+                weight = perm_sign(values) * math.prod(eta[v] for v in dvals)
+                out.add_form(prod, term.coefficient().scaled(Q2(weight)))
+    return out
+
+
+def test_expansion_matches_wedge_chain_on_goldens():
+    goldens = [load_golden(name) for name in golden_names()]
+    for g in goldens:
+        if g.dimension == 3:
+            assert expand_target(g.text, 3) == wedge_chain_expand(g.text, 3), g.name
+    terms5 = sorted({t for g in goldens if g.dimension == 5 for t in g.terms()})
+    for text in random.Random(4).sample(terms5, 8):
+        assert expand_target(text, 5) == wedge_chain_expand(text, 5), text
+
+
+@pytest.mark.parametrize("coeff", [
+    ScalarExpr.const(Fraction(1, 2)), ScalarExpr.const(Q2(0, 1)),
+    ScalarExpr.const(1, -1), ScalarExpr.alpha(0),
+])
+def test_integer_view_rejects_non_integer_factor(monkeypatch, coeff):
+    monkeypatch.setattr(targets, "_concrete_factor",
+                        lambda name, indices, d: ScalarForm({(sym("e", 0),): coeff}))
+    with pytest.raises(ValueError, match="non-integer"):
+        targets._integer_factor.__wrapped__("e", (0,), 3)
