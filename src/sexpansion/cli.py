@@ -24,7 +24,7 @@ from .invariant_tensor import (InvariantTensor, latex_family_table, lift_0s,
                                lift_h, verify_invariance)
 from .lagrangian import chern_simons, compare_forms, subspace_separation
 from .lie_algebra import LieAlgebra, check_axioms
-from .pipeline import PipelineError, run_pipeline
+from .pipeline import PipelineError, required, required_int, run_pipeline
 from .scalars import Q2, ScalarExpr
 from .semigroup import Semigroup, find_isomorphism
 from .targets import TargetParseError
@@ -93,14 +93,17 @@ def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
     if isinstance(spec, dict) and "path" in spec:
         return InvariantTensor.from_json(_read_path(spec))
     if isinstance(spec, dict) and "lift" in spec:
-        base = _by_name(tensor_by_name, spec["base"])
+        base = _by_name(tensor_by_name, required(spec, "base", "tensor"))
         lift = spec["lift"]
-        if lift["kind"] == "h":
-            return lift_h(int(lift["n"]), algebra, base)
-        if lift["kind"] == "zero":
-            s = _resolve_semigroup(lift["semigroup"])
-            return lift_0s(s, algebra, int(lift["base_dim"]), base)
-        raise UsageError(f"unknown lift kind {lift['kind']!r}")
+        if not isinstance(lift, dict):
+            raise UsageError(f"tensor: 'lift' must be an object with a 'kind', got {lift!r}")
+        kind = required(lift, "kind", "tensor lift")
+        if kind == "h":
+            return lift_h(required_int(lift, "n", "tensor lift"), algebra, base)
+        if kind == "zero":
+            s = _resolve_semigroup(required(lift, "semigroup", "tensor lift"))
+            return lift_0s(s, algebra, required_int(lift, "base_dim", "tensor lift"), base)
+        raise UsageError(f"unknown lift kind {kind!r}")
     raise UsageError("tensor must be a name, {'path': ...}, or a lift spec")
 
 

@@ -3,23 +3,19 @@
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .forms import ScalarForm
+from .lie_algebra import row_reduce
+from .pipeline import registry
 from .scalars import Q2, ScalarExpr, scalar_quotient
 from .targets import expand_target
 
 
-def _registry_goldens() -> dict:
-    with resources.files("sexpansion.data").joinpath("registry.json").open() as fh:
-        return json.load(fh)["goldens"]
-
-
 def golden_names() -> list[str]:
-    return sorted(_registry_goldens())
+    return sorted(registry()["goldens"])
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,7 @@ class Golden:
 
 
 def load_golden(name: str) -> Golden:
-    reg = _registry_goldens()
+    reg = registry()["goldens"]
     if name not in reg:
         raise KeyError(f"unknown golden expression {name!r}; "
                        f"known: {', '.join(sorted(reg))}")
@@ -69,44 +65,6 @@ class FamilyReport:
     @property
     def all_agree(self) -> bool:
         return self.residual_monomials == 0 and all(t.agrees for t in self.agreements)
-
-
-def _gauss_jordan(rows: list[dict[int, Q2]], rhs: list[ScalarExpr],
-                  ncols: int) -> dict[int, int]:
-    """Reduce the sparse system rows * x = rhs in place; returns {column: row}.
-
-    Each row maps a column to its nonzero entry.  Columns are taken in order
-    and the pivot is the first row at or below the next pivot position that
-    holds the column, after the row swaps made for earlier columns.  On
-    return pivot row p holds 1 at its column and the dependency coefficients
-    at the non-pivot columns; rhs[p] is that column's solution, and the rows
-    from len(pivots) on carry the residual.
-    """
-    rowi = 0
-    pivots: dict[int, int] = {}
-    for col in range(ncols):
-        piv = next((r for r in range(rowi, len(rows)) if col in rows[r]), None)
-        if piv is None:
-            continue
-        rows[rowi], rows[piv] = rows[piv], rows[rowi]
-        rhs[rowi], rhs[piv] = rhs[piv], rhs[rowi]
-        sc = rows[rowi][col].inverse()
-        pivot = {j: x * sc for j, x in rows[rowi].items()}
-        rows[rowi] = pivot
-        rhs[rowi] = rhs[rowi].scaled(sc)
-        for r, row in enumerate(rows):
-            if r != rowi and col in row:
-                f = row[col]
-                for j, y in pivot.items():
-                    x = row[j] - f * y if j in row else -(f * y)
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                rhs[r] = rhs[r] - rhs[rowi].scaled(f)
-        pivots[col] = rowi
-        rowi += 1
-    return pivots
 
 
 def per_term_report(computed: ScalarForm, golden: Golden,
@@ -143,23 +101,31 @@ def per_term_report(computed: ScalarForm, golden: Golden,
                 raise ValueError("golden term is not a single scalar family")
             shape[m] = q[0]
         shape_bases.append((anchor, shape))
-    rows = [{j: shape[m] for j, (_, shape) in enumerate(shape_bases) if m in shape}
-            for m in monos]
-    rhs = [computed.terms.get(m, ScalarExpr.zero()) for m in monos]
-    pivots = _gauss_jordan(rows, rhs, len(bases))
-    residual = sum(1 for r in rhs[len(pivots):] if r)
-    dependents = [c for c in range(len(bases)) if c not in pivots]
+    # one right-hand-side column per (alpha, ell) key of the computed form
+    ncols = len(bases)
+    rhs_cols: dict = {}
+    rows = []
+    for m in monos:
+        row = {j: shape[m] for j, (_, shape) in enumerate(shape_bases) if m in shape}
+        if m in computed.terms:
+            for key, q in computed.terms[m].terms.items():
+                row[rhs_cols.setdefault(key, ncols + len(rhs_cols))] = q
+        rows.append(row)
+    pivots = row_reduce(rows, ncols)
+    residual = sum(1 for r in rows[len(pivots):] if r)
+    dependents = [c for c in range(ncols) if c not in pivots]
     agreements = []
     for col, text in enumerate(term_texts):
         if col not in pivots:
             agreements.append(TermAgreement(text, bases[col], None, True))
             continue
-        machine = rhs[pivots[col]]
+        pivot = rows[pivots[col]]
+        machine = ScalarExpr({key: pivot[j] for key, j in rhs_cols.items() if j in pivot})
         # a dependent printed family folds into its pivot partners: the
         # reduced matrix row holds the dependency coefficients
         printed_coeff = shape_bases[col][0]
         for dep in dependents:
-            c = rows[pivots[col]].get(dep)
+            c = pivot.get(dep)
             if c:
                 printed_coeff = printed_coeff + shape_bases[dep][0].scaled(c)
         if scale is not None:

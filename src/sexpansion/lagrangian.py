@@ -16,7 +16,7 @@ from .forms import (FormSymbol, LieValuedForm, Monomial, ScalarForm,
                     canonical_monomial, contract, exterior_d,
                     lie_bracket_form)
 from .invariant_tensor import InvariantTensor
-from .lie_algebra import LieAlgebra, change_basis
+from .lie_algebra import LieAlgebra, change_basis, row_reduce
 from .scalars import Q2, ScalarExpr, scalar_quotient
 from .semigroup import make_cyclic
 
@@ -139,66 +139,30 @@ def is_d_exact(f: ScalarForm, cap: int = 200000) -> bool:
     if len(degrees) != 1:
         raise ValueError("exactness check expects a homogeneous form")
     deg = degrees.pop()
-    universe = _symbol_universe(f)
-    cands = candidate_primitives(deg - 1, universe, cap)
-    images: list[ScalarForm] = []
-    keep: list[Monomial] = []
-    for m in cands:
+    # d of each primitive with a nonzero image is one column, keyed by monomial
+    image_rows: dict[Monomial, dict[int, Q2]] = {}
+    ncols = 0
+    for m in candidate_primitives(deg - 1, _symbol_universe(f), cap):
         img = exterior_d(ScalarForm({m: ScalarExpr.const(1)}))
-        if not img.is_zero():
-            images.append(img)
-            keep.append(m)
-    # Solve per alpha/ell component over the rational field.
+        if img.is_zero():
+            continue
+        for mono, coeff in img.terms.items():
+            (ckey, q), = coeff.terms.items()
+            assert ckey == (None, 0)
+            image_rows.setdefault(mono, {})[ncols] = q
+        ncols += 1
+    # Solve per alpha/ell component over the rational field, the component
+    # as the right-hand-side column.
     components: dict = {}
     for mono, coeff in f.terms.items():
         for key, q in coeff.terms.items():
             components.setdefault(key, {})[mono] = q
-    for key, target in components.items():
-        rows: dict[Monomial, int] = {}
-        for img in images:
-            for mono in img.terms:
-                rows.setdefault(mono, len(rows))
-        for mono in target:
-            rows.setdefault(mono, len(rows))
-        nrows, ncols = len(rows), len(images)
-        matrix = [[Q2(0)] * (ncols + 1) for _ in range(nrows)]
-        for j, img in enumerate(images):
-            for mono, coeff in img.terms.items():
-                (ckey, q), = coeff.terms.items()
-                assert ckey == (None, 0)
-                matrix[rows[mono]][j] = q
+    for target in components.values():
+        system = {mono: dict(row) for mono, row in image_rows.items()}
         for mono, q in target.items():
-            matrix[rows[mono]][ncols] = q
-        if not _solvable(matrix, ncols):
-            return False
-    return True
-
-
-def _solvable(matrix: list[list[Q2]], ncols: int) -> bool:
-    """Gaussian elimination; True when the last column is consistent."""
-    nrows = len(matrix)
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if matrix[r][col]), None)
-        if piv is None:
-            continue
-        matrix[row], matrix[piv] = matrix[piv], matrix[row]
-        scale = matrix[row][col].inverse()
-        matrix[row] = [x * scale for x in matrix[row]]
-        for r in range(nrows):
-            if r != row and matrix[r][col]:
-                fct = matrix[r][col]
-                matrix[r] = [x - fct * y for x, y in zip(matrix[r], matrix[row])]
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if any(matrix[r][:ncols]):
-            continue
-        if matrix[r][ncols]:
-            return False
-    for r in range(nrows):
-        if matrix[r][ncols] and not any(matrix[r][:ncols]):
+            system.setdefault(mono, {})[ncols] = q
+        rows = list(system.values())
+        if any(rows[len(row_reduce(rows, ncols)):]):
             return False
     return True
 

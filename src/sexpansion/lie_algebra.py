@@ -203,48 +203,51 @@ def mat_identity(n: int) -> list[list[Q2]]:
     return [[Q2(1) if i == j else Q2(0) for j in range(n)] for i in range(n)]
 
 
-def mat_inverse(m: list[list[Q2]]) -> list[list[Q2]]:
-    n = len(m)
-    a = [[Q2.of(x) for x in row] for row in m]
-    inv = mat_identity(n)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise LieAlgebraError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = a[col][col].inverse()
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+def row_reduce(rows: list[dict[int, Q2]], ncols: int) -> dict[int, int]:
+    """Sparse Gauss-Jordan elimination in place; returns {column: pivot row}.
 
-
-def mat_rank(rows: list[list[Q2]]) -> int:
-    a = [[Q2.of(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    row = 0
+    Each row maps a column to its nonzero entry.  Columns below ncols are
+    taken in order, and a column's pivot is the first row at or below the
+    next pivot position that holds it, after the row swaps made for earlier
+    columns.  Columns from ncols on are right-hand sides: they are carried
+    along and never pivot.  On return pivot row p holds 1 at its column and
+    the dependency coefficients at the non-pivot columns; the rows from
+    len(pivots) on hold right-hand-side entries only, so the system is
+    consistent iff they are all empty.  Row dicts other than the pivots are
+    updated in place, so callers pass rows they own.
+    """
+    pivots: dict[int, int] = {}
     for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
+        rowi = len(pivots)
+        piv = next((r for r in range(rowi, len(rows)) if col in rows[r]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        scale = a[row][col].inverse()
-        a[row] = [x * scale for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        row += 1
-        rank += 1
-        if row == len(a):
-            break
-    return rank
+        rows[rowi], rows[piv] = rows[piv], rows[rowi]
+        sc = rows[rowi][col].inverse()
+        pivot = {j: x * sc for j, x in rows[rowi].items()}
+        rows[rowi] = pivot
+        for r, row in enumerate(rows):
+            if r != rowi and col in row:
+                f = row[col]
+                for j, y in pivot.items():
+                    x = row[j] - f * y if j in row else -(f * y)
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivots[col] = rowi
+    return pivots
+
+
+def mat_inverse(m: list[list[Q2]]) -> list[list[Q2]]:
+    """Inverse by reducing [m | I]; raises LieAlgebraError when m is singular."""
+    n = len(m)
+    rows = [{j: Q2.of(x) for j, x in enumerate(row) if x} for row in m]
+    for i, row in enumerate(rows):
+        row[n + i] = Q2(1)
+    if len(row_reduce(rows, n)) < n:
+        raise LieAlgebraError("matrix is singular")
+    return [[row.get(n + j, Q2(0)) for j in range(n)] for row in rows]
 
 
 def symmetric_signature(m: list[list[Q2]]) -> tuple[int, int, int]:
@@ -322,13 +325,8 @@ def killing_matrix(L: LieAlgebra) -> list[list[Q2]]:
 
 def killing_profile(L: LieAlgebra) -> KillingProfile:
     sig = symmetric_signature(killing_matrix(L))
-    bracket_images = []
-    for (a, b), targets in L.constants.items():
-        vec = [Q2(0)] * L.dim
-        for c, v in targets.items():
-            vec[c] = v
-        bracket_images.append(vec)
-    derived = mat_rank(bracket_images) if bracket_images else 0
+    # the kernel reduces in place: copy the rows, never L.constants itself
+    derived = len(row_reduce([dict(t) for t in L.constants.values()], L.dim))
     # center: x with x^A C_{AB}^C = 0 for all B, C
     rows = []
     for b in range(L.dim):
@@ -336,9 +334,8 @@ def killing_profile(L: LieAlgebra) -> KillingProfile:
         for a in range(L.dim):
             for c, v in L.pair(a, b).items():
                 cols.setdefault(c, {})[a] = v
-        for c, amap in cols.items():
-            rows.append([amap.get(a, Q2(0)) for a in range(L.dim)])
-    center = L.dim - (mat_rank(rows) if rows else 0)
+        rows.extend(cols.values())
+    center = L.dim - len(row_reduce(rows, L.dim))
     return KillingProfile((sig[0], sig[1], sig[2]), derived, center)
 
 

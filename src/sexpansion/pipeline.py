@@ -22,13 +22,24 @@ class PipelineError(ValueError):
     pass
 
 
-def _registry() -> dict:
+def registry() -> dict:
     with resources.files("sexpansion.data").joinpath("registry.json").open() as fh:
         return json.load(fh)
 
 
-def registry() -> dict:
-    return _registry()
+def required(spec: dict, key: str, where: str):
+    """spec[key]; a missing key is a config error that names where it is."""
+    if key not in spec:
+        raise PipelineError(f"{where}: missing {key!r}")
+    return spec[key]
+
+
+def required_int(spec: dict, key: str, where: str) -> int:
+    value = required(spec, key, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise PipelineError(f"{where}: {key!r} must be an integer, got {value!r}")
 
 
 def resonance_spec_from_config(cfg: dict, base: LieAlgebra) -> ResonanceSpec:
@@ -58,16 +69,29 @@ def run_pipeline(start: LieAlgebra, steps: list[dict],
     if semigroup_loader is None:
         from .fixtures import semigroup_by_name
         semigroup_loader = semigroup_by_name
+    if not isinstance(steps, list):
+        raise PipelineError(f"steps must be a list of step objects, got {steps!r}")
     state = PipelineState(start)
     for i, step in enumerate(steps):
+        where = f"step {i}"
+        if not isinstance(step, dict):
+            raise PipelineError(f"{where}: a step is an object with an 'op' key, got {step!r}")
         op = step.get("op")
         if op == "s_expand":
-            sg = step["semigroup"]
-            s = semigroup_loader(sg) if isinstance(sg, str) else Semigroup.from_json_dict(sg)
+            sg = required(step, "semigroup", where)
+            if isinstance(sg, str):
+                try:
+                    s = semigroup_loader(sg)
+                except ValueError as exc:
+                    raise PipelineError(f"{where}: {exc}")
+            elif isinstance(sg, dict):
+                s = Semigroup.from_json_dict(sg)
+            else:
+                raise PipelineError(f"{where}: 'semigroup' must be a name or an object")
             state = PipelineState(s_expand(s, state.algebra),
                                   base=state.algebra, semigroup=s)
         elif op == "h_reduce":
-            state = PipelineState(h_reduce(int(step["n"]), state.algebra))
+            state = PipelineState(h_reduce(required_int(step, "n", where), state.algebra))
         elif op == "zero_reduce":
             if state.semigroup is None:
                 raise PipelineError(f"step {i}: zero_reduce without a preceding s_expand")
@@ -79,7 +103,7 @@ def run_pipeline(start: LieAlgebra, steps: list[dict],
                 raise PipelineError(f"step {i}: resonant without a preceding s_expand")
             cfg = step.get("resonance")
             if isinstance(cfg, str):
-                cfg = _registry()["resonances"][cfg]
+                cfg = registry()["resonances"][cfg]
             elif cfg is None:
                 cfg = step
             spec = resonance_spec_from_config(cfg, state.base)
@@ -89,18 +113,10 @@ def run_pipeline(start: LieAlgebra, steps: list[dict],
         elif op == "sign_identify":
             if state.semigroup is None:
                 raise PipelineError(f"step {i}: sign_identify without a preceding s_expand")
-            pairing = {int(a): int(b) for a, b in step["pairing"]}
+            pairing = {int(a): int(b) for a, b in required(step, "pairing", where)}
             pairing.update({b: a for a, b in list(pairing.items())})
             state = PipelineState(impose_sign_identification(
                 state.algebra, state.semigroup, pairing))
         else:
             raise PipelineError(f"step {i}: unknown op {op!r}")
     return state.algebra
-
-
-def run_named_pipeline(name: str) -> LieAlgebra:
-    from .fixtures import algebra_by_name
-    cfg = _registry()["pipelines"].get(name)
-    if cfg is None:
-        raise PipelineError(f"unknown pipeline {name!r}")
-    return run_pipeline(algebra_by_name(cfg["algebra"]), cfg["steps"])

@@ -246,3 +246,26 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("expand", {"algebra": "so3", "steps": "x"}, "steps must be a list"),
+    ("expand", {"algebra": "so3", "steps": [5]},
+     "step 0: a step is an object with an 'op' key"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "h_reduce"}]}, "step 0: missing 'n'"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "h_reduce", "n": "two"}]},
+     "step 0: 'n' must be an integer"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "h_reduce", "n": 2},
+                                            {"op": "s_expand", "semigroup": "nosuch"}]},
+     "step 1: unknown semigroup name"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps", "lift": "h"}},
+     "tensor: 'lift' must be an object"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps", "lift": {"kind": "h"}}},
+     "tensor lift: missing 'n'"),
+])
+def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err

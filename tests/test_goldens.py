@@ -5,7 +5,8 @@ import pytest
 
 from sexpansion import goldens
 from sexpansion.forms import ScalarForm, sym
-from sexpansion.goldens import Golden, _gauss_jordan, per_term_report
+from sexpansion.goldens import Golden, per_term_report
+from sexpansion.lie_algebra import row_reduce
 from sexpansion.scalars import Q2, ScalarExpr
 
 # 30 single-symbol monomials, in canonical order
@@ -15,9 +16,13 @@ MONOS = sorted([(sym("w", a, b),) for a in range(5) for b in range(a + 1, 5)]
                key=lambda m: m[0].sort_key)
 
 
-def dense_gauss_jordan(rows, rhs, ncols):
-    """Reference: Gauss-Jordan on the dense matrix, written back as sparse rows."""
-    matrix = [[row.get(j, Q2(0)) for j in range(ncols)] for row in rows]
+def dense_gauss_jordan(rows, ncols):
+    """Reference: Gauss-Jordan on the dense matrix, written back as sparse rows.
+
+    Columns from ncols on are right-hand sides, eliminated along but never
+    pivots."""
+    width = max([ncols] + [j + 1 for row in rows for j in row])
+    matrix = [[row.get(j, Q2(0)) for j in range(width)] for row in rows]
     rowi = 0
     pivots = {}
     for col in range(ncols):
@@ -25,15 +30,12 @@ def dense_gauss_jordan(rows, rhs, ncols):
         if piv is None:
             continue
         matrix[rowi], matrix[piv] = matrix[piv], matrix[rowi]
-        rhs[rowi], rhs[piv] = rhs[piv], rhs[rowi]
         sc = matrix[rowi][col].inverse()
         matrix[rowi] = [x * sc for x in matrix[rowi]]
-        rhs[rowi] = rhs[rowi].scaled(sc)
         for r in range(len(matrix)):
             if r != rowi and matrix[r][col]:
                 f = matrix[r][col]
                 matrix[r] = [x - f * y for x, y in zip(matrix[r], matrix[rowi])]
-                rhs[r] = rhs[r] - rhs[rowi].scaled(f)
         pivots[col] = rowi
         rowi += 1
     rows[:] = [{j: x for j, x in enumerate(row) if x} for row in matrix]
@@ -76,14 +78,28 @@ def random_system(rng):
     return rows, rhs, ncols
 
 
+def augmented(rows, rhs, ncols):
+    """The rows with one right-hand-side column per (alpha, ell) key of rhs."""
+    columns = {}
+    out = []
+    for row, r in zip(rows, rhs):
+        row = dict(row)
+        for key, q in r.terms.items():
+            row[columns.setdefault(key, ncols + len(columns))] = q
+        out.append(row)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_sparse_solve_matches_dense(seed):
     rows, rhs, ncols = random_system(random.Random(seed))
-    dense_rows, dense_rhs = [dict(r) for r in rows], list(rhs)
-    pivots = _gauss_jordan(rows, rhs, ncols)
-    assert pivots == dense_gauss_jordan(dense_rows, dense_rhs, ncols)
+    rows = augmented(rows, rhs, ncols)
+    dense_rows = [dict(r) for r in rows]
+    pivots = row_reduce(rows, ncols)
+    assert pivots == dense_gauss_jordan(dense_rows, ncols)
     # pivot rows: solutions and dependency coefficients; the rest: residuals
-    assert rhs == dense_rhs and rows == dense_rows
+    assert rows == dense_rows
+    assert all(j >= ncols for row in rows[len(pivots):] for j in row)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -111,5 +127,27 @@ def test_per_term_report_matches_dense(monkeypatch, seed):
             (t.term, t.machine_coefficient, t.agrees) for t in report.agreements]
 
     sparse = summary()
-    monkeypatch.setattr(goldens, "_gauss_jordan", dense_gauss_jordan)
+    monkeypatch.setattr(goldens, "row_reduce", dense_gauss_jordan)
     assert sparse == summary()
+
+
+def test_per_term_report_solves_every_alpha_ell_key(monkeypatch):
+    """Each (alpha, ell) key of the computed coefficients is its own
+    right-hand side, so a printed coefficient with several keys comes back
+    whole, and a stray monomial counts once as a residual."""
+    printed = [ScalarExpr.alpha(0, 2) + ScalarExpr.const(Q2(0, 1), -1),
+               ScalarExpr.alpha(1, ell=2) + ScalarExpr.const(3, 2)]
+    families = {
+        "+ t0": ScalarForm({MONOS[0]: printed[0], MONOS[1]: printed[0].scaled(2)}),
+        "+ t1": ScalarForm({MONOS[1]: printed[1], MONOS[2]: printed[1].scaled(-1)}),
+    }
+    monkeypatch.setattr(goldens, "expand_target", lambda text, d: families[text])
+    golden = Golden("two", 5, "t0\nt1")
+    computed = families["+ t0"] + families["+ t1"]
+    report = per_term_report(computed, golden)
+    assert [t.machine_coefficient for t in report.agreements] == printed
+    assert report.all_agree
+    computed.add_term(MONOS[3], printed[0] + printed[1])
+    report = per_term_report(computed, golden)
+    assert [t.machine_coefficient for t in report.agreements] == printed
+    assert report.residual_monomials == 1

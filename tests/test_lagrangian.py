@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,12 @@ import pytest
 from sexpansion.fixtures import (b5_tensor, build_connection, c_tensor_rotated,
                                  connection_chain, make_b5,
                                  make_c_algebra_rotated)
-from sexpansion.forms import LieValuedForm, ScalarForm, canonical_monomial, sym
+from sexpansion.forms import (LieValuedForm, ScalarForm, canonical_monomial,
+                              exterior_d, sym)
 from sexpansion.goldens import load_golden
 from sexpansion.invariant_tensor import InvariantTensor
-from sexpansion.lagrangian import (chern_simons, compare_forms, dual_mc_check,
+from sexpansion.lagrangian import (_symbol_universe, candidate_primitives,
+                                   chern_simons, compare_forms, dual_mc_check,
                                    is_d_exact, subspace_separation, transgression)
 from sexpansion.lie_algebra import Label, LieAlgebra, make_named
 from sexpansion.scalars import Q2, ScalarExpr
@@ -104,10 +107,121 @@ def test_d_exactness_detector_oracles():
     w01, e2 = sym("w", 0, 1), sym("e", 2)
     sign, mono = canonical_monomial((w01, e2))
     candidate = exteriorable = ScalarForm({mono: ScalarExpr.const(sign)})
-    from sexpansion.forms import exterior_d
     assert is_d_exact(exterior_d(candidate))
     sign3, mono3 = canonical_monomial((sym("e", 0), sym("e", 1), sym("e", 2)))
     assert not is_d_exact(ScalarForm({mono3: ScalarExpr.const(sign3)}))
+
+
+def dense_solvable(matrix, ncols):
+    """Reference: dense Gaussian elimination; True when the last column is
+    consistent."""
+    nrows = len(matrix)
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if matrix[r][col]), None)
+        if piv is None:
+            continue
+        matrix[row], matrix[piv] = matrix[piv], matrix[row]
+        scale = matrix[row][col].inverse()
+        matrix[row] = [x * scale for x in matrix[row]]
+        for r in range(nrows):
+            if r != row and matrix[r][col]:
+                fct = matrix[r][col]
+                matrix[r] = [x - fct * y for x, y in zip(matrix[r], matrix[row])]
+        row += 1
+        if row == nrows:
+            break
+    for r in range(row, nrows):
+        if any(matrix[r][:ncols]):
+            continue
+        if matrix[r][ncols]:
+            return False
+    for r in range(nrows):
+        if matrix[r][ncols] and not any(matrix[r][:ncols]):
+            return False
+    return True
+
+
+def dense_is_d_exact(f):
+    """Reference: is_d_exact with one dense matrix per alpha/ell component."""
+    if f.is_zero():
+        return True
+    deg, = f.degrees()
+    images = [img for img in (exterior_d(ScalarForm({m: ScalarExpr.const(1)}))
+                              for m in candidate_primitives(deg - 1, _symbol_universe(f)))
+              if not img.is_zero()]
+    components = {}
+    for mono, coeff in f.terms.items():
+        for key, q in coeff.terms.items():
+            components.setdefault(key, {})[mono] = q
+    for target in components.values():
+        rows = {}
+        for img in images:
+            for mono in img.terms:
+                rows.setdefault(mono, len(rows))
+        for mono in target:
+            rows.setdefault(mono, len(rows))
+        ncols = len(images)
+        matrix = [[Q2(0)] * (ncols + 1) for _ in rows]
+        for j, img in enumerate(images):
+            for mono, coeff in img.terms.items():
+                matrix[rows[mono]][j] = coeff.terms[(None, 0)]
+        for mono, q in target.items():
+            matrix[rows[mono]][ncols] = q
+        if not dense_solvable(matrix, ncols):
+            return False
+    return True
+
+
+ODD = [sym("w", 0, 1), sym("w", 1, 2), sym("e", 0), sym("e", 2), sym("k", 0, 2), sym("h", 1)]
+
+
+def random_coefficient(rng):
+    out = ScalarExpr()
+    for _ in range(rng.randint(1, 2)):
+        out.add_term((rng.choice([None, 0, 1]), rng.randint(-1, 1)),
+                     Q2(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                        rng.choice([0, 0, Fraction(1, 2)])))
+    return out
+
+
+def random_monomial(rng, degree):
+    while True:
+        n_even = rng.randint(0, degree // 2)
+        seq = rng.sample(ODD, degree - 2 * n_even) + [rng.choice(ODD).d()
+                                                      for _ in range(n_even)]
+        sign, mono = canonical_monomial(seq)
+        if sign:
+            return sign, mono
+
+
+def random_3form(rng):
+    """d of a random 2-form most of the time, then up to two random 3-form
+    terms, which may push it out of the exact span."""
+    f = ScalarForm()
+    if rng.random() < 0.7:
+        primitive = ScalarForm()
+        for _ in range(rng.randint(1, 4)):
+            sign, mono = random_monomial(rng, 2)
+            primitive.add_term(mono, random_coefficient(rng).scaled(sign))
+        f.add_form(exterior_d(primitive))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        sign, mono = random_monomial(rng, 3)
+        f.add_term(mono, random_coefficient(rng).scaled(sign))
+    return f
+
+
+def test_sparse_exactness_matches_dense():
+    """The sparse consistency test of is_d_exact against the dense
+    elimination it replaced, on seeded exact and non-exact 3-forms."""
+    verdicts = []
+    for seed in range(40):
+        f = random_3form(random.Random(seed))
+        verdict = is_d_exact(f)
+        assert verdict == dense_is_d_exact(f), seed
+        if not f.is_zero():
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
 
 
 def test_compare_forms_reports_diffs():

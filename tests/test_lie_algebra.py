@@ -5,7 +5,8 @@ import pytest
 
 from sexpansion.lie_algebra import (Label, LieAlgebra, LieAlgebraError,
                                     change_basis, check_axioms, eps3,
-                                    killing_profile, make_named, mat_identity)
+                                    killing_profile, make_named, mat_identity,
+                                    mat_inverse)
 from sexpansion.scalars import Q2
 
 FIXTURES = ["so3", "so31", "so4", "ads3", "ads5"]
@@ -111,8 +112,50 @@ def test_change_basis_rejects_singular():
         change_basis(so3, singular)
 
 
+def _random_q2(rng, nonzero=False):
+    while True:
+        x = Q2(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+               rng.choice([0, 0, Fraction(rng.randint(-2, 2), 2)]))
+        if x or not nonzero:
+            return x
+
+
+def _mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Q2(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_mat_inverse_over_q_sqrt2():
+    """Seeded L*U products (invertible by construction) over Q(sqrt2); the
+    same matrix with its last row made dependent must raise."""
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        lower = [[Q2(1) if i == j else _random_q2(rng) if j < i else Q2(0)
+                  for j in range(n)] for i in range(n)]
+        upper = [[_random_q2(rng, nonzero=True) if i == j else
+                  _random_q2(rng) if j > i else Q2(0)
+                  for j in range(n)] for i in range(n)]
+        m = _mat_mul(lower, upper)
+        inv = mat_inverse(m)
+        assert _mat_mul(m, inv) == mat_identity(n) == _mat_mul(inv, m), seed
+        c = _random_q2(rng)
+        m[-1] = [c * x for x in m[0]] if n > 1 else [Q2(0)]
+        with pytest.raises(LieAlgebraError):
+            mat_inverse(m)
+
+
+def test_killing_profile_leaves_constants_unchanged():
+    """The row reduction works in place on its rows; it must never reach
+    the algebra's own constant table."""
+    for name in FIXTURES:
+        L = make_named(name)
+        before = {key: dict(row) for key, row in L.constants.items()}
+        killing_profile(L)
+        assert L.constants == before, name
+
+
 def _random_invertible(n, rng):
-    from sexpansion.lie_algebra import mat_inverse
     while True:
         m = [[Q2(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(n)]
              for _ in range(n)]
