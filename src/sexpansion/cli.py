@@ -20,8 +20,8 @@ from .fixtures import (algebra_by_name, build_connection, semigroup_by_name,
                        tensor_by_name)
 from .forms import LieValuedForm, scalar_form_latex, scalar_form_to_json_dict
 from .goldens import load_golden, per_term_report
-from .invariant_tensor import (InvariantTensor, latex_family_table, lift_0s,
-                               lift_h, verify_invariance)
+from .invariant_tensor import (InvariantTensor, TensorError, latex_family_table,
+                               lift_0s, lift_h, verify_invariance)
 from .lagrangian import chern_simons, compare_forms, subspace_separation
 from .lie_algebra import LieAlgebra, check_axioms
 from .pipeline import PipelineError, required, required_int, run_pipeline
@@ -98,11 +98,16 @@ def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
         if not isinstance(lift, dict):
             raise UsageError(f"tensor: 'lift' must be an object with a 'kind', got {lift!r}")
         kind = required(lift, "kind", "tensor lift")
-        if kind == "h":
-            return lift_h(required_int(lift, "n", "tensor lift"), algebra, base)
-        if kind == "zero":
-            s = _resolve_semigroup(required(lift, "semigroup", "tensor lift"))
-            return lift_0s(s, algebra, required_int(lift, "base_dim", "tensor lift"), base)
+        try:
+            if kind == "h":
+                return lift_h(required_int(lift, "n", "tensor lift"), algebra, base)
+            if kind == "zero":
+                s = _resolve_semigroup(required(lift, "semigroup", "tensor lift"))
+                if s.zero_index is None:
+                    raise UsageError(f"tensor lift: semigroup {s.name!r} has no zero element")
+                return lift_0s(s, algebra, required_int(lift, "base_dim", "tensor lift"), base)
+        except TensorError as exc:  # the lift does not fit the algebra
+            raise UsageError(f"tensor lift: {exc}")
         raise UsageError(f"unknown lift kind {kind!r}")
     raise UsageError("tensor must be a name, {'path': ...}, or a lift spec")
 
@@ -198,11 +203,7 @@ def _lovelock_dictionary() -> dict[str, ScalarExpr]:
 
 
 def lovelock_json() -> dict:
-    out = {}
-    for name, expr in _lovelock_dictionary().items():
-        out[name] = [{"alpha": a, "ell_pow": e, "q": str(v.a)}
-                     for (a, e), v in expr.sorted_terms()]
-    return out
+    return {name: expr.to_json_list() for name, expr in _lovelock_dictionary().items()}
 
 
 def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:

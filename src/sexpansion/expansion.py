@@ -2,8 +2,9 @@
 
 All four constructions live here: the semigroup product expansion, the
 absorbing-element reduction, resonant subalgebra extraction, and the
-sign-identification reduction on even cyclic groups (plus its generalization
-to arbitrary fixed-point-free tag pairings).
+sign-identification quotient by a fixed-point-free tag pairing.  The halved
+Z_{2n} reduction `h_reduce` is that quotient of the Z_{2n} expansion with
+g paired to g + n; it has no construction of its own.
 
 Expanded generators are ordered tag-major: dense index = tag * dim + base,
 so the tag-0 block is a verbatim copy of the original ordering.
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lie_algebra import LieAlgebra, PairTable, change_basis, mat_identity
-from .scalars import Q2
-from .semigroup import Semigroup
+from .semigroup import Semigroup, make_cyclic
 
 
 class ExpansionError(ValueError):
@@ -30,25 +30,14 @@ def s_expand(s: Semigroup, L: LieAlgebra, name: Optional[str] = None) -> LieAlge
     labels = [L.labels[a].tagged(t) for t in s.elements() for a in range(dim)]
     constants: PairTable = {}
     for (a, b), targets in L.constants.items():
+        negated = {c: -v for c, v in targets.items()}
         for ta in s.elements():
             for tb in s.elements():
-                tc = s.table[ta][tb]
+                shift = s.table[ta][tb] * dim
                 i, j = ta * dim + a, tb * dim + b
-                if i > j:
-                    i, j = j, i
-                    sign = -1
-                else:
-                    sign = 1
-                row = constants.setdefault((i, j), {})
-                for c, v in targets.items():
-                    k = tc * dim + c
-                    w = row.get(k, Q2(0)) + (v if sign == 1 else -v)
-                    if w:
-                        row[k] = w
-                    elif k in row:
-                        del row[k]
-        # drop rows that cancelled entirely
-    constants = {k: v for k, v in constants.items() if v}
+                # every stored key has a < b, so each (i, j) is met once
+                key, row = ((i, j), targets) if i < j else ((j, i), negated)
+                constants[key] = {shift + c: v for c, v in row.items()}
     return LieAlgebra(name or f"{s.name}x{L.name}", labels, constants)
 
 
@@ -177,38 +166,18 @@ def resonant_subalgebra(G: LieAlgebra, s: Semigroup, L: LieAlgebra,
 
 def h_reduce(n: int, L: LieAlgebra, name: Optional[str] = None) -> LieAlgebra:
     """Halve a Z_{2n} expansion by identifying the shifted generators with
-    minus the unshifted ones.
+    minus the unshifted ones: the sign-identification quotient of
+    s_expand(Z_{2n}, L) by T_(A, g+n) = -T_(A, g).
 
     The survivors carry tags 0..n-1 and the bracket of (A, i), (B, j) lands on
     (C, (i+j) mod n) with a minus sign exactly when i + j wraps past n.
     """
     if n < 1:
         raise ExpansionError("n must be >= 1")
-    dim = L.dim
-    labels = [L.labels[a].tagged(t) for t in range(n) for a in range(dim)]
-    constants: PairTable = {}
-    for (a, b), targets in L.constants.items():
-        for ti in range(n):
-            for tj in range(n):
-                ksum = (ti + tj) % (2 * n)
-                sign = 1
-                if ksum >= n:
-                    ksum -= n
-                    sign = -1
-                i, j = ti * dim + a, tj * dim + b
-                if i > j:
-                    i, j = j, i
-                    sign = -sign
-                row = constants.setdefault((i, j), {})
-                for c, v in targets.items():
-                    k = ksum * dim + c
-                    w = row.get(k, Q2(0)) + (v if sign == 1 else -v)
-                    if w:
-                        row[k] = w
-                    elif k in row:
-                        del row[k]
-    constants = {k: v for k, v in constants.items() if v}
-    return LieAlgebra(name or f"(Z{2*n}x{L.name})_H", labels, constants)
+    s = make_cyclic(2 * n)
+    return impose_sign_identification(
+        s_expand(s, L), s, {g: (g + n) % (2 * n) for g in s.elements()},
+        name=name or f"(Z{2*n}x{L.name})_H")
 
 
 def greater_interval_algebra(n: int, L: LieAlgebra) -> LieAlgebra:
@@ -296,7 +265,9 @@ def impose_sign_identification(G: LieAlgebra, s: Semigroup,
         row = constants.setdefault((i, j), {})
         for c, v in targets.items():
             qc, sc = quotient_index(c)
-            w = row.get(qc, Q2(0)) + v * Q2(sc)
+            v = v if sc > 0 else -v
+            w = row.get(qc)
+            w = v if w is None else w + v
             if w:
                 row[qc] = w
             elif qc in row:

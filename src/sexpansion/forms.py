@@ -211,13 +211,7 @@ def parse_symbol(text: str) -> FormSymbol:
 def scalar_form_to_json_dict(f: ScalarForm) -> dict:
     monomials = []
     for m, c in f.sorted_items():
-        coeff = []
-        for (a, e), v in c.sorted_terms():
-            item = {"alpha": a, "ell_pow": e, "q": str(v.a)}
-            if v.b:
-                item["q_sqrt2"] = str(v.b)
-            coeff.append(item)
-        monomials.append({"monomial": monomial_name(m), "coeff": coeff})
+        monomials.append({"monomial": monomial_name(m), "coeff": c.to_json_list()})
     return {"monomials": monomials}
 
 
@@ -226,11 +220,7 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
     for item in d["monomials"]:
         name = item["monomial"]
         mono = () if name == "1" else tuple(parse_symbol(t) for t in name.split("^"))
-        expr = ScalarExpr()
-        for c in item["coeff"]:
-            q = Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0)))
-            expr.add_term((c["alpha"], c["ell_pow"]), q)
-        out.add_term(mono, expr)
+        out.add_term(mono, ScalarExpr.from_json_list(item["coeff"]))
     return out
 
 

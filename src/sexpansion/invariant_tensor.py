@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .lie_algebra import LieAlgebra, pair_basis
 from .scalars import Q2, ScalarExpr
-from .semigroup import Semigroup
+from .semigroup import Semigroup, make_cyclic
 
 
 class TensorError(ValueError):
@@ -71,16 +70,9 @@ class InvariantTensor:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        dump = []
-        for key in sorted(self.entries):
-            coeff = []
-            for (a, e), v in self.entries[key].sorted_terms():
-                item = {"alpha": a, "ell_pow": e, "q": str(v.a)}
-                if v.b:
-                    item["q_sqrt2"] = str(v.b)
-                coeff.append(item)
-            dump.append({"indices": list(key), "coeff": coeff})
-        return {"rank": self.rank, "entries": dump}
+        return {"rank": self.rank,
+                "entries": [{"indices": list(key), "coeff": self.entries[key].to_json_list()}
+                            for key in sorted(self.entries)]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(", ", ": "))
@@ -89,11 +81,7 @@ class InvariantTensor:
     def from_json_dict(d: dict) -> "InvariantTensor":
         t = InvariantTensor(d["rank"])
         for item in d["entries"]:
-            expr = ScalarExpr()
-            for c in item["coeff"]:
-                q = Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0)))
-                expr.add_term((c["alpha"], c["ell_pow"]), q)
-            t.set_entry(tuple(item["indices"]), expr)
+            t.set_entry(tuple(item["indices"]), ScalarExpr.from_json_list(item["coeff"]))
         return t
 
     @staticmethod
@@ -137,44 +125,20 @@ def epsilon_tensor(d: int, scale: Q2 = Q2(1)) -> InvariantTensor:
 # -- lifting -------------------------------------------------------------------
 
 
-def lift_h(n: int, target: LieAlgebra, base_tensor: InvariantTensor,
-           n_alphas: Optional[int] = None) -> InvariantTensor:
-    """Lift through the halved Z_{2n} expansion: the entry on tags
-    (i_1..i_r) picks up alpha_g where g = sum of tags mod 2n, g running over
-    the whole group."""
-    if n < 1:
-        raise TensorError("n must be >= 1")
-    base_dim = target.dim // n
-    if base_dim * n != target.dim:
-        raise TensorError("target dimension is not divisible by n")
-    out = InvariantTensor(base_tensor.rank)
-    for combo in itertools.combinations_with_replacement(range(target.dim), base_tensor.rank):
-        tags = [i // base_dim for i in combo]
-        bases = [i % base_dim for i in combo]
-        val = base_tensor.get(bases)
-        if val.is_zero():
-            continue
-        gamma = sum(tags) % (2 * n)
-        if n_alphas is not None and gamma >= n_alphas:
-            continue
-        out.set_entry(combo, ScalarExpr.alpha(gamma) * val)
-    return out
-
-
 def lift_0s(s: Semigroup, target: LieAlgebra, base_dim: int,
             base_tensor: InvariantTensor) -> InvariantTensor:
-    """Lift through a zero-reduced expansion: entries carry alpha_g with g the
-    semigroup product of the tags, and vanish when the product absorbs.
+    """Lift through an S-expansion: the entry on generators with tags
+    (g_1..g_r) carries alpha_g, g the semigroup product of the tags, times the
+    base entry; when s has a zero, entries whose product is the zero vanish.
 
-    The target may be any tag-carrying algebra built over s (a full reduction
-    or a resonant subalgebra of one); tags are read from its labels.
+    The target may be any tag-carrying algebra built over s (a full or
+    zero-reduced expansion, a resonant subalgebra of one, or a
+    sign-identification quotient); tags are read from its labels.
     """
-    if s.zero_index is None:
-        raise TensorError("semigroup has no designated zero element")
     tags = []
     for lab in target.labels:
-        if not lab.tags:
-            raise TensorError("target generators carry no expansion tags")
+        if not lab.tags or not 0 <= lab.tags[0] < s.order:
+            raise TensorError(f"target generator {lab} carries no tag of {s.name}")
         tags.append(lab.tags[0])
     out = InvariantTensor(base_tensor.rank)
     for combo in itertools.combinations_with_replacement(range(target.dim), base_tensor.rank):
@@ -183,10 +147,21 @@ def lift_0s(s: Semigroup, target: LieAlgebra, base_dim: int,
         if val.is_zero():
             continue
         gamma = s.product([tags[i] for i in combo])
-        if gamma == s.zero_index:
+        if gamma == s.zero_index:  # never true when s has no zero
             continue
         out.set_entry(combo, ScalarExpr.alpha(gamma) * val)
     return out
+
+
+def lift_h(n: int, target: LieAlgebra, base_tensor: InvariantTensor) -> InvariantTensor:
+    """Lift through the halved Z_{2n} expansion: the Z_{2n} lift, so the entry
+    on tags (i_1..i_r) picks up alpha_g with g = sum of tags mod 2n, g running
+    over the whole group."""
+    if n < 1:
+        raise TensorError("n must be >= 1")
+    if target.dim % n:
+        raise TensorError("target dimension is not divisible by n")
+    return lift_0s(make_cyclic(2 * n), target, target.dim // n, base_tensor)
 
 
 # -- invariance ----------------------------------------------------------------

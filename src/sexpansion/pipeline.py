@@ -35,11 +35,16 @@ def required(spec: dict, key: str, where: str):
 
 
 def required_int(spec: dict, key: str, where: str) -> int:
+    """spec[key] as an integer >= 1: every integer a step or a lift reads
+    (n, base_dim) is a count."""
     value = required(spec, key, where)
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
         raise PipelineError(f"{where}: {key!r} must be an integer, got {value!r}")
+    if number < 1:
+        raise PipelineError(f"{where}: {key!r} must be >= 1, got {number}")
+    return number
 
 
 def resonance_spec_from_config(cfg: dict, base: LieAlgebra) -> ResonanceSpec:
@@ -103,7 +108,9 @@ def run_pipeline(start: LieAlgebra, steps: list[dict],
                 raise PipelineError(f"step {i}: resonant without a preceding s_expand")
             cfg = step.get("resonance")
             if isinstance(cfg, str):
-                cfg = registry()["resonances"][cfg]
+                name, cfg = cfg, registry()["resonances"].get(cfg)
+                if cfg is None:
+                    raise PipelineError(f"{where}: unknown resonance {name!r}")
             elif cfg is None:
                 cfg = step
             spec = resonance_spec_from_config(cfg, state.base)
@@ -113,7 +120,12 @@ def run_pipeline(start: LieAlgebra, steps: list[dict],
         elif op == "sign_identify":
             if state.semigroup is None:
                 raise PipelineError(f"step {i}: sign_identify without a preceding s_expand")
-            pairing = {int(a): int(b) for a, b in required(step, "pairing", where)}
+            pairs = required(step, "pairing", where)
+            try:
+                pairing = {int(a): int(b) for a, b in pairs}
+            except (TypeError, ValueError):
+                raise PipelineError(
+                    f"{where}: 'pairing' must be a list of [tag, tag] pairs, got {pairs!r}")
             pairing.update({b: a for a, b in list(pairing.items())})
             state = PipelineState(impose_sign_identification(
                 state.algebra, state.semigroup, pairing))

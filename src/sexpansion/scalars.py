@@ -239,6 +239,27 @@ class ScalarExpr:
         return sorted(self.terms.items(),
                       key=lambda kv: (kv[0][0] is not None, kv[0][0] or 0, kv[0][1]))
 
+    # -- JSON --------------------------------------------------------------
+
+    def to_json_list(self) -> list[dict]:
+        """One {"alpha", "ell_pow", "q", "q_sqrt2"?} item per term, in
+        sorted_terms order; "q_sqrt2" appears only for a nonzero sqrt2 part."""
+        out = []
+        for (a, e), v in self.sorted_terms():
+            item = {"alpha": a, "ell_pow": e, "q": str(v.a)}
+            if v.b:
+                item["q_sqrt2"] = str(v.b)
+            out.append(item)
+        return out
+
+    @staticmethod
+    def from_json_list(items: Iterable[dict]) -> "ScalarExpr":
+        out = ScalarExpr()
+        for c in items:
+            q = Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0)))
+            out.add_term((c["alpha"], c["ell_pow"]), q)
+        return out
+
     # -- display -----------------------------------------------------------
 
     def __repr__(self) -> str:

@@ -248,62 +248,38 @@ def _validate_term(term: _Term, dimension: int, text: str) -> tuple[list[str], l
     return eps_letters, sorted(dummies)
 
 
+def _component(field: str, indices: tuple[int, ...], d: bool = False) -> ScalarForm:
+    """One field component (or its differential); a pair component carries
+    the sign of its index order and vanishes on equal indices."""
+    if len(indices) == 1:
+        return ScalarForm.of_symbol(sym(field, indices[0], d=d))
+    s, symbol = pair_symbol(field, indices[0], indices[1], d=d)
+    return ScalarForm({(symbol,): ScalarExpr.const(s)}) if s else ScalarForm.zero()
+
+
+# factor -> (field, rotated slots): D X = d X + eta_cc w^{i_p c} X^{..c..},
+# summed over c and the rotated slots p.  R rotates one slot only: rotating
+# both would count w^ac w^cb twice.
+_COVARIANT = {"T": ("e", (0,)), "Dh": ("h", (0,)), "R": ("w", (0,)), "Dk": ("k", (0, 1))}
+
+
 @lru_cache(maxsize=None)
 def _concrete_factor(name: str, indices: tuple[int, ...], dimension: int) -> ScalarForm:
+    if name in ("e", "h", "k", "w"):
+        return _component(name, indices)
+    if name not in _COVARIANT:
+        raise ValueError(f"no expansion for factor {name!r}")
+    field, slots = _COVARIANT[name]
     eta = lorentz_eta(dimension)
-    if name == "e":
-        return ScalarForm.of_symbol(sym("e", indices[0]))
-    if name == "h":
-        return ScalarForm.of_symbol(sym("h", indices[0]))
-    if name in ("k", "w"):
-        s, symbol = pair_symbol(name, indices[0], indices[1])
-        return ScalarForm({(symbol,): ScalarExpr.const(s)}) if s else ScalarForm.zero()
-    if name == "T":
-        a = indices[0]
-        out = ScalarForm.of_symbol(sym("e", a, d=True))
-        for c in range(dimension):
-            s, w = pair_symbol("w", a, c)
-            if s:
+    out = _component(field, indices, d=True)
+    for c in range(dimension):
+        for p in slots:
+            s, w = pair_symbol("w", indices[p], c)
+            rotated = _component(field, indices[:p] + (c,) + indices[p + 1:])
+            if s and rotated:
                 out.add_form(wedge(ScalarForm({(w,): ScalarExpr.const(s * eta[c])}),
-                                   ScalarForm.of_symbol(sym("e", c))))
-        return out
-    if name == "Dh":
-        a = indices[0]
-        out = ScalarForm.of_symbol(sym("h", a, d=True))
-        for c in range(dimension):
-            s, w = pair_symbol("w", a, c)
-            if s:
-                out.add_form(wedge(ScalarForm({(w,): ScalarExpr.const(s * eta[c])}),
-                                   ScalarForm.of_symbol(sym("h", c))))
-        return out
-    if name == "R":
-        a, b = indices
-        s0, dw = pair_symbol("w", a, b, d=True)
-        out = ScalarForm({(dw,): ScalarExpr.const(s0)}) if s0 else ScalarForm.zero()
-        for c in range(dimension):
-            s1, w1 = pair_symbol("w", a, c)
-            s2, w2 = pair_symbol("w", c, b)
-            if s1 and s2:
-                out.add_form(wedge(ScalarForm({(w1,): ScalarExpr.const(s1 * eta[c])}),
-                                   ScalarForm({(w2,): ScalarExpr.const(s2)})))
-        return out
-    if name == "Dk":
-        a, b = indices
-        s0, dk = pair_symbol("k", a, b, d=True)
-        out = ScalarForm({(dk,): ScalarExpr.const(s0)}) if s0 else ScalarForm.zero()
-        for c in range(dimension):
-            s1, w1 = pair_symbol("w", a, c)
-            s2, k2 = pair_symbol("k", c, b)
-            if s1 and s2:
-                out.add_form(wedge(ScalarForm({(w1,): ScalarExpr.const(s1 * eta[c])}),
-                                   ScalarForm({(k2,): ScalarExpr.const(s2)})))
-            s3, w3 = pair_symbol("w", b, c)
-            s4, k4 = pair_symbol("k", c, a)
-            if s3 and s4:
-                out.add_form(wedge(ScalarForm({(w3,): ScalarExpr.const(-s3 * eta[c])}),
-                                   ScalarForm({(k4,): ScalarExpr.const(s4)})))
-        return out
-    raise ValueError(f"no expansion for factor {name!r}")
+                                   rotated))
+    return out
 
 
 @lru_cache(maxsize=None)

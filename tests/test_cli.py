@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -262,6 +263,26 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
      "tensor: 'lift' must be an object"),
     ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps", "lift": {"kind": "h"}}},
      "tensor lift: missing 'n'"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": "D4"},
+                                            {"op": "sign_identify", "pairing": [1]}]},
+     "step 1: 'pairing' must be a list of [tag, tag] pairs"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "h_reduce", "n": 0}]},
+     "step 0: 'n' must be >= 1"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps",
+                                                "lift": {"kind": "h", "n": 0}}},
+     "tensor lift: 'n' must be >= 1"),
+    ("expand", {"algebra": "ads5", "steps": [{"op": "s_expand", "semigroup": "SE3"},
+                                             {"op": "resonant", "resonance": "nosuch"}]},
+     "step 1: unknown resonance 'nosuch'"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps", "lift": {
+        "kind": "zero", "semigroup": "Z4", "base_dim": 15}}},
+     "tensor lift: semigroup 'Z4' has no zero element"),
+    ("invariants", {"algebra": "ads5", "tensor": {"base": "ads5_eps",
+                                                  "lift": {"kind": "h", "n": 1}}},
+     "tensor lift: target generator J(0,1) carries no tag"),
+    ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps",
+                                                "lift": {"kind": "h", "n": 1}}},
+     "tensor lift: target generator Z(0,1)@2 carries no tag of Z2"),
 ])
 def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -269,3 +290,55 @@ def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_B5_EXPAND = {"algebra": "ads5", "steps": [
+    {"op": "s_expand", "semigroup": "SE3"},
+    {"op": "resonant", "resonance": "b5"},
+    {"op": "zero_reduce"}]}
+
+# sha256 of every file each README-style run writes under --out, recorded
+# before the S_H reduction, the tensor lift and the coefficient codec were
+# unified; any change to these bytes is a change to the CLI's output.
+_PINNED_OUTPUTS = [
+    (["expand"], {"algebra": "so3", "steps": [{"op": "h_reduce", "n": 2}]}, 0, {
+        "algebra.json": "f265db0f4fb957a2b99f7c33adf7ecdb375369a2ca34125d05c84940fc821f6a",
+        "commutators.txt": "01653ff355a1c51f317f34c7c12970240aee7610d9bcc91cbe660a0a302b76f6",
+    }),
+    (["expand"], _B5_EXPAND, 0, {
+        "algebra.json": "4e479362cf2c5b90d8bbb8a2bcd1f4082285f46eb88d72fd06e068e68b4564dd",
+        "commutators.txt": "081074e78c0eac5ef7666662f1360eb7ee33a5df691ca7b02d4473e99c997248",
+    }),
+    (["invariants"], {"algebra": "c5", "alphas": [1, 2, -1, -2],
+                      "tensor": {"base": "ads5_eps", "lift": {"kind": "h", "n": 2}}}, 0, {
+        "tensor.json": "ad3c933fad271418a3337ead5bf2f6b1fa6c964252a4b1895f0150c0768682ad",
+    }),
+    (["invariants", "--format", "both"],
+     {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
+         "kind": "zero", "semigroup": "SE3", "base_dim": 15}}}, 0, {
+        "tensor.json": "ca2a6c15dec4523001aca4c91614f2b9786e4ac4ac2e27d051f5144d4801c810",
+        "tensor_table.tex": "45022b1daf9bd273840e9427a11cfd7e5304071ecaeb52890c368a10d63229fc",
+    }),
+    (["lagrangian", "--format", "both"],
+     {"dimension": 3, "algebra": "c3_rotated", "tensor": "c3_rotated",
+      "compare": ["c3_lagrangian"]}, 0, {
+        "comparison.txt": "6039c5d8f6d3450fcb48e84874a3ac6c2d953648ed7f0dfaf6659f160a808dae",
+        "lagrangian.json": "a2dca3e44fcd3d1bc9f7d3aae0da3d93bd1e74a9aee7dc70648abcc68b80803d",
+        "lagrangian.tex": "d4eba04106618c2bb19d641b5034c5010907461e952509d0dabe22d0b9d75ecb",
+    }),
+    (["check"], {"algebra": "c5", "tensor": "c5"}, 1, {
+        "check.txt": "03a5b3853b7d8bd221b439d127d747c3380db3c32f6714d08dada3586c516ed1",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, payload, code, hashes", _PINNED_OUTPUTS,
+                         ids=["expand-lorentz", "expand-b5", "invariants-c5-h",
+                              "invariants-b5-zero", "lagrangian-c3", "check-c5"])
+def test_readme_outputs_are_byte_identical(tmp_path, argv, payload, code, hashes):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == code
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+    assert written == hashes

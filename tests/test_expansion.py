@@ -7,7 +7,8 @@ from sexpansion.expansion import (ExpansionError, PairingError, ResonanceSpec,
                                   resonant_subalgebra, s_expand, zero_reduce)
 from sexpansion.fixtures import (b5_resonance_spec, make_b5, make_c_algebra,
                                  random_nilpotent, random_solvable_4d)
-from sexpansion.lie_algebra import check_axioms, killing_profile, make_ads, make_named
+from sexpansion.lie_algebra import (LieAlgebra, check_axioms, killing_profile, make_ads,
+                                   make_named)
 from sexpansion.scalars import Q2
 from sexpansion.semigroup import Semigroup, make_cyclic, make_klein, make_se
 
@@ -194,14 +195,37 @@ def test_rotated_c5_vector_brackets():
         assert all(v.is_rational for v in row.values())
 
 
+def direct_h_reduce(n: int, L):
+    """Reference: the halved Z_{2n} table written out directly, the bracket of
+    (A, i), (B, j) landing on (C, (i+j) mod n), negated when i + j wraps."""
+    dim = L.dim
+    labels = [L.labels[a].tagged(t) for t in range(n) for a in range(dim)]
+    constants = {}
+    for (a, b), targets in L.constants.items():
+        for ti in range(n):
+            for tj in range(n):
+                k, sign = (ti + tj, 1) if ti + tj < n else (ti + tj - n, -1)
+                row = constants.setdefault((ti * dim + a, tj * dim + b), {})
+                for c, v in targets.items():
+                    row[k * dim + c] = v if sign > 0 else -v
+    return LieAlgebra("direct", labels, constants)
+
+
 def test_halving_equals_sign_identification():
-    for name in ("so3", "ads3"):
-        L = make_named(name)
+    for L in [make_named(name) for name in ("so3", "ads3", "ads5")] + \
+            [random_nilpotent(4, seed=7), random_solvable_4d(seed=7)]:
         for n in (1, 2, 3):
             s = make_cyclic(2 * n)
             pairing = {i: (i + n) % (2 * n) for i in range(2 * n)}
             quotient = impose_sign_identification(s_expand(s, L), s, pairing)
-            assert quotient.constants_equal(h_reduce(n, L))
+            halved = h_reduce(n, L)
+            assert quotient.constants_equal(halved)
+            # h_reduce is built as that quotient; the direct table is the
+            # independent route
+            direct = direct_h_reduce(n, L)
+            assert halved.constants_equal(direct)
+            assert halved.labels == direct.labels
+            assert halved.name == f"(Z{2 * n}x{L.name})_H"
 
 
 def test_greater_interval_witness():

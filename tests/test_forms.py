@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -181,6 +182,15 @@ def test_json_round_trip():
     comp = next(iter(F.components.values()))
     d = scalar_form_to_json_dict(comp)
     assert scalar_form_from_json_dict(d) == comp
+    # a sqrt2 part, a negative ell power and an alpha-free term
+    mixed = ScalarForm({(sym("w", 1, 2), sym("e", 0)): ScalarExpr.alpha(1, Q2(3, -1), -2)
+                        + ScalarExpr.const(Fraction(-2, 5)),
+                        (sym("h", 1),): ScalarExpr.const(Q2(0, Fraction(1, 2)), 1)})
+    d = scalar_form_to_json_dict(mixed)
+    assert scalar_form_from_json_dict(json.loads(json.dumps(d))) == mixed
+    assert d["monomials"][0]["coeff"] == [
+        {"alpha": None, "ell_pow": 0, "q": "-2/5"},
+        {"alpha": 1, "ell_pow": -2, "q": "3", "q_sqrt2": "-1"}]
 
 
 def test_symbol_validation():

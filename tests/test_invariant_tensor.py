@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sexpansion.expansion import h_reduce, s_expand, zero_reduce
@@ -187,6 +189,15 @@ def test_json_round_trip():
     again = InvariantTensor.from_json(t.to_json())
     assert again == t
     assert again.to_json() == t.to_json()
+    # a sqrt2 part, a negative ell power and an alpha-free term
+    mixed = InvariantTensor(2, {
+        (0, 3): ScalarExpr.alpha(2, Q2(Fraction(1, 3), 2), -2) + ScalarExpr.const(-1),
+        (1, 1): ScalarExpr.const(Q2(0, -1), 4)})
+    again = InvariantTensor.from_json(mixed.to_json())
+    assert again == mixed
+    assert mixed.to_json_dict()["entries"][0]["coeff"] == [
+        {"alpha": None, "ell_pow": 0, "q": "-1"},
+        {"alpha": 2, "ell_pow": -2, "q": "1/3", "q_sqrt2": "2"}]
 
 
 def test_latex_table_emits_rows():
