@@ -133,8 +133,13 @@ def lift_0s(s: Semigroup, target: LieAlgebra, base_dim: int,
 
     The target may be any tag-carrying algebra built over s (a full or
     zero-reduced expansion, a resonant subalgebra of one, or a
-    sign-identification quotient); tags are read from its labels.
+    sign-identification quotient); tags are read from its labels.  Target
+    generator i has base generator i % base_dim, so a base tensor index at or
+    above base_dim means the lift does not fit the target and raises.
     """
+    top = max((key[-1] for key in base_tensor.entries), default=-1)
+    if top >= base_dim:
+        raise TensorError(f"base tensor index {top} is not below base_dim {base_dim}")
     tags = []
     for lab in target.labels:
         if not lab.tags or not 0 <= lab.tags[0] < s.order:
@@ -178,35 +183,44 @@ class InvarianceReport:
 
 
 def verify_invariance(L: LieAlgebra, T: InvariantTensor) -> InvarianceReport:
-    """Exhaustively check that the adjoint action annihilates the tensor.
+    """Check that the adjoint action annihilates the tensor, from its entries.
 
     For every generator X = T_{A0} and every sorted slot tuple, the sum of the
     tensor with one slot rotated by ad_X must vanish identically in the alpha
     symbols (each alpha component separately, which the exact scalar ring does
-    automatically).
+    automatically).  The sums are scattered from the entries: an entry on K
+    feeds, for each distinct slot value b of K and each x with
+    C_{A0 x}^b != 0, the slot tuple combo = sorted(K - b + x), once for each
+    slot of combo that holds x.  The violation reported is the first A0 with
+    a nonzero sum and, within it, the smallest slot tuple.
     """
-    r = T.rank
     dim = L.dim
+    # a slot tuple outside the algebra's generators is never rotated into
+    entries = [(key, val) for key, val in T.entries.items()
+               if key[0] >= 0 and key[-1] < dim]
     for a0 in range(dim):
-        pairs = [L.pair(a0, x) for x in range(dim)]
-        if not any(pairs):
-            continue
-        for combo in itertools.combinations_with_replacement(range(dim), r):
-            total = ScalarExpr.zero()
-            touched = False
-            for p in range(r):
-                row = pairs[combo[p]]
-                if not row:
+        images: dict[int, list[tuple[int, Q2]]] = {}  # b -> [(x, C_{a0 x}^b)]
+        for x in range(dim):
+            for b, coeff in L.pair(a0, x).items():
+                images.setdefault(b, []).append((x, coeff))
+        totals: dict[tuple[int, ...], ScalarExpr] = {}
+        for key, val in entries:
+            for i, b in enumerate(key):
+                if b not in images or (i and key[i - 1] == b):
                     continue
-                rest = combo[:p] + combo[p + 1:]
-                for b, coeff in row.items():
-                    val = T.get(rest + (b,))
-                    if val.is_zero():
-                        continue
-                    touched = True
-                    total = total + val.scaled(coeff)
-            if touched and not total.is_zero():
-                return InvarianceReport(False, (a0, combo), total)
+                rest = key[:i] + key[i + 1:]
+                for x, coeff in images[b]:
+                    combo = tuple(sorted(rest + (x,)))
+                    c = coeff * combo.count(x)
+                    total = totals.get(combo)
+                    if total is None:
+                        total = totals[combo] = ScalarExpr()
+                    for term, q in val.terms.items():
+                        total.add_term(term, q * c)
+        bad = [combo for combo, total in totals.items() if total]
+        if bad:
+            combo = min(bad)
+            return InvarianceReport(False, (a0, combo), totals[combo])
     return InvarianceReport(True)
 
 

@@ -127,6 +127,10 @@ def run_pipeline(start: LieAlgebra, steps: list[dict],
                 raise PipelineError(
                     f"{where}: 'pairing' must be a list of [tag, tag] pairs, got {pairs!r}")
             pairing.update({b: a for a, b in list(pairing.items())})
+            if set(pairing) != set(state.semigroup.elements()):
+                raise PipelineError(
+                    f"{where}: 'pairing' must cover the tags 0..{state.semigroup.order - 1} "
+                    f"of {state.semigroup.name}, got {pairs!r}")
             state = PipelineState(impose_sign_identification(
                 state.algebra, state.semigroup, pairing))
         else:

@@ -283,6 +283,15 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
     ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps",
                                                 "lift": {"kind": "h", "n": 1}}},
      "tensor lift: target generator Z(0,1)@2 carries no tag of Z2"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps",
+                                                "lift": {"kind": "h", "n": 3}}},
+     "tensor lift: base tensor index 14 is not below base_dim 10"),
+    ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
+        "kind": "zero", "semigroup": "SE3", "base_dim": 10}}},
+     "tensor lift: base tensor index 14 is not below base_dim 10"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": "D4"},
+                                            {"op": "sign_identify", "pairing": [[0, 5]]}]},
+     "step 1: 'pairing' must cover the tags 0..3 of D4"),
 ])
 def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)

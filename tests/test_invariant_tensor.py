@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,11 @@ from sexpansion.expansion import h_reduce, s_expand, zero_reduce
 from sexpansion.fixtures import (b5_tensor, c_tensor, c_tensor_rotated, make_b5,
                                  make_c_algebra, make_c_algebra_rotated,
                                  mixing_rotation)
-from sexpansion.invariant_tensor import (InvariantTensor, TensorError,
-                                         epsilon_tensor, family_table,
-                                         latex_family_table, lift_0s, lift_h,
-                                         perm_sign, rotate_tensor,
-                                         verify_invariance)
+from sexpansion.invariant_tensor import (InvarianceReport, InvariantTensor,
+                                         TensorError, epsilon_tensor,
+                                         family_table, latex_family_table,
+                                         lift_0s, lift_h, perm_sign,
+                                         rotate_tensor, verify_invariance)
 from sexpansion.lie_algebra import make_named, mat_identity
 from sexpansion.scalars import Q2, ScalarExpr
 from sexpansion.semigroup import make_se
@@ -216,3 +218,72 @@ def test_perm_sign():
 def test_rank_guard():
     with pytest.raises(TensorError):
         InvariantTensor(1)
+
+
+def test_lift_rejects_base_indices_beyond_base_dim():
+    # c5 is the halved Z4 expansion, so n = 3 reads base_dim 10 < 15
+    with pytest.raises(TensorError, match="not below base_dim 10"):
+        lift_h(3, make_c_algebra(5), epsilon_tensor(5))
+
+
+def dense_verify_invariance(L, T):
+    """Reference: every generator A0 and every sorted slot tuple in
+    lexicographic order, each slot rotated by ad_{A0} in turn; the first
+    nonzero sum is the violation."""
+    dim = L.dim
+    for a0 in range(dim):
+        pairs = [L.pair(a0, x) for x in range(dim)]
+        if not any(pairs):
+            continue
+        for combo in itertools.combinations_with_replacement(range(dim), T.rank):
+            total = ScalarExpr.zero()
+            for p in range(T.rank):
+                rest = combo[:p] + combo[p + 1:]
+                for b, coeff in pairs[combo[p]].items():
+                    val = T.get(rest + (b,))
+                    if not val.is_zero():
+                        total = total + val.scaled(coeff)
+            if not total.is_zero():
+                return InvarianceReport(False, (a0, combo), total)
+    return InvarianceReport(True)
+
+
+def _on_family(tensor):
+    """The tensor on the invariant family alpha_2 = -alpha_0, alpha_3 = -alpha_1."""
+    return InvariantTensor(tensor.rank, {
+        key: val.specialize_alphas([1, Fraction(2, 3), -1, Fraction(-2, 3)])
+        for key, val in tensor.entries.items()})
+
+
+def _perturb_one_entry(L, T, rng):
+    """T with one entry, existing or new (slots may repeat), set to a random
+    alpha-linear value, which may be zero (the entry is dropped)."""
+    out = InvariantTensor(T.rank, T.entries)
+    if rng.random() < 0.5:
+        key = rng.choice(sorted(T.entries))
+    else:
+        key = tuple(rng.randrange(L.dim) for _ in range(T.rank))
+    value = ScalarExpr.zero() if rng.random() < 0.2 else ScalarExpr.alpha(
+        rng.randrange(4), Q2(rng.randint(-2, 2), rng.choice((0, 0, 1))),
+        rng.choice((0, 0, -2))) + ScalarExpr.const(rng.randint(-1, 1))
+    out.set_entry(key, value)
+    return out
+
+
+def test_sparse_invariance_matches_dense():
+    c3, c5, b5 = make_c_algebra(3), make_c_algebra(5), make_b5()
+    ads3 = make_named("ads3")
+    bases = [(c3, c_tensor(3)), (c3, _on_family(c_tensor(3))),
+             (c5, c_tensor(5)), (c5, _on_family(c_tensor(5))),
+             (b5, b5_tensor()), (ads3, epsilon_tensor(3))]
+    rng = random.Random(20160409)
+    cases = list(bases)
+    for (L, T), count in zip(bases, (20, 20, 6, 6, 6, 10)):
+        cases += [(L, _perturb_one_entry(L, T, rng)) for _ in range(count)]
+    verdicts = set()
+    for L, T in cases:
+        sparse, dense = verify_invariance(L, T), dense_verify_invariance(L, T)
+        assert (sparse.ok, sparse.violation, sparse.value) == \
+            (dense.ok, dense.violation, dense.value)
+        verdicts.add(sparse.ok)
+    assert verdicts == {True, False}

@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from sexpansion.lie_algebra import (Label, LieAlgebra, LieAlgebraError,
-                                    change_basis, check_axioms, eps3,
-                                    killing_profile, make_named, mat_identity,
-                                    mat_inverse)
-from sexpansion.scalars import Q2
+from sexpansion.expansion import h_reduce
+from sexpansion.fixtures import (make_c_algebra_rotated, random_nilpotent,
+                                 random_solvable_4d)
+from sexpansion.lie_algebra import (AxiomReport, Label, LieAlgebra,
+                                    LieAlgebraError, change_basis, check_axioms,
+                                    eps3, killing_profile, make_named,
+                                    mat_identity, mat_inverse)
+from sexpansion.scalars import Q2, SQRT2
 
 FIXTURES = ["so3", "so31", "so4", "ads3", "ads5"]
 
@@ -206,3 +210,68 @@ def test_eps3_total_antisymmetry():
         for j in (1, 2, 3):
             for k in (1, 2, 3):
                 assert eps3(i, j, k) == -eps3(j, i, k)
+
+
+def dense_check_axioms(L):
+    """Reference: the Jacobiator of every index triple A < B < D in
+    lexicographic order, built from L.pair; the first nonzero one is the
+    violation."""
+    for a, b, d in itertools.combinations(range(L.dim), 3):
+        acc = {}
+        for (x, y, z) in ((a, b, d), (b, d, a), (d, a, b)):
+            for c, c1 in L.pair(x, y).items():
+                for e, c2 in L.pair(c, z).items():
+                    v = acc.get(e, Q2(0)) + c1 * c2
+                    if v:
+                        acc[e] = v
+                    elif e in acc:
+                        del acc[e]
+        if acc:
+            return AxiomReport(False, True, False, (a, b, d))
+    return AxiomReport(True, True, True)
+
+
+def _perturb_one_constant(L, rng):
+    """L with one structure constant changed: an existing one or a new one set
+    to a random element of Q(sqrt2), which may be zero (the constant is
+    dropped)."""
+    constants = {key: dict(row) for key, row in L.constants.items()}
+    if constants and rng.random() < 0.5:
+        key = rng.choice(sorted(constants))
+        c = rng.choice(sorted(constants[key]))
+    else:
+        key = tuple(sorted(rng.sample(range(L.dim), 2)))
+        c = rng.randrange(L.dim)
+    constants.setdefault(key, {})[c] = Q2(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        Fraction(rng.choice((0, 0, 1, -1)), rng.randint(1, 2)))
+    return LieAlgebra(f"{L.name}~", L.labels, constants)
+
+
+def _jacobi_bases():
+    """Lie algebras with rational, sqrt2 and dense random constants."""
+    bases = [h_reduce(n, make_named(name))
+             for name in ("so3", "so31", "ads3") for n in (1, 2, 3)]
+    bases += [h_reduce(2, make_named("ads5")), make_c_algebra_rotated(5)]
+    for seed in (3, 8):
+        bases += [h_reduce(n, random_nilpotent(4, seed)) for n in (1, 2)]
+        bases += [h_reduce(n, random_solvable_4d(seed)) for n in (1, 3)]
+    ads3 = make_named("ads3")
+    stretch = [[SQRT2 if i == j == 0 else Q2(int(i == j)) for j in range(ads3.dim)]
+               for i in range(ads3.dim)]
+    bases.append(change_basis(ads3, stretch))  # constants with a sqrt2 part
+    return bases
+
+
+def test_sparse_jacobi_matches_dense():
+    rng = random.Random(20160409)
+    bases = _jacobi_bases()
+    assert any(not v.is_rational for row in bases[-1].constants.values()
+               for v in row.values())
+    cases = bases + [_perturb_one_constant(rng.choice(bases), rng) for _ in range(120)]
+    verdicts = set()
+    for L in cases:
+        sparse, dense = check_axioms(L), dense_check_axioms(L)
+        assert sparse == dense, L.name
+        verdicts.add(sparse.ok)
+    assert verdicts == {True, False}
