@@ -16,12 +16,12 @@ from pathlib import Path
 from typing import Optional
 
 from .expansion import ExpansionError
-from .fixtures import (algebra_by_name, build_connection, semigroup_by_name,
-                       tensor_by_name)
-from .forms import LieValuedForm, scalar_form_latex, scalar_form_to_json_dict
+from .fixtures import (algebra_by_name, build_connection, connection_chain,
+                       semigroup_by_name, tensor_by_name)
+from .forms import scalar_form_latex, scalar_form_to_json_dict
 from .goldens import load_golden, per_term_report
 from .invariant_tensor import (InvariantTensor, TensorError, latex_family_table,
-                               lift_0s, lift_h, verify_invariance)
+                               lift_0s, lift_h, require_fit, verify_invariance)
 from .lagrangian import chern_simons, compare_forms, subspace_separation
 from .lie_algebra import LieAlgebra, check_axioms
 from .pipeline import PipelineError, required, required_int, run_pipeline
@@ -89,10 +89,10 @@ def _resolve_semigroup(spec) -> Semigroup:
 
 def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
     if isinstance(spec, str):
-        return _by_name(tensor_by_name, spec)
-    if isinstance(spec, dict) and "path" in spec:
-        return InvariantTensor.from_json(_read_path(spec))
-    if isinstance(spec, dict) and "lift" in spec:
+        tensor = _by_name(tensor_by_name, spec)
+    elif isinstance(spec, dict) and "path" in spec:
+        tensor = InvariantTensor.from_json(_read_path(spec))
+    elif isinstance(spec, dict) and "lift" in spec:
         base = _by_name(tensor_by_name, required(spec, "base", "tensor"))
         lift = spec["lift"]
         if not isinstance(lift, dict):
@@ -109,7 +109,13 @@ def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
         except TensorError as exc:  # the lift does not fit the algebra
             raise UsageError(f"tensor lift: {exc}")
         raise UsageError(f"unknown lift kind {kind!r}")
-    raise UsageError("tensor must be a name, {'path': ...}, or a lift spec")
+    else:
+        raise UsageError("tensor must be a name, {'path': ...}, or a lift spec")
+    try:
+        require_fit(algebra, tensor)
+    except TensorError as exc:  # a tensor of a larger algebra; a lift always fits
+        raise UsageError(f"tensor: {exc}")
+    return tensor
 
 
 def _specialize(tensor: InvariantTensor, alphas) -> InvariantTensor:
@@ -187,8 +193,7 @@ def cmd_invariants(config: dict, out: Output) -> None:
                 f"{algebra.labels[a0]} leaves {rep.value}")
     out.emit_json("tensor", tensor.to_json_dict())
     if out.fmt in ("latex", "both"):
-        eps_name = "abc" if algebra.dim <= 12 else "abcde"
-        out.emit_latex("tensor_table", latex_family_table(tensor, algebra, eps_name))
+        out.emit_latex("tensor_table", latex_family_table(tensor, algebra))
 
 
 def _lovelock_dictionary() -> dict[str, ScalarExpr]:
@@ -207,11 +212,12 @@ def lovelock_json() -> dict:
 
 
 def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
-    dimension = config.get("dimension")
-    if dimension not in (3, 5):
-        raise UsageError("dimension must be 3 or 5")
     algebra = _resolve_algebra(config.get("algebra"))
     tensor = _resolve_tensor(config.get("tensor"), algebra)
+    dimension = config.get("dimension")
+    if dimension != 2 * tensor.rank - 1:
+        raise UsageError(f"dimension must be 2 * rank - 1 = {2 * tensor.rank - 1} "
+                         f"for the rank-{tensor.rank} tensor, got {dimension!r}")
     alphas = config.get("alphas", "general")
     if alphas != "general":
         tensor = _specialize(tensor, alphas)
@@ -221,11 +227,8 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
         raise UsageError(f"unknown fields {unknown}; fields are a subset of w e k h")
     method = config.get("method", "separated")
     if method == "separated":
-        chain = [build_connection(algebra, [f for f in ("w", "e", "k", "h")
-                                            if f in fields and f in subset])
-                 for subset in (("w", "e", "k", "h"), ("w", "e"), ("w",))]
-        chain.append(LieValuedForm.zero())
-        lagrangian = subspace_separation(chain, tensor, dimension, algebra)
+        lagrangian = subspace_separation(connection_chain(algebra, fields),
+                                         tensor, dimension, algebra)
     elif method == "direct":
         lagrangian = chern_simons(build_connection(algebra, fields),
                                   tensor, dimension, algebra)

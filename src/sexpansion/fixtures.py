@@ -1,5 +1,5 @@
-"""Concrete named constructions: the halved-Z4 gravity algebras in 3 and 5
-dimensions, their invariant tensors, the resonant comparison algebra, gauge
+"""Concrete named constructions: the halved-Z4 gravity algebras in any odd
+dimension, their invariant tensors, the resonant comparison algebra, gauge
 connections, and seeded random algebras for property tests.
 """
 
@@ -18,11 +18,11 @@ from .scalars import HALF_SQRT2, Q2, SQRT2, ScalarExpr
 from .semigroup import Semigroup, make_cyclic, make_se
 
 
-# -- the 30- and 12-generator gravity algebras ---------------------------------
+# -- the halved-Z4 gravity algebras --------------------------------------------
 
 
-def _relabel_c(L: LieAlgebra, d: int) -> list[Label]:
-    """Pretty labels for the halved Z4 expansion of the d-dimensional algebra:
+def _relabel_c(L: LieAlgebra) -> list[Label]:
+    """Pretty labels for the halved Z4 expansion of an AdS-type algebra:
     tag 0 keeps the base name, tag 1 becomes the Z partner."""
     out = []
     for lab in L.labels:
@@ -35,7 +35,7 @@ def make_c_algebra(d: int) -> LieAlgebra:
     """Halved Z4 expansion of the AdS-type algebra: generators J, Z (pairs)
     and P, Z (vectors)."""
     L = h_reduce(2, make_ads(d), name=f"c{d}")
-    return LieAlgebra(f"c{d}", _relabel_c(L, d), L.constants)
+    return LieAlgebra(f"c{d}", _relabel_c(L), L.constants)
 
 
 def mixing_rotation(d: int) -> list[list[Q2]]:
@@ -82,12 +82,11 @@ def c_tensor_rotated(d: int) -> InvariantTensor:
 # -- the resonant comparison algebra -------------------------------------------
 
 
-def b5_resonance_spec(d: int = 5) -> ResonanceSpec:
-    """Subset split pairing the rotation block with the even truncated-power
-    elements and the translation block with the odd ones; the top element sits
-    in both subsets.  Always re-validated by the resonance checker."""
-    npairs = len(pair_basis(d))
-    partition = [0] * npairs + [1] * d
+def b5_resonance_spec() -> ResonanceSpec:
+    """Subset split of ads5 pairing the rotation block with the even truncated-
+    power elements and the translation block with the odd ones; the top element
+    sits in both subsets.  Always re-validated by the resonance checker."""
+    partition = [0] * len(pair_basis(5)) + [1] * 5
     return ResonanceSpec.make(partition, [[0, 2, 4], [1, 3, 4]])
 
 
@@ -148,13 +147,14 @@ def build_connection(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h")
     return A
 
 
-def connection_chain(L: LieAlgebra) -> list[LieValuedForm]:
-    """The nested connections used by subspace separation:
-    [w+e+k+h, w+e, w, 0]."""
-    return [build_connection(L, ("w", "e", "k", "h")),
-            build_connection(L, ("w", "e")),
-            build_connection(L, ("w",)),
-            LieValuedForm.zero()]
+def connection_chain(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h"),
+                     ) -> list[LieValuedForm]:
+    """The nested connections used by subspace separation,
+    [w+e+k+h, w+e, w, 0], each keeping only the given fields."""
+    wanted = set(fields)
+    chain = [build_connection(L, wanted.intersection(subset))
+             for subset in (("w", "e", "k", "h"), ("w", "e"), ("w",))]
+    return chain + [LieValuedForm.zero()]
 
 
 # -- seeded random algebras ------------------------------------------------------

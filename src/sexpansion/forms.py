@@ -38,6 +38,9 @@ class FormSymbol:
         else:
             if len(self.indices) != 1:
                 raise ValueError(f"{self.field} needs exactly one index")
+        # monomial_name writes each index as one digit, and parse_symbol reads it so
+        if self.indices[0] < 0 or self.indices[-1] > 9:
+            raise ValueError(f"{self.field} indices must lie in 0..9, got {self.indices}")
 
     @property
     def degree(self) -> int:

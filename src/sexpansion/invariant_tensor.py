@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import string
 from typing import Iterable, Optional, Sequence
 
 from .lie_algebra import LieAlgebra, pair_basis
@@ -92,34 +93,20 @@ class InvariantTensor:
 # -- epsilon tensors of the base algebras -------------------------------------
 
 
-def epsilon_tensor(d: int, scale: Q2 = Q2(1)) -> InvariantTensor:
-    """The rank-(2 + ...) epsilon invariant of the d-dimensional algebra:
-    rank 3 on (J, J, P) slots for d = 5, rank 2 on (J, P) for d = 3.
-    The customary 1/8 (resp. 1/4) normalization is absorbed unless a scale
-    is passed explicitly."""
-    pairs = pair_basis(d)
-    pidx = {p: i for i, p in enumerate(pairs)}
-    npairs = len(pairs)
-    if d == 5:
-        t = InvariantTensor(3)
-        for (a, b) in pairs:
-            rest = [x for x in range(d) if x not in (a, b)]
-            for (c, dd) in itertools.combinations(rest, 2):
-                e = next(x for x in rest if x not in (c, dd))
-                sign = perm_sign((a, b, c, dd, e))
-                if sign:
-                    t.set_entry((pidx[(a, b)], pidx[(c, dd)], npairs + e),
-                                ScalarExpr.const(scale * Q2(sign)))
-        return t
-    if d == 3:
-        t = InvariantTensor(2)
-        for (a, b) in pairs:
-            c = next(x for x in range(d) if x not in (a, b))
-            sign = perm_sign((a, b, c))
-            t.set_entry((pidx[(a, b)], npairs + c),
-                        ScalarExpr.const(scale * Q2(sign)))
-        return t
-    raise TensorError("epsilon tensor wired for d in {3, 5} only")
+def epsilon_tensor(d: int) -> InvariantTensor:
+    """The epsilon invariant of ads_d, odd d >= 3: rank (d+1)/2, the entry on
+    J_{p0 p1} ... J_{p(d-3) p(d-2)} P_{p(d-1)} being the sign of the permutation
+    p.  The customary normalization (1/4 for d = 3, 1/8 for d = 5) is absorbed."""
+    if d < 3 or d % 2 == 0:
+        raise TensorError(f"epsilon tensor needs an odd d >= 3, got {d}")
+    pidx = {p: i for i, p in enumerate(pair_basis(d))}
+    t = InvariantTensor((d + 1) // 2)
+    for perm in itertools.permutations(range(d)):
+        pairs = list(zip(perm[:-1:2], perm[1::2]))
+        if all(a < b for a, b in pairs):
+            t.set_entry([pidx[p] for p in pairs] + [len(pidx) + perm[-1]],
+                        ScalarExpr.const(perm_sign(perm)))
+    return t
 
 
 # -- lifting -------------------------------------------------------------------
@@ -182,6 +169,14 @@ class InvarianceReport:
         return self.ok
 
 
+def require_fit(L: LieAlgebra, T: InvariantTensor) -> None:
+    """Raise TensorError when an index of T names no generator of L."""
+    for key in T.entries:
+        if key[0] < 0 or key[-1] >= L.dim:
+            raise TensorError(f"tensor entry {list(key)} has an index outside "
+                              f"the {L.dim} generators of {L.name}")
+
+
 def verify_invariance(L: LieAlgebra, T: InvariantTensor) -> InvarianceReport:
     """Check that the adjoint action annihilates the tensor, from its entries.
 
@@ -192,19 +187,18 @@ def verify_invariance(L: LieAlgebra, T: InvariantTensor) -> InvarianceReport:
     feeds, for each distinct slot value b of K and each x with
     C_{A0 x}^b != 0, the slot tuple combo = sorted(K - b + x), once for each
     slot of combo that holds x.  The violation reported is the first A0 with
-    a nonzero sum and, within it, the smallest slot tuple.
+    a nonzero sum and, within it, the smallest slot tuple.  A tensor index
+    outside the algebra raises TensorError.
     """
+    require_fit(L, T)
     dim = L.dim
-    # a slot tuple outside the algebra's generators is never rotated into
-    entries = [(key, val) for key, val in T.entries.items()
-               if key[0] >= 0 and key[-1] < dim]
     for a0 in range(dim):
         images: dict[int, list[tuple[int, Q2]]] = {}  # b -> [(x, C_{a0 x}^b)]
         for x in range(dim):
             for b, coeff in L.pair(a0, x).items():
                 images.setdefault(b, []).append((x, coeff))
         totals: dict[tuple[int, ...], ScalarExpr] = {}
-        for key, val in entries:
+        for key, val in T.entries.items():
             for i, b in enumerate(key):
                 if b not in images or (i and key[i - 1] == b):
                     continue
@@ -282,7 +276,10 @@ def family_table(T: InvariantTensor, L: LieAlgebra) -> list[tuple[tuple[str, ...
             for fam in sorted(fams, key=str)]
 
 
-def latex_family_table(T: InvariantTensor, L: LieAlgebra, eps_name: str = "abcde") -> str:
+def latex_family_table(T: InvariantTensor, L: LieAlgebra) -> str:
+    """The family table as LaTeX; a rank-r tensor contracts the 2r - 1
+    letters of the epsilon symbol."""
+    eps_name = string.ascii_lowercase[:2 * T.rank - 1]
     lines = [r"\begin{array}{l}"]
     for names, coeff in family_table(T, L):
         slots = ", ".join(names)

@@ -75,24 +75,21 @@ def transgression(A: LieValuedForm, Abar: LieValuedForm,
 
 def chern_simons(A: LieValuedForm, T: InvariantTensor, dimension: int,
                  L: LieAlgebra) -> ScalarForm:
-    """Q(A, 0) for odd dimension; the overall kappa prefactor is left symbolic
-    (reported alongside, never mixed into the coefficients)."""
-    if dimension not in (3, 5):
-        raise ValueError("dimension must be 3 or 5")
-    return transgression(A, LieValuedForm.zero(), T, (dimension - 1) // 2, L)
+    """Q(A, 0), the one-link chain [A, 0]; the overall kappa prefactor is left
+    symbolic (reported alongside, never mixed into the coefficients)."""
+    return subspace_separation([A, LieValuedForm.zero()], T, dimension, L)
 
 
 def subspace_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
                         dimension: int, L: LieAlgebra) -> ScalarForm:
     """Sum of transgressions along a chain A = A_m > ... > A_0; equals the
     Chern-Simons form of the chain head up to an exact form, which is
-    deliberately dropped."""
-    if dimension not in (3, 5):
-        raise ValueError("dimension must be 3 or 5")
-    k = (dimension - 1) // 2
+    deliberately dropped.  The dimension must be 2 * T.rank - 1."""
+    if dimension != 2 * T.rank - 1:
+        raise ValueError(f"dimension {dimension} is not 2 * rank - 1 for a rank-{T.rank} tensor")
     out = ScalarForm.zero()
     for big, small in zip(chain, chain[1:]):
-        out.add_form(transgression(big, small, T, k, L))
+        out.add_form(transgression(big, small, T, T.rank - 1, L))
     return out
 
 

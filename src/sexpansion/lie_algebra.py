@@ -539,8 +539,6 @@ def make_ads(d: int) -> LieAlgebra:
     """Anti-de-Sitter-type algebra in d spacetime dimensions: rotations J_ab
     (a < b), translations P_a, with [P_a, P_b] = J_ab and the metric
     diag(-1, +1, ..., +1)."""
-    if d not in (3, 5):
-        raise LieAlgebraError("only d in {3, 5} is wired up")
     eta = lorentz_eta(d)
     pairs = pair_basis(d)
     npairs = len(pairs)

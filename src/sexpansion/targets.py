@@ -308,10 +308,9 @@ def expand_target(text: str, dimension: int) -> ScalarForm:
     Within one term every summand is an integer multiple of the term's
     coefficient, so the term is summed as monomial -> int over the eps
     permutations, the dummy values and the products of the factors' terms,
-    and the coefficient multiplies each nonzero total once.
+    and the coefficient multiplies each nonzero total once.  Each term's eps
+    carries exactly `dimension` letters, which ties the text to the dimension.
     """
-    if dimension not in (3, 5):
-        raise ValueError("dimension must be 3 or 5")
     eta = lorentz_eta(dimension)
     out = ScalarForm.zero()
     for term in _parse_terms(text):

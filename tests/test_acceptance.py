@@ -64,10 +64,7 @@ def c5_chain(c5_rotated):
 
 
 def _sector(algebra, tensor, fields, dimension):
-    chain = [build_connection(algebra, [f for f in sub if f in fields])
-             for sub in (("w", "e", "k", "h"), ("w", "e"), ("w",))]
-    chain.append(LieValuedForm.zero())
-    return subspace_separation(chain, tensor, dimension, algebra)
+    return subspace_separation(connection_chain(algebra, fields), tensor, dimension, algebra)
 
 
 def test_criterion_01_lorentz_recovery():

@@ -240,6 +240,10 @@ _C5 = {"dimension": 5, "algebra": "c5_rotated", "tensor": "c5_rotated"}
     ({"dimension": 5, "algebra": "b5", "tensor": "b5", "compare": "b5_lagrangian"},
      "compare must be a list"),
     ([_C5], "config must be a JSON object"),
+    (dict(_C5, dimension=3), "dimension must be 2 * rank - 1 = 5 for the rank-3 tensor, got 3"),
+    (dict(_C5, dimension=7), "dimension must be 2 * rank - 1 = 5 for the rank-3 tensor, got 7"),
+    (dict(_C5, dimension="5"), "dimension must be 2 * rank - 1 = 5 for the rank-3 tensor, "
+                               "got '5'"),
 ])
 def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -299,6 +303,32 @@ def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["invariants", "check", "lagrangian"])
+def test_tensor_beyond_the_algebra_is_usage_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"dimension": 5, "algebra": "ads3", "tensor": "ads5_eps"})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: tensor: tensor entry [0, 7, 14] has an index outside "
+                   "the 6 generators of ads3\n")
+
+
+def test_latex_epsilon_letters_follow_the_tensor_rank(tmp_path):
+    """A rank-2 (3d) tensor on an 18-generator algebra contracts eps_abc."""
+    cfg = write_config(tmp_path, "expand.json",
+                       {"algebra": "ads3", "steps": [{"op": "h_reduce", "n": 3}]})
+    assert main(["expand", "--config", cfg, "--out", str(tmp_path / "z6")]) == 0
+    cfg = write_config(tmp_path, "inv.json", {
+        "algebra": {"path": str(tmp_path / "z6" / "algebra.json")},
+        "tensor": {"base": "ads3_eps", "lift": {"kind": "h", "n": 3}},
+        "alphas": [1, 2, 3, -1, -2, -3]})
+    out = tmp_path / "out"
+    assert main(["invariants", "--format", "latex", "--config", cfg, "--out", str(out)]) == 0
+    tex = (out / "tensor_table.tex").read_text()
+    assert tex.count(r"\varepsilon_{abc}") == tex.count(r"\langle") > 0
+    assert "abcde" not in tex
 
 
 _B5_EXPAND = {"algebra": "ads5", "steps": [

@@ -200,6 +200,11 @@ def test_symbol_validation():
         FormSymbol("w", (1, 0))
     with pytest.raises(ValueError):
         FormSymbol("e", (0, 1))
+    # monomial names write each index as one digit
+    for field, indices in (("e", (10,)), ("h", (-1,)), ("w", (3, 10)), ("k", (-1, 2))):
+        with pytest.raises(ValueError, match="must lie in 0..9"):
+            FormSymbol(field, indices)
+    assert str(FormSymbol("w", (0, 9), True)) == "dw09"
 
 
 def _random_scalar(rng, alpha: bool) -> ScalarExpr:

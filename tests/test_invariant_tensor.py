@@ -13,7 +13,7 @@ from sexpansion.invariant_tensor import (InvarianceReport, InvariantTensor,
                                          family_table, latex_family_table,
                                          lift_0s, lift_h, perm_sign,
                                          rotate_tensor, verify_invariance)
-from sexpansion.lie_algebra import make_named, mat_identity
+from sexpansion.lie_algebra import make_ads, make_named, mat_identity, pair_basis
 from sexpansion.scalars import Q2, ScalarExpr
 from sexpansion.semigroup import make_se
 
@@ -21,6 +21,65 @@ from sexpansion.semigroup import make_se
 def test_epsilon_tensor_base_invariance():
     assert verify_invariance(make_named("ads5"), epsilon_tensor(5)).ok
     assert verify_invariance(make_named("ads3"), epsilon_tensor(3)).ok
+
+
+def hand_epsilon_tensor(d):
+    """Reference: the hand-written d = 3 and d = 5 epsilon tensors that the
+    generic permutation loop replaced."""
+    pairs = pair_basis(d)
+    pidx = {p: i for i, p in enumerate(pairs)}
+    npairs = len(pairs)
+    if d == 5:
+        t = InvariantTensor(3)
+        for (a, b) in pairs:
+            rest = [x for x in range(d) if x not in (a, b)]
+            for (c, dd) in itertools.combinations(rest, 2):
+                e = next(x for x in rest if x not in (c, dd))
+                sign = perm_sign((a, b, c, dd, e))
+                if sign:
+                    t.set_entry((pidx[(a, b)], pidx[(c, dd)], npairs + e),
+                                ScalarExpr.const(Q2(sign)))
+        return t
+    assert d == 3
+    t = InvariantTensor(2)
+    for (a, b) in pairs:
+        c = next(x for x in range(d) if x not in (a, b))
+        t.set_entry((pidx[(a, b)], npairs + c), ScalarExpr.const(Q2(perm_sign((a, b, c)))))
+    return t
+
+
+def test_epsilon_tensor_matches_hand_written_branches():
+    for d in (3, 5):
+        assert epsilon_tensor(d).to_json() == hand_epsilon_tensor(d).to_json()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_epsilon_tensor_needs_odd_dimension(d):
+    with pytest.raises(TensorError, match="odd d >= 3"):
+        epsilon_tensor(d)
+
+
+def test_seven_dimensional_chain():
+    """ads7, its epsilon tensor and the halved Z4 lift, with no d = 7 code."""
+    ads7 = make_ads(7)
+    eps7 = epsilon_tensor(7)
+    assert eps7.rank == 4 and len(eps7.entries) == 105
+    assert verify_invariance(ads7, eps7).ok
+    c7, t7 = make_c_algebra(7), c_tensor(7)
+    assert c7.dim == 56 and len(t7.entries) == 1680
+    rep = verify_invariance(c7, t7)
+    assert not rep.ok and rep.violation == (28, (1, 15, 20, 49))
+    assert rep.value == ScalarExpr.alpha(0) + ScalarExpr.alpha(2)
+    assert verify_invariance(c7, _on_family(t7)).ok
+
+
+def test_tensor_beyond_the_algebra_raises():
+    with pytest.raises(TensorError, match=r"entry \[0, 7, 14\] has an index outside "
+                                          "the 6 generators of ads3"):
+        verify_invariance(make_named("ads3"), epsilon_tensor(5))
+    negative = InvariantTensor(2, {(-1, 3): ScalarExpr.const(1)})
+    with pytest.raises(TensorError, match="outside the 6 generators"):
+        verify_invariance(make_named("ads3"), negative)
 
 
 def test_zero_tensor_is_invariant():
@@ -204,7 +263,7 @@ def test_json_round_trip():
 
 def test_latex_table_emits_rows():
     c3r = make_c_algebra_rotated(3)
-    tex = latex_family_table(c_tensor_rotated(3), c3r, "abc")
+    tex = latex_family_table(c_tensor_rotated(3), c3r)
     assert tex.count(r"\langle") == 4
     assert r"\varepsilon_{abc}" in tex
 

@@ -64,6 +64,17 @@ def test_rank_guard():
         transgression(A, LieValuedForm.zero(), c_tensor_rotated(5), 1, c5r)
 
 
+def test_dimension_must_match_tensor_rank():
+    c3r = make_c_algebra_rotated(3)
+    tensor = c_tensor_rotated(3)
+    for dimension in (5, 7):
+        message = rf"dimension {dimension} is not 2 \* rank - 1 for a rank-2 tensor"
+        with pytest.raises(ValueError, match=message):
+            chern_simons(build_connection(c3r), tensor, dimension, c3r)
+        with pytest.raises(ValueError, match=message):
+            subspace_separation(connection_chain(c3r), tensor, dimension, c3r)
+
+
 def test_middle_transgression_matches_golden_exactly():
     c5r = make_c_algebra_rotated(5)
     chain = connection_chain(c5r)

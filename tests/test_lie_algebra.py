@@ -9,7 +9,7 @@ from sexpansion.fixtures import (make_c_algebra_rotated, random_nilpotent,
                                  random_solvable_4d)
 from sexpansion.lie_algebra import (AxiomReport, Label, LieAlgebra,
                                     LieAlgebraError, change_basis, check_axioms,
-                                    eps3, killing_profile, make_named,
+                                    eps3, killing_profile, make_ads, make_named,
                                     mat_identity, mat_inverse)
 from sexpansion.scalars import Q2, SQRT2
 
@@ -19,6 +19,11 @@ FIXTURES = ["so3", "so31", "so4", "ads3", "ads5"]
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_axioms(name):
     assert check_axioms(make_named(name)).ok
+
+
+def test_ads_axioms_in_seven_dimensions():
+    ads7 = make_ads(7)
+    assert ads7.dim == 28 and check_axioms(ads7).ok
 
 
 def test_unknown_name():

@@ -17,9 +17,11 @@ from sexpansion.targets import TargetParseError, expand_target
 
 
 def test_pure_epsilon_expansion():
-    f = expand_target("eps[abc] e[a] e[b] e[c]", 3)
-    sign, mono = canonical_monomial((sym("e", 0), sym("e", 1), sym("e", 2)))
-    assert f == ScalarForm({mono: ScalarExpr.const(6 * sign)})
+    for d in (3, 7):
+        letters = "abcdefg"[:d]
+        f = expand_target(f"eps[{letters}] " + " ".join(f"e[{ch}]" for ch in letters), d)
+        sign, mono = canonical_monomial(tuple(sym("e", a) for a in range(d)))
+        assert f == ScalarForm({mono: ScalarExpr.const(math.factorial(d) * sign)})
 
 
 def test_curvature_square_monomial_count():
