@@ -26,7 +26,7 @@ from .lagrangian import chern_simons, compare_forms, subspace_separation
 from .lie_algebra import LieAlgebra, check_axioms
 from .pipeline import PipelineError, required, required_int, run_pipeline
 from .scalars import Q2, ScalarExpr
-from .semigroup import Semigroup, find_isomorphism
+from .semigroup import Semigroup, SemigroupError, find_isomorphism
 from .targets import TargetParseError
 
 
@@ -77,14 +77,35 @@ def _resolve_algebra(spec) -> LieAlgebra:
     raise UsageError("algebra must be a fixture name or {'path': ...}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _resolve_semigroup(spec) -> Semigroup:
+    """A named semigroup or a {name, order, table, zero} descriptor, inline or
+    in a file.  A descriptor of the wrong shape or types is a config error;
+    whether its table is a semigroup is Semigroup's own (verification) check."""
     if isinstance(spec, str):
         return _by_name(semigroup_by_name, spec)
-    if isinstance(spec, dict):
-        if "path" in spec:
-            return Semigroup.from_json(_read_path(spec))
-        return Semigroup.from_json_dict(spec)
-    raise UsageError("semigroup must be a name, a descriptor, or {'path': ...}")
+    if isinstance(spec, dict) and "path" in spec:
+        try:
+            spec = json.loads(_read_path(spec))
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"semigroup file is not valid JSON: {exc}")
+    if not isinstance(spec, dict):
+        raise UsageError("semigroup must be a name, a descriptor, or {'path': ...}")
+    name, order, table, zero = (required(spec, key, "semigroup")
+                                for key in ("name", "order", "table", "zero"))
+    if not isinstance(name, str):
+        raise UsageError(f"semigroup: 'name' must be a string, got {name!r}")
+    if not _is_int(order):
+        raise UsageError(f"semigroup: 'order' must be an integer, got {order!r}")
+    if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(_is_int(v) for v in row) for row in table):
+        raise UsageError("semigroup: 'table' must be a list of lists of integers")
+    if zero is not None and not _is_int(zero):
+        raise UsageError(f"semigroup: 'zero' must be an integer or null, got {zero!r}")
+    return Semigroup.from_json_dict(spec)
 
 
 def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
@@ -225,6 +246,15 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     unknown = sorted(set(fields) - {"w", "e", "k", "h"})
     if unknown:
         raise UsageError(f"unknown fields {unknown}; fields are a subset of w e k h")
+    goldens = []
+    for name in _name_list(config, "compare", []) + extra_compare:
+        try:
+            golden = load_golden(name)
+        except KeyError as exc:
+            raise UsageError(exc.args[0])
+        if golden.dimension != dimension:
+            raise UsageError(f"golden {name!r} is a {golden.dimension}d expression")
+        goldens.append(golden)
     method = config.get("method", "separated")
     if method == "separated":
         lagrangian = subspace_separation(connection_chain(algebra, fields),
@@ -250,12 +280,9 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
         out.emit_latex("lagrangian", scalar_form_latex(lagrangian))
 
     failures = []
-    compare = _name_list(config, "compare", []) + extra_compare
     lines = []
-    for name in compare:
-        golden = load_golden(name)
-        if golden.dimension != dimension:
-            raise UsageError(f"golden {name!r} is a {golden.dimension}d expression")
+    for golden in goldens:
+        name = golden.name
         rep = compare_forms(lagrangian, golden.form(),
                             up_to_scale=config.get("compare_up_to_scale", True))
         lines.append(f"[{name}] matched={rep.matched} "
@@ -292,9 +319,7 @@ def cmd_semigroup(config: dict, out: Output) -> None:
     elif action == "verify":
         try:
             _resolve_semigroup(config.get("semigroup"))
-        except UsageError:
-            raise
-        except Exception as exc:
+        except SemigroupError as exc:
             raise VerificationFailure(f"invalid semigroup: {exc}")
         out.emit_text("verify", "ok")
     elif action == "isomorphism":

@@ -345,23 +345,52 @@ def curvature(A: LieValuedForm, L: LieAlgebra) -> LieValuedForm:
     return A.d() + lie_bracket_form(A, A, L).scaled(Q2(Fraction(1, 2)))
 
 
+def _is_even(f: LieValuedForm) -> bool:
+    return all(monomial_degree(m) % 2 == 0
+               for sf in f.components.values() for m in sf.terms)
+
+
 def contract(T, forms: Sequence[LieValuedForm]) -> ScalarForm:
     """Full multilinear contraction of a symmetric invariant tensor with
-    Lie-valued forms; all reordering signs come from the wedge products."""
+    Lie-valued forms; all reordering signs come from the wedge products.
+
+    It walks the tensor's sparse entries and, for each, the distinct
+    orderings of its sorted key that land on a component in every slot.
+    Slots holding one and the same form object whose monomials all have
+    even degree form a group: even factors commute with everything and T is
+    symmetric, so orderings that differ only inside a group give the same
+    product.  Each product is built once, by one wedge chain, and added with
+    the entry times the number of orderings it stands for.  A form with any
+    odd monomial is never grouped: its factors anticommute, so orderings
+    inside the group differ in sign and must be wedged one by one; that is
+    how <w w w> = 0 comes out of the wedge signs.
+    """
     if len(forms) != T.rank:
         raise ValueError("number of forms must equal the tensor rank")
+    comps = [f.components for f in forms]
+    slots_of: dict[int, list[int]] = {}
+    for slot, f in enumerate(forms):
+        slots_of.setdefault(id(f), []).append(slot)
+    groups = [slots for slots in slots_of.values()
+              if len(slots) > 1 and _is_even(forms[slots[0]])]
     out = ScalarForm()
-    comp_lists = [list(f.components.items()) for f in forms]
-    for combo in itertools.product(*comp_lists):
-        idxs = tuple(i for i, _ in combo)
-        val = T.get(idxs)
-        if val.is_zero():
-            continue
-        prod = combo[0][1]
-        for _, sf in combo[1:]:
-            prod = wedge(prod, sf)
-            if prod.is_zero():
-                break
-        else:
-            out.add_form(prod, val)
+    for key, val in T.entries.items():
+        counts: dict[tuple[int, ...], int] = {}
+        for order in set(itertools.permutations(key)):
+            if not all(i in c for i, c in zip(order, comps)):
+                continue
+            order = list(order)
+            for slots in groups:  # sorted indices stand for the group's orderings
+                for slot, i in zip(slots, sorted(order[s] for s in slots)):
+                    order[slot] = i
+            order = tuple(order)
+            counts[order] = counts.get(order, 0) + 1
+        for order, n in sorted(counts.items()):
+            prod = comps[0][order[0]]
+            for c, i in zip(comps[1:], order[1:]):
+                prod = wedge(prod, c[i])
+                if prod.is_zero():
+                    break
+            else:
+                out.add_form(prod, val if n == 1 else val.scaled(n))
     return out

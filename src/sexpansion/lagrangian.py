@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence
 
 from .forms import (FormSymbol, LieValuedForm, Monomial, ScalarForm,
@@ -61,15 +62,16 @@ def transgression(A: LieValuedForm, Abar: LieValuedForm,
         return ScalarForm.zero()
     ft = homotopy_curvature(A, Abar, L)
     out = ScalarForm.zero()
-    powers = [list(ft.items()) for _ in range(k)]
-    for assignment in itertools.product(*powers):
-        tpow = sum(m for m, _ in assignment)
-        forms = [delta] + [f for _, f in assignment]
-        piece = contract(T, forms)
+    # the components of F_t are 2-forms and T is symmetric, so every ordering
+    # of one multiset of t-powers gives the same piece: contract it once
+    for powers in itertools.combinations_with_replacement(sorted(ft), k):
+        piece = contract(T, [delta] + [ft[m] for m in powers])
         if piece.is_zero():
             continue
-        weight = Q2(Fraction(k + 1, tpow + 1))
-        out.add_form(piece, weight)
+        orderings = factorial(k)
+        for m in set(powers):
+            orderings //= factorial(powers.count(m))
+        out.add_form(piece, Q2(Fraction((k + 1) * orderings, sum(powers) + 1)))
     return out
 
 

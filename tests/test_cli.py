@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sexpansion import cli
 from sexpansion.cli import main
 from sexpansion.lie_algebra import LieAlgebra, make_named
 
@@ -303,6 +304,89 @@ def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("compare, argv, message", [
+    ("c5_lagrangian", [], "compare must be a list of names"),
+    (["nosuch"], [], "unknown golden expression 'nosuch'"),
+    ([], ["--compare", "c3_lagrangian"], "golden 'c3_lagrangian' is a 3d expression"),
+])
+def test_bad_compare_exits_before_the_lagrangian_is_built(tmp_path, capsys, monkeypatch,
+                                                          compare, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Lagrangian was built before compare was checked")
+
+    monkeypatch.setattr(cli, "subspace_separation", refuse)
+    cfg = write_config(tmp_path, "cfg.json", dict(_C5, compare=compare))
+    out = tmp_path / "o"
+    assert main(["lagrangian", "--config", cfg, "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "lagrangian.json").exists()
+
+
+_SG = {"name": "x", "order": 2, "table": [[0, 1], [1, 0]], "zero": None}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("semigroup", {"action": "construct", "semigroup": dict(_SG, table=3)},
+     "semigroup: 'table' must be a list of lists of integers"),
+    ("semigroup", {"action": "construct", "semigroup": dict(_SG, order="x")},
+     "semigroup: 'order' must be an integer, got 'x'"),
+    ("semigroup", {"action": "construct", "semigroup": dict(_SG, table=[[0, 1], [1, "a"]])},
+     "semigroup: 'table' must be a list of lists of integers"),
+    ("semigroup", {"action": "isomorphism", "first": dict(_SG, table=[3, 4]), "second": "Z2"},
+     "semigroup: 'table' must be a list of lists of integers"),
+    ("semigroup", {"action": "verify", "semigroup": dict(_SG, order=True)},
+     "semigroup: 'order' must be an integer, got True"),
+    ("semigroup", {"action": "construct", "semigroup": dict(_SG, name=5)},
+     "semigroup: 'name' must be a string, got 5"),
+    ("semigroup", {"action": "construct", "semigroup": dict(_SG, zero="0")},
+     "semigroup: 'zero' must be an integer or null, got '0'"),
+    ("semigroup", {"action": "verify", "semigroup": {"name": "x", "order": 2,
+                                                     "table": [[0, 1], [1, 0]]}},
+     "semigroup: missing 'zero'"),
+    ("semigroup", {"action": "construct", "semigroup": [_SG]},
+     "semigroup must be a name, a descriptor, or {'path': ...}"),
+    ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
+        "kind": "zero", "semigroup": dict(_SG, table=3), "base_dim": 15}}},
+     "semigroup: 'table' must be a list of lists of integers"),
+])
+def test_malformed_semigroup_is_usage_error(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(dict(_SG, table=3)), "semigroup: 'table' must be a list of lists of integers"),
+    ("{", "semigroup file is not valid JSON"),
+], ids=["bad-table", "bad-json"])
+def test_malformed_semigroup_file_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "sg.json"
+    path.write_text(text)
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"action": "construct", "semigroup": {"path": str(path)}})
+    assert main(["semigroup", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("action, table, order, message", [
+    ("construct", [[0, 5], [5, 1]], 2, "table entry out of range at (0,1)"),
+    ("construct", [[0, 1], [1, 0]], 3, "table shape does not match order"),
+    ("verify", [[1, 0], [0, 0]], 2, "invalid semigroup: not associative at (0,0,1)"),
+])
+def test_semigroup_that_fails_its_axioms_exits_one(tmp_path, capsys, action, table, order,
+                                                   message):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "action": action, "semigroup": dict(_SG, table=table, order=order)})
+    assert main(["semigroup", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["invariants", "check", "lagrangian"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,11 +7,12 @@ import pytest
 
 from sexpansion.fixtures import (build_connection, c_tensor_rotated,
                                  make_c_algebra_rotated)
-from sexpansion.forms import (FormSymbol, ScalarForm, canonical_monomial,
-                              curvature, exterior_d, lie_bracket_form,
+from sexpansion.forms import (FormSymbol, LieValuedForm, ScalarForm,
+                              canonical_monomial, contract, curvature,
+                              exterior_d, lie_bracket_form,
                               scalar_form_from_json_dict,
                               scalar_form_to_json_dict, sym, wedge)
-from sexpansion.invariant_tensor import InvariantTensor
+from sexpansion.invariant_tensor import InvariantTensor, epsilon_tensor
 from sexpansion.scalars import Q2, ScalarExpr
 
 
@@ -262,3 +264,112 @@ def test_contract_leaves_its_input_forms_unchanged():
     first = contract(c_tensor_rotated(3), [F, A])
     assert contract(c_tensor_rotated(3), [F, A]) == first
     assert {i: scalar_form_to_json_dict(f) for i, f in F.components.items()} == before
+
+
+# -- the symmetric contraction against the dense one it replaced ----------------
+
+
+def dense_contract(T, forms):
+    """The reference contraction: every ordered tuple of components, its
+    entry looked up in T, and one wedge chain per tuple."""
+    if len(forms) != T.rank:
+        raise ValueError("number of forms must equal the tensor rank")
+    out = ScalarForm()
+    comp_lists = [list(f.components.items()) for f in forms]
+    for combo in itertools.product(*comp_lists):
+        val = T.get(tuple(i for i, _ in combo))
+        if val.is_zero():
+            continue
+        prod = combo[0][1]
+        for _, sf in combo[1:]:
+            prod = wedge(prod, sf)
+            if prod.is_zero():
+                break
+        else:
+            out.add_form(prod, val)
+    return out
+
+
+_ODD = [sym("e", i) for i in range(4)] + [sym("w", 0, 1), sym("k", 1, 2)]
+_EVEN = [s.d() for s in _ODD]
+
+
+def _random_lie_form(rng, generators, degrees, size=4):
+    """Components on up to size of the generators; each monomial has a degree
+    drawn from degrees, so (1, 2) gives components of mixed degree."""
+    out = LieValuedForm()
+    for i in rng.sample(generators, rng.randint(1, min(size, len(generators)))):
+        f = ScalarForm()
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.choice(degrees)
+            n_even = rng.randint(0, degree // 2)
+            sign, mono = canonical_monomial(rng.sample(_ODD, degree - 2 * n_even)
+                                            + rng.sample(_EVEN, n_even))
+            if sign:
+                f.add_term(mono, _random_scalar(rng, alpha=False))
+        out.add_component(i, f)
+    return out
+
+
+def _random_symmetric_tensor(rng, rank, dim):
+    t = InvariantTensor(rank)
+    for _ in range(rng.randint(1, 12)):
+        t.set_entry([rng.randrange(dim) for _ in range(rank)], _random_scalar(rng, alpha=True))
+    return t
+
+
+def _twin(f):
+    """Equal to f but not the same object, so contract cannot group it with f."""
+    return LieValuedForm({i: ScalarForm(dict(sf.terms)) for i, sf in f.components.items()})
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_contract_equals_dense_contract_on_random_slots(rank):
+    """Repeated even and odd form objects, equal-but-distinct twins, mixed
+    degrees and alpha-carrying entries, drawn into the slots with repeats."""
+    rng = random.Random(20160409 + rank)
+    dim = 5
+    for _ in range(60):
+        T = _random_symmetric_tensor(rng, rank, dim)
+        pool = [_random_lie_form(rng, range(dim), degrees)
+                for degrees in ((2,), (2, 4), (1,), (3,), (1, 2))]
+        pool.append(_twin(rng.choice(pool)))
+        forms = [rng.choice(pool) for _ in range(rank)]
+        assert contract(T, forms) == dense_contract(T, forms)
+
+
+def test_contract_equals_dense_contract_on_repeated_objects():
+    rng = random.Random(7)
+    for _ in range(40):
+        T = _random_symmetric_tensor(rng, 3, 4)
+        F = _random_lie_form(rng, range(4), (2,))
+        A = _random_lie_form(rng, range(4), (1,))
+        M = _random_lie_form(rng, range(4), (1, 2))
+        for forms in ([A, F, F], [F, A, F], [F, F, F], [A, A, A], [M, M, M],
+                      [F, _twin(F), F], [A, _twin(A), A]):
+            assert contract(T, forms) == dense_contract(T, forms)
+
+
+def test_contract_equals_dense_contract_on_eps7():
+    """The rank-4 epsilon invariant of ads7 on forms over the generators of
+    two of its entries, so that some products land on an entry."""
+    rng = random.Random(11)
+    T = epsilon_tensor(7)
+    keys = sorted(T.entries)
+    for _ in range(10):
+        generators = sorted(set(rng.choice(keys)) | set(rng.choice(keys)))
+        F = _random_lie_form(rng, generators, (2,), size=8)
+        A = _random_lie_form(rng, generators, (1,), size=8)
+        for forms in ([A, F, F, F], [F, F, F, F], [A, A, F, F],
+                      [F, A, _twin(F), F]):
+            assert contract(T, forms) == dense_contract(T, forms)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_contract_equals_dense_contract_on_curvatures(d):
+    L = make_c_algebra_rotated(d)
+    T = c_tensor_rotated(d)
+    A = build_connection(L, ("w", "e"))
+    F = curvature(A, L)
+    for forms in ([A] + [F] * (T.rank - 1), [F] * T.rank):
+        assert contract(T, forms) == dense_contract(T, forms)

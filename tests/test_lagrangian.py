@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ from sexpansion.fixtures import (b5_tensor, build_connection, c_tensor_rotated,
                                  connection_chain, make_b5,
                                  make_c_algebra_rotated)
 from sexpansion.forms import (LieValuedForm, ScalarForm, canonical_monomial,
-                              exterior_d, sym)
+                              contract, exterior_d, sym)
 from sexpansion.goldens import load_golden
 from sexpansion.invariant_tensor import InvariantTensor
 from sexpansion.lagrangian import (_symbol_universe, candidate_primitives,
                                    chern_simons, compare_forms, dual_mc_check,
-                                   is_d_exact, subspace_separation, transgression)
+                                   homotopy_curvature, is_d_exact,
+                                   subspace_separation, transgression)
 from sexpansion.lie_algebra import Label, LieAlgebra, make_named
 from sexpansion.scalars import Q2, ScalarExpr
 
@@ -272,3 +274,33 @@ def test_dual_formulation(n, name):
     assert rep.shift_consistent
     assert rep.witness_ok
     assert rep.ok
+
+
+def ordered_transgression(A, Abar, T, k, L):
+    """The reference transgression: one contraction per ordered tuple of
+    t-power components of F_t, each weighted (k+1)/(tpow+1)."""
+    delta = A - Abar
+    if delta.is_zero():
+        return ScalarForm.zero()
+    ft = homotopy_curvature(A, Abar, L)
+    out = ScalarForm.zero()
+    powers = [list(ft.items()) for _ in range(k)]
+    for assignment in itertools.product(*powers):
+        tpow = sum(m for m, _ in assignment)
+        piece = contract(T, [delta] + [f for _, f in assignment])
+        if not piece.is_zero():
+            out.add_form(piece, Q2(Fraction(k + 1, tpow + 1)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["c3", "c5", "b5"])
+def test_transgression_equals_ordered_transgression_on_fixture_chains(name):
+    if name == "b5":
+        L, T = make_b5(), b5_tensor()
+    else:
+        d = int(name[1])
+        L, T = make_c_algebra_rotated(d), c_tensor_rotated(d)
+    chain = connection_chain(L)
+    for big, small in zip(chain, chain[1:]):
+        assert transgression(big, small, T, T.rank - 1, L) == \
+            ordered_transgression(big, small, T, T.rank - 1, L)
