@@ -61,19 +61,38 @@ def _by_name(lookup, name: str):
         raise UsageError(str(exc))
 
 
-def _read_path(spec: dict) -> str:
+def _read_json_path(spec: dict, what: str):
+    """The JSON value in the file at spec['path']; a file that cannot be read
+    or is not JSON is a config error naming the file."""
+    path = spec["path"]
+    if not isinstance(path, str):
+        raise UsageError(f"{what}: 'path' must be a string, got {path!r}")
     try:
-        with open(spec["path"]) as fh:
-            return fh.read()
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {spec['path']!r}: {exc.strerror}")
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} file is not valid JSON: {path!r}: {exc}")
+
+
+def _decode_path(spec: dict, what: str, from_json_dict):
+    """from_json_dict of the file at spec['path']; a file that lacks a key or
+    has the wrong shape is a config error naming the file and the problem."""
+    data = _read_json_path(spec, what)
+    try:
+        return from_json_dict(data)
+    except KeyError as exc:
+        raise UsageError(f"{what} file {spec['path']!r} lacks the key {exc}")
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise UsageError(f"{what} file {spec['path']!r} is malformed: {exc}")
 
 
 def _resolve_algebra(spec) -> LieAlgebra:
     if isinstance(spec, str):
         return _by_name(algebra_by_name, spec)
     if isinstance(spec, dict) and "path" in spec:
-        return LieAlgebra.from_json(_read_path(spec))
+        return _decode_path(spec, "algebra", LieAlgebra.from_json_dict)
     raise UsageError("algebra must be a fixture name or {'path': ...}")
 
 
@@ -88,10 +107,7 @@ def _resolve_semigroup(spec) -> Semigroup:
     if isinstance(spec, str):
         return _by_name(semigroup_by_name, spec)
     if isinstance(spec, dict) and "path" in spec:
-        try:
-            spec = json.loads(_read_path(spec))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"semigroup file is not valid JSON: {exc}")
+        spec = _read_json_path(spec, "semigroup")
     if not isinstance(spec, dict):
         raise UsageError("semigroup must be a name, a descriptor, or {'path': ...}")
     name, order, table, zero = (required(spec, key, "semigroup")
@@ -112,7 +128,7 @@ def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
     if isinstance(spec, str):
         tensor = _by_name(tensor_by_name, spec)
     elif isinstance(spec, dict) and "path" in spec:
-        tensor = InvariantTensor.from_json(_read_path(spec))
+        tensor = _decode_path(spec, "tensor", InvariantTensor.from_json_dict)
     elif isinstance(spec, dict) and "lift" in spec:
         base = _by_name(tensor_by_name, required(spec, "base", "tensor"))
         lift = spec["lift"]

@@ -10,45 +10,64 @@ Koszul sign applied at construction time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .lie_algebra import LieAlgebra
 from .scalars import Q2, ScalarExpr
 
 _FIELD_ORDER = {"w": 0, "e": 1, "k": 2, "h": 3}
+_INTERNED: dict[tuple, "FormSymbol"] = {}  # (field, indices, differentiated) -> symbol
 
 
-@dataclass(frozen=True)
-class FormSymbol:
-    """One concrete component symbol, e.g. w^{01}, e^2, or their d-images."""
+class FormSymbol(int):
+    """One concrete component symbol, e.g. w^{01}, e^2, or their d-images.
 
-    field: str
-    indices: tuple[int, ...]
-    differentiated: bool = False
+    Symbols are interned: there is one object per (field, indices,
+    differentiated), at most 220 in all.  Each is an int whose value is
+    (2 * field order + d) * 100 + the index digits, so its hash, equality and
+    order are the int's, and that order is `sort_key`'s (field, then d, then
+    indices).  A symbol therefore also equals the plain int of its value;
+    monomials hold symbols only.  Attributes are set once, in `__new__`.
+    """
 
-    def __post_init__(self):
-        if self.field not in _FIELD_ORDER:
-            raise ValueError(f"unknown field symbol {self.field!r}")
-        if self.field in ("w", "k"):
-            if len(self.indices) != 2 or not self.indices[0] < self.indices[1]:
-                raise ValueError(f"{self.field} needs an ordered index pair")
+    def __new__(cls, field: str, indices: tuple[int, ...], differentiated: bool = False):
+        indices = tuple(indices)
+        s = _INTERNED.get((field, indices, differentiated))
+        if s is not None:
+            return s
+        if field not in _FIELD_ORDER:
+            raise ValueError(f"unknown field symbol {field!r}")
+        if field in ("w", "k"):
+            if len(indices) != 2 or not indices[0] < indices[1]:
+                raise ValueError(f"{field} needs an ordered index pair")
         else:
-            if len(self.indices) != 1:
-                raise ValueError(f"{self.field} needs exactly one index")
-        # monomial_name writes each index as one digit, and parse_symbol reads it so
-        if self.indices[0] < 0 or self.indices[-1] > 9:
-            raise ValueError(f"{self.field} indices must lie in 0..9, got {self.indices}")
+            if len(indices) != 1:
+                raise ValueError(f"{field} needs exactly one index")
+        # the int value and monomial_name hold each index as one digit, and
+        # parse_symbol reads it so
+        if indices[0] < 0 or indices[-1] > 9:
+            raise ValueError(f"{field} indices must lie in 0..9, got {indices}")
+        d = bool(differentiated)
+        digits = 0
+        for i in indices:
+            digits = 10 * digits + i
+        s = int.__new__(cls, (2 * _FIELD_ORDER[field] + d) * 100 + digits)
+        s.__dict__.update(field=field, indices=indices, differentiated=d,
+                          degree=2 if d else 1,
+                          sort_key=(_FIELD_ORDER[field], d, indices),
+                          _name=("d" if d else "") + field + "".join(map(str, indices)))
+        _INTERNED[(field, indices, d)] = s
+        return s
 
-    @property
-    def degree(self) -> int:
-        return 2 if self.differentiated else 1
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FormSymbol is immutable; cannot set {name!r}")
 
-    @property
-    def sort_key(self) -> tuple:
-        return (_FIELD_ORDER[self.field], self.differentiated, self.indices)
+    def __delattr__(self, name):
+        raise AttributeError(f"FormSymbol is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FormSymbol, (self.field, self.indices, self.differentiated)
 
     def d(self) -> Optional["FormSymbol"]:
         if self.differentiated:
@@ -56,15 +75,17 @@ class FormSymbol:
         return FormSymbol(self.field, self.indices, True)
 
     def __str__(self) -> str:
-        name = ("d" if self.differentiated else "") + self.field
-        return name + "".join(map(str, self.indices))
+        return self._name
+
+    def __repr__(self) -> str:
+        return (f"FormSymbol(field={self.field!r}, indices={self.indices!r}, "
+                f"differentiated={self.differentiated!r})")
 
 
-@lru_cache(maxsize=None)
 def sym(field: str, *indices: int, d: bool = False) -> FormSymbol:
-    """Interned symbol constructor; pair fields fold index order into a sign
+    """Symbol constructor; pair fields fold index order into a sign
     elsewhere, so this demands already-ordered indices."""
-    return FormSymbol(field, tuple(indices), d)
+    return FormSymbol(field, indices, d)
 
 
 def pair_symbol(field: str, a: int, b: int, d: bool = False) -> tuple[int, Optional[FormSymbol]]:
@@ -86,15 +107,15 @@ def canonical_monomial(seq: Sequence[FormSymbol]) -> tuple[int, Optional[Monomia
     The sign counts transpositions of odd symbols only, since even symbols
     move freely.
     """
-    odd_keys = [s.sort_key for s in seq if s.degree % 2 == 1]
+    odd = [s for s in seq if s.degree == 1]
     sign = 1
-    for i in range(len(odd_keys)):
-        for j in range(i + 1, len(odd_keys)):
-            if odd_keys[i] == odd_keys[j]:
+    for i, a in enumerate(odd):
+        for b in odd[i + 1:]:
+            if a == b:
                 return 0, None
-            if odd_keys[i] > odd_keys[j]:
+            if a > b:
                 sign = -sign
-    return sign, tuple(sorted(seq, key=lambda s: s.sort_key))
+    return sign, tuple(sorted(seq))
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -188,7 +209,7 @@ class ScalarForm:
         return out
 
     def sorted_items(self) -> list[tuple[Monomial, ScalarExpr]]:
-        return sorted(self.terms.items(), key=lambda kv: tuple(s.sort_key for s in kv[0]))
+        return sorted(self.terms.items())
 
     def __str__(self) -> str:
         if not self.terms:

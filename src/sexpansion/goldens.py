@@ -79,9 +79,7 @@ def per_term_report(computed: ScalarForm, golden: Golden,
     """
     term_texts = golden.terms()
     bases = [expand_target(t, golden.dimension) for t in term_texts]
-    monos = sorted(set(itertools.chain(computed.terms,
-                                       *(b.terms for b in bases))),
-                   key=lambda m: tuple(s.sort_key for s in m))
+    monos = sorted(set(itertools.chain(computed.terms, *(b.terms for b in bases))))
     # matrix over the alpha-free field is not possible when printed terms
     # carry alpha symbols; instead solve with each basis coefficient treated
     # per-monomial as its full ScalarExpr and demand proportionality by a

@@ -105,7 +105,7 @@ def _symbol_universe(f: ScalarForm) -> list[FormSymbol]:
             base = FormSymbol(s.field, s.indices, False)
             syms.add(base)
             syms.add(FormSymbol(s.field, s.indices, True))
-    return sorted(syms, key=lambda s: s.sort_key)
+    return sorted(syms)
 
 
 def candidate_primitives(degree: int, universe: Sequence[FormSymbol],
@@ -126,7 +126,7 @@ def candidate_primitives(degree: int, universe: Sequence[FormSymbol],
                 if len(out) > cap:
                     raise ValueError("primitive basis exceeds cap; exactness "
                                      "detection is best-effort at this size")
-    return sorted(set(out), key=lambda m: tuple(s.sort_key for s in m))
+    return sorted(set(out))
 
 
 def is_d_exact(f: ScalarForm, cap: int = 200000) -> bool:
@@ -212,8 +212,7 @@ def compare_forms(computed: ScalarForm, expected: ScalarForm,
         rep = compare_forms(scaled, expected, up_to_scale=False)
         return ComparisonReport(rep.matched, quot, rep.diffs, rep.note)
     diffs = []
-    for m in sorted(set(computed.terms) | set(expected.terms),
-                    key=lambda m: tuple(s.sort_key for s in m)):
+    for m in sorted(set(computed.terms) | set(expected.terms)):
         c = computed.terms.get(m, ScalarExpr.zero())
         e = expected.terms.get(m, ScalarExpr.zero())
         if c != e:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,23 +219,48 @@ def test_unknown_name_is_usage_error(tmp_path, capsys, command, payload):
     assert err.startswith("error: unknown") and "nosuch" in err
 
 
+# placeholder in a payload -> (text of the file it names, None for no file;
+# what the one error line must say besides the file name)
+_PATH_FILES = {
+    "MISSING": (None, "error: cannot read"),
+    "NOT_JSON": ("{", "file is not valid JSON"),
+    "NO_LABELS": ('{"name": "x"}', "algebra file {path} lacks the key 'labels'"),
+    "NO_COEFF": ('{"rank": 2, "entries": [{"indices": [0, 1]}]}',
+                 "tensor file {path} lacks the key 'coeff'"),
+}
+
+
 @pytest.mark.parametrize("command, payload", [
     ("check", {"algebra": {"path": "MISSING"}}),
     ("check", {"algebra": "so3", "tensor": {"path": "MISSING"}}),
     ("semigroup", {"action": "construct", "semigroup": {"path": "MISSING"}}),
     ("semigroup", {"action": "verify", "semigroup": {"path": "MISSING"}}),
+    ("check", {"algebra": {"path": "NOT_JSON"}}),
+    ("check", {"algebra": {"path": "NO_LABELS"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "NOT_JSON"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "NO_COEFF"}}),
 ])
 def test_missing_path_file_is_usage_error(tmp_path, capsys, command, payload):
-    missing = str(tmp_path / "missing.json")
-    text = json.dumps(payload).replace("MISSING", missing)
-    cfg = write_config(tmp_path, "cfg.json", json.loads(text))
+    """A path file that is missing, not JSON, or lacks a key exits 2 with one
+    error line naming the file and the problem."""
+    text = json.dumps(payload)
+    name = next(k for k in _PATH_FILES if k in text)
+    content, message = _PATH_FILES[name]
+    path = tmp_path / f"{name.lower()}.json"
+    if content is not None:
+        path.write_text(content)
+    cfg = write_config(tmp_path, "cfg.json", json.loads(text.replace(name, str(path))))
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read") and "missing.json" in err
-    assert "Traceback" not in err
+    assert err.startswith("error: ") and repr(str(path)) in err
+    assert message.format(path=repr(str(path))) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 _C5 = {"dimension": 5, "algebra": "c5_rotated", "tensor": "c5_rotated"}
+# the c5 w,e sector at [1, -1, -1, -1] against its golden
+_C5_SECTOR = dict(_C5, alphas=[1, -1, -1, -1], fields=["w", "e"],
+                  compare=["c5_lagrangian_kh0_sector"])
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -352,6 +381,8 @@ _SG = {"name": "x", "order": 2, "table": [[0, 1], [1, 0]], "zero": None}
     ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
         "kind": "zero", "semigroup": dict(_SG, table=3), "base_dim": 15}}},
      "semigroup: 'table' must be a list of lists of integers"),
+    ("semigroup", {"action": "construct", "semigroup": {"path": None}},
+     "semigroup: 'path' must be a string, got None"),
 ])
 def test_malformed_semigroup_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -452,12 +483,27 @@ _PINNED_OUTPUTS = [
     (["check"], {"algebra": "c5", "tensor": "c5"}, 1, {
         "check.txt": "03a5b3853b7d8bd221b439d127d747c3380db3c32f6714d08dada3586c516ed1",
     }),
+    (["lagrangian"], {"dimension": 5, "algebra": "b5", "tensor": "b5",
+                      "compare": ["b5_lagrangian"]}, 0, {
+        "comparison.txt": "9a896fe8303cd1fc2eff46ebf261115379711a2f5418a8fe3d089ee8865dc0d3",
+        "lagrangian.json": "cd0258989b990147c3406365379dd743d684560b52f91b0c05cc24beca0615ca",
+    }),
+    (["lagrangian"], _C5_SECTOR, 0, {
+        "comparison.txt": "b03d5f7280282abcb097213fc86d8852e151f6d20af7492cdf196b8895324dca",
+        "lagrangian.json": "7627743e334ced5e75976eeea22c6ef16bbd1392f313f9c2b9fa49ad33903bed",
+    }),
+    (["lagrangian", "--format", "both"], _C5, 0, {
+        "lagrangian.json": "88c07462b606befd94f105524039f423c33fae2aba8defce481cc77812ab030e",
+        "lagrangian.tex": "72c7b60e53fefdd7f49ed89b6f316df2d72d643261cb9f1a72af842d1d928290",
+    }),
 ]
 
 
 @pytest.mark.parametrize("argv, payload, code, hashes", _PINNED_OUTPUTS,
                          ids=["expand-lorentz", "expand-b5", "invariants-c5-h",
-                              "invariants-b5-zero", "lagrangian-c3", "check-c5"])
+                              "invariants-b5-zero", "lagrangian-c3", "check-c5",
+                              "lagrangian-b5", "lagrangian-c5-kh0-sector",
+                              "lagrangian-c5-general"])
 def test_readme_outputs_are_byte_identical(tmp_path, argv, payload, code, hashes):
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = tmp_path / "out"
@@ -465,3 +511,20 @@ def test_readme_outputs_are_byte_identical(tmp_path, argv, payload, code, hashes
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
     assert written == hashes
+
+
+def test_lagrangian_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Two CLI children with different string-hash seeds write the same bytes."""
+    cfg = write_config(tmp_path, "cfg.json", _C5_SECTOR)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"out{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "sexpansion.cli", "lagrangian",
+                               "--config", cfg, "--out", str(out), "--format", "both"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert set(written[0]) == {"comparison.txt", "lagrangian.json", "lagrangian.tex"}
+    assert written[0] == written[1]

@@ -1,6 +1,9 @@
+import copy
 import itertools
 import json
+import pickle
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,7 @@ from sexpansion.fixtures import (build_connection, c_tensor_rotated,
                                  make_c_algebra_rotated)
 from sexpansion.forms import (FormSymbol, LieValuedForm, ScalarForm,
                               canonical_monomial, contract, curvature,
-                              exterior_d, lie_bracket_form,
+                              exterior_d, lie_bracket_form, parse_symbol,
                               scalar_form_from_json_dict,
                               scalar_form_to_json_dict, sym, wedge)
 from sexpansion.invariant_tensor import InvariantTensor, epsilon_tensor
@@ -373,3 +376,107 @@ def test_contract_equals_dense_contract_on_curvatures(d):
     F = curvature(A, L)
     for forms in ([A] + [F] * (T.rank - 1), [F] * T.rank):
         assert contract(T, forms) == dense_contract(T, forms)
+
+
+# -- the interned symbol kernel against the dataclass one it replaced ------------
+
+
+@dataclass(frozen=True)
+class DataclassSymbol:
+    """The reference symbol: a frozen dataclass ordered by its sort_key."""
+
+    field: str
+    indices: tuple[int, ...]
+    differentiated: bool = False
+
+    @property
+    def degree(self) -> int:
+        return 2 if self.differentiated else 1
+
+    @property
+    def sort_key(self) -> tuple:
+        return ({"w": 0, "e": 1, "k": 2, "h": 3}[self.field], self.differentiated, self.indices)
+
+
+def reference_canonical_monomial(seq):
+    """The reference kernel: sign from the odd symbols' sort keys, order by sort_key."""
+    odd_keys = [s.sort_key for s in seq if s.degree % 2 == 1]
+    sign = 1
+    for i in range(len(odd_keys)):
+        for j in range(i + 1, len(odd_keys)):
+            if odd_keys[i] == odd_keys[j]:
+                return 0, None
+            if odd_keys[i] > odd_keys[j]:
+                sign = -sign
+    return sign, tuple(sorted(seq, key=lambda s: s.sort_key))
+
+
+def _specs():
+    """(field, indices, differentiated) of every symbol with indices <= 9."""
+    for field in "wekh":
+        index_sets = (itertools.combinations(range(10), 2) if field in "wk"
+                      else ((i,) for i in range(10)))
+        for indices in index_sets:
+            for d in (False, True):
+                yield field, indices, d
+
+
+_SPECS = list(_specs())
+
+
+def _spec(s):
+    return (s.field, s.indices, s.differentiated)
+
+
+def test_symbol_order_equals_the_dataclass_sort_key_order():
+    assert len(_SPECS) == 220
+    rng = random.Random(3)
+    shuffled = rng.sample(_SPECS, len(_SPECS))
+    expected = sorted(shuffled, key=lambda spec: DataclassSymbol(*spec).sort_key)
+    assert [_spec(s) for s in sorted(FormSymbol(*spec) for spec in shuffled)] == expected
+    for spec in _SPECS:
+        s, ref = FormSymbol(*spec), DataclassSymbol(*spec)
+        assert (s.sort_key, s.degree) == (ref.sort_key, ref.degree)
+
+
+def test_canonical_monomial_equals_the_dataclass_kernel():
+    """Seeded symbol sequences over all four fields, both d flags and indices
+    0..9; a small pool per sequence makes repeated odd symbols common."""
+    rng = random.Random(20161010)
+    new_monos, ref_monos = [], []
+    for _ in range(3000):
+        pool = rng.sample(_SPECS, rng.randint(1, 8))
+        specs = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+        sign, mono = canonical_monomial([FormSymbol(*spec) for spec in specs])
+        ref_sign, ref_mono = reference_canonical_monomial([DataclassSymbol(*spec)
+                                                           for spec in specs])
+        assert sign == ref_sign
+        if ref_mono is None:
+            assert mono is None
+            continue
+        assert [_spec(s) for s in mono] == [_spec(s) for s in ref_mono]
+        new_monos.append(mono)
+        ref_monos.append(ref_mono)
+    assert 0 < len(new_monos) < 3000  # both outcomes occur
+    # monomials of different lengths sort as the tuples of their sort keys
+    expected = [[_spec(s) for s in m]
+                for m in sorted(set(ref_monos), key=lambda m: tuple(s.sort_key for s in m))]
+    assert [[_spec(s) for s in m] for m in sorted(set(new_monos))] == expected
+
+
+def test_symbols_are_interned_values():
+    for spec in _SPECS:
+        s = FormSymbol(*spec)
+        assert parse_symbol(str(s)) is s
+        assert FormSymbol(spec[0], list(spec[1]), int(spec[2])) is s
+        assert copy.deepcopy(s) is s and pickle.loads(pickle.dumps(s)) is s
+        assert hash(s) == hash(int(s))  # a value hash, the same in every process
+        if not s.differentiated:
+            assert s.d() is FormSymbol(s.field, s.indices, True)
+    assert FormSymbol("w", (0, 1)) is sym("w", 0, 1)
+    assert FormSymbol("e", (3,), True) is sym("e", 3, d=True)
+    assert repr(sym("k", 1, 2)) == "FormSymbol(field='k', indices=(1, 2), differentiated=False)"
+    with pytest.raises(AttributeError):
+        sym("e", 0).field = "h"
+    with pytest.raises(AttributeError):
+        del sym("e", 0).indices
