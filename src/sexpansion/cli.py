@@ -34,6 +34,18 @@ class UsageError(ValueError):
     pass
 
 
+# the config keys each command reads; any other key is a config error, found
+# once the command's named inputs resolve and before any check runs
+_CONFIG_KEYS = {
+    "expand": ("algebra", "steps"),
+    "invariants": ("algebra", "tensor", "alphas", "verify"),
+    "lagrangian": ("dimension", "algebra", "tensor", "alphas", "fields", "compare",
+                   "method", "compare_up_to_scale"),
+    "semigroup": ("action", "semigroup", "first", "second"),
+    "check": ("algebra", "tensor"),
+}
+
+
 class VerificationFailure(Exception):
     pass
 
@@ -51,6 +63,21 @@ def _load_config(path: Optional[str]) -> dict:
     if not isinstance(config, dict):
         raise UsageError("config must be a JSON object")
     return config
+
+
+def _check_keys(config: dict, command: str) -> None:
+    unknown = sorted(set(config) - set(_CONFIG_KEYS[command]))
+    if unknown:
+        raise UsageError(f"unknown config key {', '.join(map(repr, unknown))} for "
+                         f"{command}; its keys are {', '.join(_CONFIG_KEYS[command])}")
+
+
+def _flag(config: dict, key: str, default: bool) -> bool:
+    """A boolean key; anything but a JSON true or false is a config error."""
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise UsageError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _by_name(lookup, name: str):
@@ -202,6 +229,7 @@ class Output:
 
 def cmd_expand(config: dict, out: Output) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
+    _check_keys(config, "expand")
     steps = config.get("steps", [])
     result = run_pipeline(algebra, steps)
     report = check_axioms(result)
@@ -218,9 +246,10 @@ def cmd_expand(config: dict, out: Output) -> None:
 def cmd_invariants(config: dict, out: Output) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
     tensor = _resolve_tensor(config.get("tensor"), algebra)
+    _check_keys(config, "invariants")
     if config.get("alphas") not in (None, "general"):
         tensor = _specialize(tensor, config["alphas"])
-    if config.get("verify", True):
+    if _flag(config, "verify", True):
         rep = verify_invariance(algebra, tensor)
         if not rep.ok:
             a0, combo = rep.violation
@@ -251,6 +280,7 @@ def lovelock_json() -> dict:
 def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
     tensor = _resolve_tensor(config.get("tensor"), algebra)
+    _check_keys(config, "lagrangian")
     dimension = config.get("dimension")
     if dimension != 2 * tensor.rank - 1:
         raise UsageError(f"dimension must be 2 * rank - 1 = {2 * tensor.rank - 1} "
@@ -271,15 +301,19 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
         if golden.dimension != dimension:
             raise UsageError(f"golden {name!r} is a {golden.dimension}d expression")
         goldens.append(golden)
+    up_to_scale = _flag(config, "compare_up_to_scale", True)
     method = config.get("method", "separated")
-    if method == "separated":
-        lagrangian = subspace_separation(connection_chain(algebra, fields),
-                                         tensor, dimension, algebra)
-    elif method == "direct":
-        lagrangian = chern_simons(build_connection(algebra, fields),
-                                  tensor, dimension, algebra)
-    else:
+    if method not in ("separated", "direct"):
         raise UsageError("method must be 'separated' or 'direct'")
+    try:  # an algebra with a generator that no field attaches to
+        chain = connection_chain(algebra, fields) if method == "separated" \
+            else [build_connection(algebra, fields)]
+    except ValueError as exc:
+        raise UsageError(f"connection: {exc}")
+    if method == "separated":
+        lagrangian = subspace_separation(chain, tensor, dimension, algebra)
+    else:
+        lagrangian = chern_simons(chain[0], tensor, dimension, algebra)
 
     payload = {
         "dimension": dimension,
@@ -299,8 +333,7 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     lines = []
     for golden in goldens:
         name = golden.name
-        rep = compare_forms(lagrangian, golden.form(),
-                            up_to_scale=config.get("compare_up_to_scale", True))
+        rep = compare_forms(lagrangian, golden.form(), up_to_scale=up_to_scale)
         lines.append(f"[{name}] matched={rep.matched} "
                      f"scale={rep.scale and (str(rep.scale[0]), rep.scale[1])} "
                      f"diffs={len(rep.diffs)}")
@@ -328,6 +361,7 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
 
 
 def cmd_semigroup(config: dict, out: Output) -> None:
+    _check_keys(config, "semigroup")
     action = config.get("action", "construct")
     if action == "construct":
         s = _resolve_semigroup(config.get("semigroup"))
@@ -354,11 +388,12 @@ def cmd_semigroup(config: dict, out: Output) -> None:
 
 def cmd_check(config: dict, out: Output) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
+    tensor = _resolve_tensor(config["tensor"], algebra) if "tensor" in config else None
+    _check_keys(config, "check")
     rep = check_axioms(algebra)
     lines = [f"axioms: {'ok' if rep.ok else f'Jacobi fails at {rep.violation}'}"]
     ok = rep.ok
-    if "tensor" in config:
-        tensor = _resolve_tensor(config["tensor"], algebra)
+    if tensor is not None:
         inv = verify_invariance(algebra, tensor)
         lines.append(f"invariance: {'ok' if inv.ok else f'fails, residue {inv.value}'}")
         ok = ok and inv.ok

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .lie_algebra import LieAlgebra
-from .scalars import Q2, ScalarExpr
+from .scalars import AlphaLinearityError, Q2, ScalarExpr
 
 _FIELD_ORDER = {"w": 0, "e": 1, "k": 2, "h": 3}
 _INTERNED: dict[tuple, "FormSymbol"] = {}  # (field, indices, differentiated) -> symbol
@@ -264,33 +265,260 @@ def scalar_form_latex(f: ScalarForm) -> str:
     return "\n  + ".join(lines)
 
 
-def wedge(f: "ScalarForm", g: "ScalarForm") -> ScalarForm:
+# -- the integer kernel ---------------------------------------------------------
+#
+# Inside the kernel a form is an IntForm: for each coefficient basis element
+# alpha_a * ell^k * sqrt2^r, keyed (a or None, k, r) with r in {0, 1}, a map
+# monomial -> int, all over one positive int denominator.  A scalar is the
+# IntForm of a 0-form, whose only monomial is ().  ScalarExpr, Q2 and Fraction
+# appear only in `IntForm.of` and `IntForm.into_scalar_form`, the edges.
+
+KernelKey = tuple[Optional[int], int, int]
+
+
+class IntForm:
+    """sum over keys of alpha_a ell^k sqrt2^r * (sum_m c_m m) / den."""
+
+    __slots__ = ("parts", "den")
+
+    def __init__(self, parts: Optional[dict[KernelKey, dict[Monomial, int]]] = None,
+                 den: int = 1):
+        self.parts = {} if parts is None else parts
+        self.den = den
+
+    @staticmethod
+    def of(f: ScalarForm) -> "IntForm":
+        den = 1
+        for c in f.terms.values():
+            for q in c.terms.values():
+                den = lcm(den, q.a.denominator, q.b.denominator)
+        parts: dict[KernelKey, dict[Monomial, int]] = {}
+        for m, c in f.terms.items():
+            for (a, e), q in c.terms.items():
+                for r, x in ((0, q.a), (1, q.b)):
+                    if x:
+                        parts.setdefault((a, e, r), {})[m] = \
+                            x.numerator * (den // x.denominator)
+        return IntForm(parts, den)
+
+    @staticmethod
+    def scalar(c: ScalarExpr | Q2 | Fraction | int) -> "IntForm":
+        return IntForm.of(ScalarForm({(): ScalarExpr.of(c)}))
+
+    def into_scalar_form(self) -> ScalarForm:
+        """The ScalarForm of this kernel form, which it empties on the way:
+        each part is freed once it is converted."""
+        out = ScalarForm()
+        rationals: dict[int, Q2] = {}  # equal coefficients share one Q2
+        while self.parts:
+            (a, e, r), part = self.parts.popitem()
+            for m, c in part.items():
+                coeff = out.terms.get(m)
+                if coeff is None:
+                    coeff = out.terms[m] = ScalarExpr()
+                old = coeff.terms.get((a, e))
+                if r:
+                    q = Q2(old.a if old else _ZERO, Fraction(c, self.den))
+                elif old:
+                    q = Q2(Fraction(c, self.den), old.b)
+                else:
+                    q = rationals.get(c)
+                    if q is None:
+                        q = rationals[c] = Q2(Fraction(c, self.den))
+                coeff.terms[(a, e)] = q
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(self.parts.values())
+
+    def add(self, f: "IntForm", scale: Optional["IntForm"] = None, n: int = 1) -> None:
+        """In place: self += n * scale * f, for a scalar `scale` (1 when
+        omitted); the denominator widens to the lcm."""
+        scale = _ONE if scale is None else scale
+        fden = f.den * scale.den
+        den = lcm(self.den, fden)
+        if den != self.den:
+            widen = den // self.den
+            for part in self.parts.values():
+                for m in part:
+                    part[m] *= widen
+            self.den = den
+        n *= den // fden
+        for k2, p2 in scale.parts.items():
+            c2 = p2[()] * n
+            for k1, p1 in f.parts.items():
+                if not p1:
+                    continue
+                key, two = _key_product(k1, k2)
+                c = c2 * two
+                acc = self.parts.setdefault(key, {})
+                for m, c1 in p1.items():
+                    v = acc.get(m, 0) + c1 * c
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
+
+
+_ZERO = Fraction(0)
+_ONE = IntForm({(None, 0, 0): {(): 1}})
+HALF = IntForm({(None, 0, 0): {(): 1}}, 2)
+MINUS_ONE = IntForm({(None, 0, 0): {(): -1}})
+
+IntLieForm = dict[int, IntForm]
+
+
+def _key_product(k1: KernelKey, k2: KernelKey) -> tuple[KernelKey, int]:
+    """Key of the product of two basis elements, and the int that sqrt2^2
+    folds into it."""
+    (a1, l1, r1), (a2, l2, r2) = k1, k2
+    if a1 is not None and a2 is not None:
+        raise AlphaLinearityError(
+            f"product of alpha_{a1} and alpha_{a2} terms is not "
+            "representable in the alpha-linear scalar ring")
+    return (a2 if a1 is None else a1, l1 + l2, (r1 + r2) & 1), 2 if r1 and r2 else 1
+
+
+def _nonzero(parts: dict[KernelKey, dict[Monomial, int]]) -> dict[KernelKey, dict[Monomial, int]]:
+    """parts without its cancelled monomials and empty keys."""
+    out = {}
+    for key, part in parts.items():
+        if 0 in part.values():
+            part = {m: c for m, c in part.items() if c}
+        if part:
+            out[key] = part
+    return out
+
+
+def int_wedge(f: IntForm, g: IntForm) -> IntForm:
+    parts: dict[KernelKey, dict[Monomial, int]] = {}
+    for k1, p1 in f.parts.items():
+        for k2, p2 in g.parts.items():
+            if k1[0] is not None and k2[0] is not None:
+                # two alpha keys raise only once a nonzero product is formed
+                if any(canonical_monomial(m1 + m2)[0] for m1 in p1 for m2 in p2):
+                    _key_product(k1, k2)
+                continue
+            key, two = _key_product(k1, k2)
+            acc = parts.setdefault(key, {})
+            for m1, c1 in p1.items():
+                c1 *= two
+                for m2, c2 in p2.items():
+                    sign, mono = canonical_monomial(m1 + m2)
+                    if sign:
+                        acc[mono] = acc.get(mono, 0) + (c1 * c2 if sign > 0 else -c1 * c2)
+    return IntForm(_nonzero(parts), f.den * g.den)
+
+
+def int_d(f: IntForm) -> IntForm:
+    parts: dict[KernelKey, dict[Monomial, int]] = {}
+    for key, part in f.parts.items():
+        acc = parts.setdefault(key, {})
+        for m, c in part.items():
+            before_odd = 0
+            for i, s in enumerate(m):
+                ds = s.d()
+                if ds is not None:
+                    sign, mono = canonical_monomial(m[:i] + (ds,) + m[i + 1:])
+                    if sign:
+                        if before_odd % 2:
+                            sign = -sign
+                        acc[mono] = acc.get(mono, 0) + (c if sign > 0 else -c)
+                before_odd += s.degree % 2
+    return IntForm(_nonzero(parts), f.den)
+
+
+def int_lie_form(f: "LieValuedForm") -> IntLieForm:
+    return {i: IntForm.of(sf) for i, sf in f.components.items()}
+
+
+def lie_valued_form(f: IntLieForm) -> "LieValuedForm":
+    return LieValuedForm({i: k.into_scalar_form() for i, k in f.items()})
+
+
+def int_lie_nonzero(f: IntLieForm) -> IntLieForm:
+    return {i: k for i, k in f.items() if not k.is_zero()}
+
+
+def int_bracket_into(out: IntLieForm, f: IntLieForm, g: IntLieForm, L: LieAlgebra,
+                     scale: Optional[IntForm] = None) -> None:
+    """In place: out += scale * [f, g], [f, g]^C = C_{AB}^C f^A wedge g^B.
+    A component that cancels is left in out as a zero form."""
+    scalars: dict[Q2, IntForm] = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            row = L.pair(a, b)
+            if not row:
+                continue
+            prod = int_wedge(fa, gb)
+            if prod.is_zero():
+                continue
+            for c, coeff in row.items():
+                s = scalars.get(coeff)
+                if s is None:
+                    s = IntForm.scalar(coeff)
+                    s = scalars[coeff] = s if scale is None else int_wedge(s, scale)
+                out.setdefault(c, IntForm()).add(prod, s)
+
+
+def int_curvature(A: IntLieForm, L: LieAlgebra) -> IntLieForm:
+    F = {i: int_d(f) for i, f in A.items()}
+    int_bracket_into(F, A, A, L, HALF)
+    return int_lie_nonzero(F)
+
+
+def _is_even(f: IntLieForm) -> bool:
+    return all(monomial_degree(m) % 2 == 0
+               for k in f.values() for part in k.parts.values() for m in part)
+
+
+def int_contract(entries: list[tuple[tuple[int, ...], IntForm]],
+                 forms: Sequence[IntLieForm]) -> IntForm:
+    """`contract` on kernel forms, with the tensor as its (key, IntForm.scalar)
+    entries; slots group by the identity of their form objects."""
+    slots_of: dict[int, list[int]] = {}
+    for slot, f in enumerate(forms):
+        slots_of.setdefault(id(f), []).append(slot)
+    groups = [slots for slots in slots_of.values()
+              if len(slots) > 1 and _is_even(forms[slots[0]])]
+    out = IntForm()
+    for key, val in entries:
+        counts: dict[tuple[int, ...], int] = {}
+        for order in set(itertools.permutations(key)):
+            if not all(i in c for i, c in zip(order, forms)):
+                continue
+            order = list(order)
+            for slots in groups:  # sorted indices stand for the group's orderings
+                for slot, i in zip(slots, sorted(order[s] for s in slots)):
+                    order[slot] = i
+            order = tuple(order)
+            counts[order] = counts.get(order, 0) + 1
+        for order, n in sorted(counts.items()):
+            prod = forms[0][order[0]]
+            for c, i in zip(forms[1:], order[1:]):
+                prod = int_wedge(prod, c[i])
+                if prod.is_zero():
+                    break
+            else:
+                out.add(prod, val, n)
+    return out
+
+
+def int_entries(T) -> list[tuple[tuple[int, ...], IntForm]]:
+    return [(key, IntForm.scalar(val)) for key, val in T.entries.items()]
+
+
+# -- the public entry points: ScalarForm in, kernel, ScalarForm out --------------
+
+
+def wedge(f: ScalarForm, g: ScalarForm) -> ScalarForm:
     """Graded-commutative product."""
-    out = ScalarForm()
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            sign, mono = canonical_monomial(m1 + m2)
-            if sign:
-                c = c1 * c2
-                out.add_term(mono, c if sign > 0 else -c)
-    return out
+    return int_wedge(IntForm.of(f), IntForm.of(g)).into_scalar_form()
 
 
-def exterior_d(f: "ScalarForm") -> ScalarForm:
+def exterior_d(f: ScalarForm) -> ScalarForm:
     """Graded Leibniz derivation with d(base) = d-image, d(d-image) = 0."""
-    out = ScalarForm()
-    for m, c in f.terms.items():
-        before_odd = 0
-        for i, s in enumerate(m):
-            ds = s.d()
-            if ds is not None:
-                sign, mono = canonical_monomial(m[:i] + (ds,) + m[i + 1:])
-                if sign:
-                    if before_odd % 2:
-                        sign = -sign
-                    out.add_term(mono, c if sign > 0 else -c)
-            before_odd += s.degree % 2
-    return out
+    return int_d(IntForm.of(f)).into_scalar_form()
 
 
 class LieValuedForm:
@@ -329,46 +557,21 @@ class LieValuedForm:
             out.add_component(i, f)
         return out
 
-    def __sub__(self, other: "LieValuedForm") -> "LieValuedForm":
-        return self + other.scaled(Q2(-1))
-
-    def scaled(self, c: ScalarExpr | Q2 | int) -> "LieValuedForm":
-        out = LieValuedForm()
-        for i, f in self.components.items():
-            out.add_component(i, f.scaled(c))
-        return out
-
     def d(self) -> "LieValuedForm":
-        out = LieValuedForm()
-        for i, f in self.components.items():
-            out.add_component(i, exterior_d(f))
-        return out
+        return LieValuedForm({i: exterior_d(f) for i, f in self.components.items()})
 
 
 def lie_bracket_form(f: LieValuedForm, g: LieValuedForm, L: LieAlgebra) -> LieValuedForm:
     """[f, g]^C = C_{AB}^C f^A wedge g^B over all ordered generator pairs."""
-    out = LieValuedForm()
-    for a, fa in f.components.items():
-        for b, gb in g.components.items():
-            row = L.pair(a, b)
-            if not row:
-                continue
-            prod = wedge(fa, gb)
-            if prod.is_zero():
-                continue
-            for c, coeff in row.items():
-                out.add_component(c, prod.scaled(coeff))
-    return out
+    kf = int_lie_form(f)
+    out: IntLieForm = {}
+    int_bracket_into(out, kf, kf if g is f else int_lie_form(g), L)
+    return lie_valued_form(out)
 
 
 def curvature(A: LieValuedForm, L: LieAlgebra) -> LieValuedForm:
     """F = dA + (1/2)[A, A]."""
-    return A.d() + lie_bracket_form(A, A, L).scaled(Q2(Fraction(1, 2)))
-
-
-def _is_even(f: LieValuedForm) -> bool:
-    return all(monomial_degree(m) % 2 == 0
-               for sf in f.components.values() for m in sf.terms)
+    return lie_valued_form(int_curvature(int_lie_form(A), L))
 
 
 def contract(T, forms: Sequence[LieValuedForm]) -> ScalarForm:
@@ -384,34 +587,13 @@ def contract(T, forms: Sequence[LieValuedForm]) -> ScalarForm:
     the entry times the number of orderings it stands for.  A form with any
     odd monomial is never grouped: its factors anticommute, so orderings
     inside the group differ in sign and must be wedged one by one; that is
-    how <w w w> = 0 comes out of the wedge signs.
+    how <w w w> = 0 comes out of the wedge signs.  Each distinct form object
+    enters the kernel once, so the grouping survives the conversion.
     """
     if len(forms) != T.rank:
         raise ValueError("number of forms must equal the tensor rank")
-    comps = [f.components for f in forms]
-    slots_of: dict[int, list[int]] = {}
-    for slot, f in enumerate(forms):
-        slots_of.setdefault(id(f), []).append(slot)
-    groups = [slots for slots in slots_of.values()
-              if len(slots) > 1 and _is_even(forms[slots[0]])]
-    out = ScalarForm()
-    for key, val in T.entries.items():
-        counts: dict[tuple[int, ...], int] = {}
-        for order in set(itertools.permutations(key)):
-            if not all(i in c for i, c in zip(order, comps)):
-                continue
-            order = list(order)
-            for slots in groups:  # sorted indices stand for the group's orderings
-                for slot, i in zip(slots, sorted(order[s] for s in slots)):
-                    order[slot] = i
-            order = tuple(order)
-            counts[order] = counts.get(order, 0) + 1
-        for order, n in sorted(counts.items()):
-            prod = comps[0][order[0]]
-            for c, i in zip(comps[1:], order[1:]):
-                prod = wedge(prod, c[i])
-                if prod.is_zero():
-                    break
-            else:
-                out.add_form(prod, val if n == 1 else val.scaled(n))
-    return out
+    kernel: dict[int, IntLieForm] = {}
+    for f in forms:
+        if id(f) not in kernel:
+            kernel[id(f)] = int_lie_form(f)
+    return int_contract(int_entries(T), [kernel[id(f)] for f in forms]).into_scalar_form()

@@ -13,9 +13,11 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .forms import (FormSymbol, LieValuedForm, Monomial, ScalarForm,
-                    canonical_monomial, contract, exterior_d,
-                    lie_bracket_form)
+from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm,
+                    LieValuedForm, Monomial, ScalarForm, canonical_monomial,
+                    exterior_d, int_bracket_into, int_contract, int_d,
+                    int_entries, int_lie_form, int_lie_nonzero,
+                    lie_valued_form)
 from .invariant_tensor import InvariantTensor
 from .lie_algebra import LieAlgebra, change_basis, row_reduce
 from .scalars import Q2, ScalarExpr, scalar_quotient
@@ -24,32 +26,52 @@ from .semigroup import make_cyclic
 TPoly = dict[int, LieValuedForm]
 
 
-def _tpoly_add(p1: TPoly, p2: TPoly) -> TPoly:
-    out = dict(p1)
-    for m, f in p2.items():
-        out[m] = out.get(m, LieValuedForm.zero()) + f
-    return {m: f for m, f in out.items() if not f.is_zero()}
+def _homotopy_curvature(Abar: IntLieForm, delta: IntLieForm,
+                        L: LieAlgebra) -> dict[int, IntLieForm]:
+    """F_t by t-power on kernel forms, with A_t = Abar + t delta."""
+    at = {m: f for m, f in ((0, Abar), (1, delta)) if f}
+    ft = {m: {i: int_d(k) for i, k in f.items()} for m, f in at.items()}
+    for m1, f1 in at.items():
+        for m2, f2 in at.items():
+            int_bracket_into(ft.setdefault(m1 + m2, {}), f1, f2, L, HALF)
+    ft = {m: int_lie_nonzero(f) for m, f in ft.items()}
+    return {m: f for m, f in ft.items() if f}
 
 
-def _tpoly_bracket(p1: TPoly, p2: TPoly, L: LieAlgebra) -> TPoly:
-    out: TPoly = {}
-    for m1, f1 in p1.items():
-        for m2, f2 in p2.items():
-            b = lie_bracket_form(f1, f2, L)
-            if not b.is_zero():
-                out[m1 + m2] = out.get(m1 + m2, LieValuedForm.zero()) + b
-    return {m: f for m, f in out.items() if not f.is_zero()}
+def _difference(A: IntLieForm, Abar: IntLieForm) -> IntLieForm:
+    delta: IntLieForm = {}
+    for f, scale in ((A, None), (Abar, MINUS_ONE)):
+        for i, k in f.items():
+            delta.setdefault(i, IntForm()).add(k, scale)
+    return int_lie_nonzero(delta)
 
 
 def homotopy_curvature(A: LieValuedForm, Abar: LieValuedForm, L: LieAlgebra) -> TPoly:
     """F_t = d A_t + (1/2)[A_t, A_t] with A_t = Abar + t (A - Abar)."""
-    delta = A - Abar
-    at: TPoly = {0: Abar, 1: delta}
-    at = {m: f for m, f in at.items() if not f.is_zero()}
-    dat = {m: f.d() for m, f in at.items()}
-    br = _tpoly_bracket(at, at, L)
-    half = Q2(Fraction(1, 2))
-    return _tpoly_add(dat, {m: f.scaled(half) for m, f in br.items()})
+    kbar = int_lie_form(Abar)
+    ft = _homotopy_curvature(kbar, _difference(int_lie_form(A), kbar), L)
+    return {m: lie_valued_form(f) for m, f in ft.items()}
+
+
+def _transgression(A: IntLieForm, Abar: IntLieForm,
+                   entries: list[tuple[tuple[int, ...], IntForm]], k: int,
+                   L: LieAlgebra) -> IntForm:
+    out = IntForm()
+    delta = _difference(A, Abar)
+    if not delta:
+        return out
+    ft = _homotopy_curvature(Abar, delta, L)
+    # the components of F_t are 2-forms and T is symmetric, so every ordering
+    # of one multiset of t-powers gives the same piece: contract it once
+    for powers in itertools.combinations_with_replacement(sorted(ft), k):
+        piece = int_contract(entries, [delta] + [ft[m] for m in powers])
+        if piece.is_zero():
+            continue
+        orderings = factorial(k)
+        for m in set(powers):
+            orderings //= factorial(powers.count(m))
+        out.add(piece, IntForm.scalar(Fraction((k + 1) * orderings, sum(powers) + 1)))
+    return out
 
 
 def transgression(A: LieValuedForm, Abar: LieValuedForm,
@@ -57,22 +79,8 @@ def transgression(A: LieValuedForm, Abar: LieValuedForm,
     """Q^(2k+1)(A, Abar) = (k+1) * integral_0^1 <(A - Abar) F_t^k> dt."""
     if T.rank != k + 1:
         raise ValueError(f"rank-{T.rank} tensor cannot build a 2k+1 = {2*k+1} form")
-    delta = A - Abar
-    if delta.is_zero():
-        return ScalarForm.zero()
-    ft = homotopy_curvature(A, Abar, L)
-    out = ScalarForm.zero()
-    # the components of F_t are 2-forms and T is symmetric, so every ordering
-    # of one multiset of t-powers gives the same piece: contract it once
-    for powers in itertools.combinations_with_replacement(sorted(ft), k):
-        piece = contract(T, [delta] + [ft[m] for m in powers])
-        if piece.is_zero():
-            continue
-        orderings = factorial(k)
-        for m in set(powers):
-            orderings //= factorial(powers.count(m))
-        out.add_form(piece, Q2(Fraction((k + 1) * orderings, sum(powers) + 1)))
-    return out
+    return _transgression(int_lie_form(A), int_lie_form(Abar), int_entries(T),
+                          k, L).into_scalar_form()
 
 
 def chern_simons(A: LieValuedForm, T: InvariantTensor, dimension: int,
@@ -89,10 +97,12 @@ def subspace_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
     deliberately dropped.  The dimension must be 2 * T.rank - 1."""
     if dimension != 2 * T.rank - 1:
         raise ValueError(f"dimension {dimension} is not 2 * rank - 1 for a rank-{T.rank} tensor")
-    out = ScalarForm.zero()
-    for big, small in zip(chain, chain[1:]):
-        out.add_form(transgression(big, small, T, T.rank - 1, L))
-    return out
+    entries = int_entries(T)
+    links = [int_lie_form(A) for A in chain]
+    out = IntForm()
+    for big, small in zip(links, links[1:]):
+        out.add(_transgression(big, small, entries, T.rank - 1, L))
+    return out.into_scalar_form()
 
 
 # -- exactness detection -------------------------------------------------------

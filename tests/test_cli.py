@@ -274,6 +274,11 @@ _C5_SECTOR = dict(_C5, alphas=[1, -1, -1, -1], fields=["w", "e"],
     (dict(_C5, dimension=7), "dimension must be 2 * rank - 1 = 5 for the rank-3 tensor, got 7"),
     (dict(_C5, dimension="5"), "dimension must be 2 * rank - 1 = 5 for the rank-3 tensor, "
                                "got '5'"),
+    (dict(_C5, alpha=[1, -1, -1, -1]), "unknown config key 'alpha' for lagrangian"),
+    (dict(_C5_SECTOR, compare_up_to_scale="x"),
+     "compare_up_to_scale must be true or false, got 'x'"),
+    ({"dimension": 3, "algebra": "random6", "tensor": "ads3_eps"},
+     "connection: no field assignment for generator N(0,1)"),
 ])
 def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -326,6 +331,17 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
     ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": "D4"},
                                             {"op": "sign_identify", "pairing": [[0, 5]]}]},
      "step 1: 'pairing' must cover the tags 0..3 of D4"),
+    ("check", {"algebra": "so3", "tensr": "ads3_eps"},
+     "unknown config key 'tensr' for check; its keys are algebra, tensor"),
+    ("expand", {"algebra": "so3", "step": []}, "unknown config key 'step' for expand"),
+    ("invariants", {"algebra": "c5", "tensor": "c5", "verfy": True},
+     "unknown config key 'verfy' for invariants"),
+    ("semigroup", {"action": "construct", "semigroup": "Z2", "frist": "Z2"},
+     "unknown config key 'frist' for semigroup"),
+    ("invariants", {"algebra": "c5", "tensor": "c5", "verify": "no"},
+     "verify must be true or false, got 'no'"),
+    ("invariants", {"algebra": "c5", "tensor": "c5", "verify": 0},
+     "verify must be true or false, got 0"),
 ])
 def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)

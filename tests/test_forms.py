@@ -10,13 +10,13 @@ import pytest
 
 from sexpansion.fixtures import (build_connection, c_tensor_rotated,
                                  make_c_algebra_rotated)
-from sexpansion.forms import (FormSymbol, LieValuedForm, ScalarForm,
+from sexpansion.forms import (FormSymbol, IntForm, LieValuedForm, ScalarForm,
                               canonical_monomial, contract, curvature,
                               exterior_d, lie_bracket_form, parse_symbol,
                               scalar_form_from_json_dict,
                               scalar_form_to_json_dict, sym, wedge)
 from sexpansion.invariant_tensor import InvariantTensor, epsilon_tensor
-from sexpansion.scalars import Q2, ScalarExpr
+from sexpansion.scalars import AlphaLinearityError, Q2, ScalarExpr
 
 
 def S(*symbols) -> ScalarForm:
@@ -293,6 +293,109 @@ def dense_contract(T, forms):
     return out
 
 
+# -- the ScalarExpr-coefficient kernel that the integer kernel replaced ---------
+
+
+def reference_wedge(f, g):
+    out = ScalarForm()
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            sign, mono = canonical_monomial(m1 + m2)
+            if sign:
+                c = c1 * c2
+                out.add_term(mono, c if sign > 0 else -c)
+    return out
+
+
+def reference_exterior_d(f):
+    out = ScalarForm()
+    for m, c in f.terms.items():
+        before_odd = 0
+        for i, s in enumerate(m):
+            ds = s.d()
+            if ds is not None:
+                sign, mono = canonical_monomial(m[:i] + (ds,) + m[i + 1:])
+                if sign:
+                    if before_odd % 2:
+                        sign = -sign
+                    out.add_term(mono, c if sign > 0 else -c)
+            before_odd += s.degree % 2
+    return out
+
+
+def reference_lie_scaled(f, c):
+    out = LieValuedForm()
+    for i, sf in f.components.items():
+        out.add_component(i, sf.scaled(c))
+    return out
+
+
+def reference_lie_sub(f, g):
+    return f + reference_lie_scaled(g, Q2(-1))
+
+
+def reference_lie_d(f):
+    out = LieValuedForm()
+    for i, sf in f.components.items():
+        out.add_component(i, reference_exterior_d(sf))
+    return out
+
+
+def reference_lie_bracket_form(f, g, L):
+    out = LieValuedForm()
+    for a, fa in f.components.items():
+        for b, gb in g.components.items():
+            row = L.pair(a, b)
+            if not row:
+                continue
+            prod = reference_wedge(fa, gb)
+            if prod.is_zero():
+                continue
+            for c, coeff in row.items():
+                out.add_component(c, prod.scaled(coeff))
+    return out
+
+
+def reference_curvature(A, L):
+    return reference_lie_d(A) + reference_lie_scaled(
+        reference_lie_bracket_form(A, A, L), Q2(Fraction(1, 2)))
+
+
+def reference_contract(T, forms):
+    """The symmetric contraction on ScalarExpr coefficients."""
+    if len(forms) != T.rank:
+        raise ValueError("number of forms must equal the tensor rank")
+    comps = [f.components for f in forms]
+    slots_of = {}
+    for slot, f in enumerate(forms):
+        slots_of.setdefault(id(f), []).append(slot)
+    groups = [slots for slots in slots_of.values()
+              if len(slots) > 1 and all(sum(s.degree for s in m) % 2 == 0
+                                        for sf in forms[slots[0]].components.values()
+                                        for m in sf.terms)]
+    out = ScalarForm()
+    for key, val in T.entries.items():
+        counts = {}
+        for order in set(itertools.permutations(key)):
+            if not all(i in c for i, c in zip(order, comps)):
+                continue
+            order = list(order)
+            for slots in groups:
+                for slot, i in zip(slots, sorted(order[s] for s in slots)):
+                    order[slot] = i
+            order = tuple(order)
+            counts[order] = counts.get(order, 0) + 1
+        for order, n in sorted(counts.items()):
+            prod = comps[0][order[0]]
+            for c, i in zip(comps[1:], order[1:]):
+                prod = reference_wedge(prod, c[i])
+                if prod.is_zero():
+                    break
+            else:
+                out.add_form(prod, val if n == 1 else val.scaled(n))
+    return out
+
+
 _ODD = [sym("e", i) for i in range(4)] + [sym("w", 0, 1), sym("k", 1, 2)]
 _EVEN = [s.d() for s in _ODD]
 
@@ -480,3 +583,114 @@ def test_symbols_are_interned_values():
         sym("e", 0).field = "h"
     with pytest.raises(AttributeError):
         del sym("e", 0).indices
+
+
+# -- the integer kernel against the ScalarExpr-coefficient reference ------------
+
+
+def _outcome(fn, *args):
+    """fn's result, or AlphaLinearityError when it raises that."""
+    try:
+        return fn(*args)
+    except AlphaLinearityError:
+        return AlphaLinearityError
+
+
+_KERNEL_SYMBOLS = [sym("e", i) for i in range(4)] + [sym("w", 0, 1), sym("h", 1),
+                                                     sym("e", 0, d=True),
+                                                     sym("w", 0, 1, d=True)]
+
+
+def test_kernel_wedge_and_d_equal_the_reference_on_seeded_forms():
+    """sqrt2 parts, ell powers -2..2, alpha terms and cancellations: half the
+    pairs share the odd 1-form u = e0 + e1, whose square cancels."""
+    rng = random.Random(20060606)
+    u = S(sym("e", 0)) + S(sym("e", 1))
+    raised = cancelled = 0
+    for _ in range(500):
+        f = _random_form(rng, _KERNEL_SYMBOLS, alpha=True)
+        g = _random_form(rng, _KERNEL_SYMBOLS, alpha=rng.random() < 0.3)
+        if rng.random() < 0.5:
+            f.add_form(u, _random_scalar(rng, alpha=False))
+            g.add_form(u, _random_scalar(rng, alpha=False))
+        got = _outcome(wedge, f, g)
+        assert got == _outcome(reference_wedge, f, g)
+        assert exterior_d(f) == reference_exterior_d(f)
+        if got is AlphaLinearityError:
+            raised += 1
+            continue
+        products = {mono for m1 in f.terms for m2 in g.terms
+                    for sign, mono in [canonical_monomial(m1 + m2)] if sign}
+        cancelled += not products <= set(got.terms)
+    assert raised > 20 and cancelled > 20
+
+
+def test_kernel_contract_equals_the_reference_contract():
+    """Alpha-carrying entries and components, sqrt2 parts, repeated objects."""
+    rng = random.Random(1995)
+    raised = 0
+    for _ in range(80):
+        rank = rng.choice([2, 3])
+        T = _random_symmetric_tensor(rng, rank, 4)
+        pool = [_random_lie_form(rng, range(4), degrees) for degrees in ((2,), (1,), (1, 2))]
+        alpha_form = _random_lie_form(rng, range(4), (1, 2))
+        for sf in alpha_form.components.values():
+            for m in list(sf.terms):
+                sf.terms[m] = sf.terms[m] + ScalarExpr.alpha(rng.randint(0, 3))
+        pool.append(alpha_form)
+        forms = [rng.choice(pool) for _ in range(rank)]
+        got = _outcome(contract, T, forms)
+        assert got == _outcome(reference_contract, T, forms)
+        raised += got is AlphaLinearityError
+    assert raised > 5
+
+
+def test_kernel_curvature_and_bracket_equal_the_reference():
+    for d in (3, 5):
+        L = make_c_algebra_rotated(d)
+        A = build_connection(L)
+        w, e = build_connection(L, ("w",)), build_connection(L, ("e",))
+        assert curvature(A, L) == reference_curvature(A, L)
+        assert lie_bracket_form(w, e, L) == reference_lie_bracket_form(w, e, L)
+        assert A.d() == reference_lie_d(A)
+
+
+def _kernel_value(k: IntForm) -> dict:
+    return {(key, m): Fraction(c, k.den) for key, part in k.parts.items()
+            for m, c in part.items()}
+
+
+def test_kernel_conversions_round_trip():
+    rng = random.Random(31)
+    for _ in range(200):
+        f = _random_form(rng, _KERNEL_SYMBOLS, alpha=True)
+        k = IntForm.of(f)
+        assert all(type(c) is int and c for part in k.parts.values() for c in part.values())
+        assert k.into_scalar_form() == f
+        assert not k.parts  # the conversion out empties its kernel form
+    for _ in range(200):
+        parts = {}
+        for _ in range(rng.randint(0, 6)):
+            key = (rng.choice([None, 0, 3]), rng.randint(-2, 2), rng.randint(0, 1))
+            sign, mono = canonical_monomial(rng.sample(_KERNEL_SYMBOLS, rng.randint(0, 3)))
+            if sign:
+                parts.setdefault(key, {})[mono] = rng.choice([-1, 1]) * rng.randint(1, 30)
+        k = IntForm(parts, rng.randint(1, 12))
+        value = _kernel_value(k)
+        assert _kernel_value(IntForm.of(k.into_scalar_form())) == value
+
+
+def test_alpha_product_raises_only_when_a_nonzero_product_forms():
+    e0, e1 = sym("e", 0), sym("e", 1)
+    a0 = ScalarForm({(e0,): ScalarExpr.alpha(0)})
+    a1 = ScalarForm({(e1,): ScalarExpr.alpha(1, Q2(1, 1), -1)})
+    with pytest.raises(AlphaLinearityError):
+        wedge(a0, a1)
+    assert wedge(a0, a0).is_zero()  # e0 e0 = 0: no product is formed
+    assert wedge(a0 + S(e1), a0) == ScalarForm({(e0, e1): ScalarExpr.alpha(0, -1)})
+    T = InvariantTensor(2, {(0, 0): ScalarExpr.alpha(2), (0, 1): ScalarExpr.const(3)})
+    assert contract(T, [LieValuedForm({0: a0}), LieValuedForm({0: a0})]).is_zero()
+    A = LieValuedForm({0: S(e0), 1: a1})
+    with pytest.raises(AlphaLinearityError):
+        contract(InvariantTensor(2, {(0, 1): ScalarExpr.alpha(0)}), [A, A])
+    assert contract(T, [A, A]) == reference_contract(T, [A, A])

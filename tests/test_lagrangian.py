@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +11,7 @@ from sexpansion.fixtures import (b5_tensor, build_connection, c_tensor_rotated,
                                  connection_chain, make_b5,
                                  make_c_algebra_rotated)
 from sexpansion.forms import (LieValuedForm, ScalarForm, canonical_monomial,
-                              contract, exterior_d, sym)
+                              contract, exterior_d, scalar_form_to_json_dict, sym)
 from sexpansion.goldens import load_golden
 from sexpansion.invariant_tensor import InvariantTensor
 from sexpansion.lagrangian import (_symbol_universe, candidate_primitives,
@@ -17,6 +20,9 @@ from sexpansion.lagrangian import (_symbol_universe, candidate_primitives,
                                    subspace_separation, transgression)
 from sexpansion.lie_algebra import Label, LieAlgebra, make_named
 from sexpansion.scalars import Q2, ScalarExpr
+from test_forms import (reference_contract, reference_lie_bracket_form,
+                        reference_lie_d, reference_lie_scaled,
+                        reference_lie_sub)
 
 
 def shift_compatible(t: InvariantTensor) -> InvariantTensor:
@@ -279,7 +285,7 @@ def test_dual_formulation(n, name):
 def ordered_transgression(A, Abar, T, k, L):
     """The reference transgression: one contraction per ordered tuple of
     t-power components of F_t, each weighted (k+1)/(tpow+1)."""
-    delta = A - Abar
+    delta = reference_lie_sub(A, Abar)
     if delta.is_zero():
         return ScalarForm.zero()
     ft = homotopy_curvature(A, Abar, L)
@@ -304,3 +310,99 @@ def test_transgression_equals_ordered_transgression_on_fixture_chains(name):
     for big, small in zip(chain, chain[1:]):
         assert transgression(big, small, T, T.rank - 1, L) == \
             ordered_transgression(big, small, T, T.rank - 1, L)
+
+
+# -- the integer kernel against the ScalarExpr-coefficient reference ------------
+
+
+def reference_tpoly_add(p1, p2):
+    out = dict(p1)
+    for m, f in p2.items():
+        out[m] = out.get(m, LieValuedForm.zero()) + f
+    return {m: f for m, f in out.items() if not f.is_zero()}
+
+
+def reference_tpoly_bracket(p1, p2, L):
+    out = {}
+    for m1, f1 in p1.items():
+        for m2, f2 in p2.items():
+            b = reference_lie_bracket_form(f1, f2, L)
+            if not b.is_zero():
+                out[m1 + m2] = out.get(m1 + m2, LieValuedForm.zero()) + b
+    return {m: f for m, f in out.items() if not f.is_zero()}
+
+
+def reference_homotopy_curvature(A, Abar, L):
+    delta = reference_lie_sub(A, Abar)
+    at = {m: f for m, f in {0: Abar, 1: delta}.items() if not f.is_zero()}
+    dat = {m: reference_lie_d(f) for m, f in at.items()}
+    br = reference_tpoly_bracket(at, at, L)
+    half = Q2(Fraction(1, 2))
+    return reference_tpoly_add(dat, {m: reference_lie_scaled(f, half) for m, f in br.items()})
+
+
+def reference_transgression(A, Abar, T, k, L):
+    delta = reference_lie_sub(A, Abar)
+    if delta.is_zero():
+        return ScalarForm.zero()
+    ft = reference_homotopy_curvature(A, Abar, L)
+    out = ScalarForm.zero()
+    for powers in itertools.combinations_with_replacement(sorted(ft), k):
+        piece = reference_contract(T, [delta] + [ft[m] for m in powers])
+        if piece.is_zero():
+            continue
+        orderings = math.factorial(k)
+        for m in set(powers):
+            orderings //= math.factorial(powers.count(m))
+        out.add_form(piece, Q2(Fraction((k + 1) * orderings, sum(powers) + 1)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["c3", "c5", "b5"])
+def test_kernel_equals_the_reference_on_every_chain_link(name):
+    if name == "b5":
+        L, T = make_b5(), b5_tensor()
+    else:
+        d = int(name[1])
+        L, T = make_c_algebra_rotated(d), c_tensor_rotated(d)
+    chain = connection_chain(L)
+    separated = ScalarForm.zero()  # the reference subspace_separation
+    for big, small in zip(chain, chain[1:]):
+        assert homotopy_curvature(big, small, L) == \
+            reference_homotopy_curvature(big, small, L)
+        link = reference_transgression(big, small, T, T.rank - 1, L)
+        assert transgression(big, small, T, T.rank - 1, L) == link
+        separated.add_form(link)
+    assert subspace_separation(chain, T, 2 * T.rank - 1, L) == separated
+
+
+def test_homotopy_curvature_equals_the_reference_on_seeded_connections():
+    """Connections with sqrt2, ell and rational coefficients on c3_rotated,
+    including A = Abar and a zero endpoint."""
+    rng = random.Random(512)
+    L = make_c_algebra_rotated(3)
+    full = build_connection(L)
+    for _ in range(20):
+        ends = []
+        for _ in range(2):
+            A = LieValuedForm()
+            for i in rng.sample(sorted(full.components), rng.randint(0, 6)):
+                A.add_component(i, full.components[i].scaled(
+                    ScalarExpr.const(Q2(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                        rng.choice([0, 1])), rng.randint(-1, 1))))
+            ends.append(A)
+        for A, Abar in (ends, (ends[0], ends[0])):
+            assert homotopy_curvature(A, Abar, L) == reference_homotopy_curvature(A, Abar, L)
+
+
+def test_seven_dimensional_middle_transgression_is_pinned():
+    """sha256 of the JSON of the d = 7 middle transgression (w+e <- w on
+    c7_rotated, general alphas), recorded with the ScalarExpr-coefficient
+    kernel before the integer kernel replaced it."""
+    L = make_c_algebra_rotated(7)
+    q = transgression(build_connection(L, ("w", "e")), build_connection(L, ("w",)),
+                      c_tensor_rotated(7), 3, L)
+    assert len(q.terms) == 14729
+    text = json.dumps(scalar_form_to_json_dict(q), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e1e5eecf012625cf7fb1f25af7b913ff0f45a5e5625e1f4ff372af1ac1896d6e"
