@@ -19,10 +19,10 @@ from .expansion import ExpansionError
 from .fixtures import (algebra_by_name, build_connection, connection_chain,
                        semigroup_by_name, tensor_by_name)
 from .forms import scalar_form_latex, scalar_form_to_json_dict
-from .goldens import load_golden, per_term_report
+from .goldens import compare_golden, load_golden
 from .invariant_tensor import (InvariantTensor, TensorError, latex_family_table,
                                lift_0s, lift_h, require_fit, verify_invariance)
-from .lagrangian import chern_simons, compare_forms, subspace_separation
+from .lagrangian import chern_simons, subspace_separation
 from .lie_algebra import LieAlgebra, check_axioms
 from .pipeline import PipelineError, required, required_int, run_pipeline
 from .scalars import Q2, ScalarExpr
@@ -333,13 +333,13 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     lines = []
     for golden in goldens:
         name = golden.name
-        rep = compare_forms(lagrangian, golden.form(), up_to_scale=up_to_scale)
+        rep, fam = compare_golden(lagrangian, golden, up_to_scale)
         lines.append(f"[{name}] matched={rep.matched} "
                      f"scale={rep.scale and (str(rep.scale[0]), rep.scale[1])} "
                      f"diffs={len(rep.diffs)}")
-        fam = per_term_report(lagrangian, golden, rep.scale)
         for t in fam.agreements:
-            coeff = "(absorbed in earlier family)" if t.machine_coefficient is None \
+            coeff = "(vanishes identically)" if t.vanishes \
+                else "(absorbed in earlier family)" if t.machine_coefficient is None \
                 else str(t.machine_coefficient)
             lines.append(f"  {'ok ' if t.agrees else 'DIFF'} {t.term}")
             lines.append(f"       machine family coefficient: {coeff}")

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .forms import ScalarForm
+from .forms import Monomial, ScalarForm
+from .lagrangian import ComparisonReport, compare_forms
 from .lie_algebra import row_reduce
 from .pipeline import registry
-from .scalars import Q2, ScalarExpr, scalar_quotient
-from .targets import expand_target
+from .scalars import Q2, ScalarExpr
+from .targets import expand_target, expand_terms, terms_form
 
 
 def golden_names() -> list[str]:
@@ -52,8 +54,13 @@ def load_golden(name: str) -> Golden:
 class TermAgreement:
     term: str
     printed: ScalarForm
-    machine_coefficient: Optional[ScalarExpr]  # None: dependent on earlier terms
+    machine_coefficient: Optional[ScalarExpr]  # None: dependent on earlier terms, or vanishing
     agrees: bool
+
+    @property
+    def vanishes(self) -> bool:
+        """The printed term expands to zero, so it spans no family."""
+        return not self.printed
 
 
 @dataclass
@@ -67,44 +74,60 @@ class FamilyReport:
         return self.residual_monomials == 0 and all(t.agrees for t in self.agreements)
 
 
+# one printed term as (text, anchor, shape): its expansion is
+# anchor * shape[m] on each monomial m; anchor is None when it vanishes
+Family = tuple[str, Optional[ScalarExpr], dict[Monomial, Q2]]
+
+
+def _families(golden: Golden,
+              terms: list[tuple[ScalarExpr, dict[Monomial, int]]]) -> list[Family]:
+    """Each term's shape from its integer counts, in units of n_0, the count
+    of its first sorted monomial: the anchor is coefficient * n_0."""
+    out = []
+    for text, (coeff, counts) in zip(golden.terms(), terms, strict=True):
+        if not counts or not coeff:
+            out.append((text, None, {}))
+            continue
+        n0 = counts[min(counts)]
+        ratios = {n: Q2(Fraction(n, n0)) for n in set(counts.values())}
+        out.append((text, coeff.scaled(n0), {m: ratios[n] for m, n in counts.items()}))
+    return out
+
+
 def per_term_report(computed: ScalarForm, golden: Golden,
                     scale: Optional[tuple[Q2, int]] = None) -> FamilyReport:
-    """Decompose the computed form exactly onto the golden's term families.
+    """Decompose the computed form exactly onto the golden's term families;
+    each machine coefficient is in units of the term's n_0 (`_families`)."""
+    terms = expand_terms(golden.text, golden.dimension)
+    return solve_families(computed, _families(golden, terms), scale)
 
-    Each golden term (divided by its own printed coefficient) spans one
-    family of monomials; solving the exact linear system gives the machine
-    coefficient per family, compared against the printed coefficient (after
-    the global scale when one is supplied).  Families that are linearly
-    dependent on earlier ones are reported without a coefficient.
+
+def compare_golden(computed: ScalarForm, golden: Golden,
+                   up_to_scale: bool) -> tuple[ComparisonReport, FamilyReport]:
+    """`compare_forms` against the whole golden and `per_term_report` at the
+    solved scale, from one expansion of the golden."""
+    terms = expand_terms(golden.text, golden.dimension)
+    rep = compare_forms(computed, terms_form(terms), up_to_scale=up_to_scale)
+    return rep, solve_families(computed, _families(golden, terms), rep.scale)
+
+
+def solve_families(computed: ScalarForm, families: list[Family],
+                   scale: Optional[tuple[Q2, int]] = None) -> FamilyReport:
+    """Solve the computed form exactly onto the term families.
+
+    Each family's shape is one column; solving the exact linear system gives
+    the machine coefficient per family, in units of its anchor, compared
+    against the anchor (after the global scale when one is supplied).
+    Families that are linearly dependent on earlier ones are reported
+    without a coefficient, and so are vanishing ones, which never agree.
     """
-    term_texts = golden.terms()
-    bases = [expand_target(t, golden.dimension) for t in term_texts]
-    monos = sorted(set(itertools.chain(computed.terms, *(b.terms for b in bases))))
-    # matrix over the alpha-free field is not possible when printed terms
-    # carry alpha symbols; instead solve with each basis coefficient treated
-    # per-monomial as its full ScalarExpr and demand proportionality by a
-    # rational multiple.  Use the alpha-free "shape": divide out the printed
-    # coefficient monomial-wise.
-    shape_bases: list[dict] = []
-    for f in bases:
-        shape: dict = {}
-        anchor = None
-        for m, c in f.sorted_items():
-            if anchor is None:
-                anchor = c
-            # every monomial coefficient within one printed term is a rational
-            # multiple of the term's scalar coefficient
-            q = scalar_quotient(c, anchor)
-            if q is None or q[1] != 0:
-                raise ValueError("golden term is not a single scalar family")
-            shape[m] = q[0]
-        shape_bases.append((anchor, shape))
+    monos = sorted(set(itertools.chain(computed.terms, *(s for _, _, s in families))))
     # one right-hand-side column per (alpha, ell) key of the computed form
-    ncols = len(bases)
+    ncols = len(families)
     rhs_cols: dict = {}
     rows = []
     for m in monos:
-        row = {j: shape[m] for j, (_, shape) in enumerate(shape_bases) if m in shape}
+        row = {j: shape[m] for j, (_, _, shape) in enumerate(families) if m in shape}
         if m in computed.terms:
             for key, q in computed.terms[m].terms.items():
                 row[rhs_cols.setdefault(key, ncols + len(rhs_cols))] = q
@@ -113,23 +136,25 @@ def per_term_report(computed: ScalarForm, golden: Golden,
     residual = sum(1 for r in rows[len(pivots):] if r)
     dependents = [c for c in range(ncols) if c not in pivots]
     agreements = []
-    for col, text in enumerate(term_texts):
+    for col, (text, anchor, shape) in enumerate(families):
+        multiples = {q: anchor.scaled(q).terms for q in set(shape.values())}
+        printed = ScalarForm({m: ScalarExpr(multiples[q]) for m, q in shape.items()})
         if col not in pivots:
-            agreements.append(TermAgreement(text, bases[col], None, True))
+            agreements.append(TermAgreement(text, printed, None, anchor is not None))
             continue
         pivot = rows[pivots[col]]
         machine = ScalarExpr({key: pivot[j] for key, j in rhs_cols.items() if j in pivot})
         # a dependent printed family folds into its pivot partners: the
         # reduced matrix row holds the dependency coefficients
-        printed_coeff = shape_bases[col][0]
+        printed_coeff = anchor
         for dep in dependents:
             c = pivot.get(dep)
             if c:
-                printed_coeff = printed_coeff + shape_bases[dep][0].scaled(c)
+                printed_coeff = printed_coeff + families[dep][1].scaled(c)
         if scale is not None:
             # printed display = scale * machine result
             agrees = printed_coeff == machine.scaled(scale[0], scale[1])
         else:
             agrees = printed_coeff == machine
-        agreements.append(TermAgreement(text, bases[col], machine, agrees))
+        agreements.append(TermAgreement(text, printed, machine, agrees))
     return FamilyReport(agreements, residual, scale)

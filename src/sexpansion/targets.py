@@ -31,6 +31,7 @@ Lie-valued engine.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -301,25 +302,63 @@ def _integer_factor(name: str, indices: tuple[int, ...],
     return tuple(out)
 
 
-def expand_target(text: str, dimension: int) -> ScalarForm:
-    """Parse and fully expand a curvature-basis expression to concrete
+def _eps_fold(factors: list[tuple[str, list[str]]],
+              eps_letters: list[str]) -> tuple[list[tuple[int, int]], int]:
+    """Orbits of eps assignments on which a term's summand is constant.
+
+    Every pair factor (R, Dk, k, w) is antisymmetric in its two slots, so
+    swapping the values of its two eps letters flips both the eps sign and
+    the factor, and the summand is unchanged.  So is swapping two identical
+    eps-only factors when the eps sign of the swap, (-1)^arity, times the
+    sign of commuting the two forms, (-1)^degree, is +1: R and Dk pairs and
+    e and h vectors.  Returns the position pairs
+    (i, j) whose values must ascend in the one assignment kept per orbit,
+    and the orbit size that weighs it.  A slot holding a dummy letter is
+    never folded.
+    """
+    pos = {ch: i for i, ch in enumerate(eps_letters)}
+    order = []
+    weight = 1
+    blocks: dict[str, list[int]] = {}
+    for name, letters in factors:
+        if not all(ch in pos for ch in letters):
+            continue
+        if len(letters) == 2:
+            order.append((pos[letters[0]], pos[letters[1]]))
+            weight *= 2
+        degree = 2 if name in _COVARIANT else 1
+        if (len(letters) + degree) % 2 == 0:
+            blocks.setdefault(name, []).append(pos[letters[0]])
+    for firsts in blocks.values():
+        order.extend(zip(firsts, firsts[1:]))
+        weight *= math.factorial(len(firsts))
+    return order, weight
+
+
+def expand_terms(text: str, dimension: int) -> list[tuple[ScalarExpr, dict[Monomial, int]]]:
+    """Parse and expand a curvature-basis expression term by term, to concrete
     monomials over 0..dimension-1 Lorentz indices.
 
     Within one term every summand is an integer multiple of the term's
-    coefficient, so the term is summed as monomial -> int over the eps
-    permutations, the dummy values and the products of the factors' terms,
-    and the coefficient multiplies each nonzero total once.  Each term's eps
-    carries exactly `dimension` letters, which ties the text to the dimension.
+    coefficient, so each term comes back as its coefficient and its
+    monomial -> nonzero int counts: the sum over the eps permutations (one
+    per `_eps_fold` orbit, weighed by the orbit size), the dummy values and
+    the products of the factors' terms, with `canonical_monomial` once per
+    product.  Each term's eps carries exactly `dimension` letters, which ties
+    the text to the dimension.
     """
     eta = lorentz_eta(dimension)
-    out = ScalarForm.zero()
+    out = []
     for term in _parse_terms(text):
         eps_letters, dummies = _validate_term(term, dimension, text)
         factors = [(f.name, [ch for (_, ch) in f.indices])
                    for f in term.factors if f.name != "eps"]
+        order, fold = _eps_fold(factors, eps_letters)
         totals: dict[Monomial, int] = {}
         for values in itertools.permutations(range(dimension)):
-            eps_sign = perm_sign(values)
+            if any(values[i] > values[j] for i, j in order):
+                continue
+            eps_sign = fold * perm_sign(values)
             assign = dict(zip(eps_letters, values))
             for dvals in itertools.product(range(dimension), repeat=len(dummies)):
                 weight = eps_sign
@@ -343,8 +382,26 @@ def expand_target(text: str, dimension: int) -> ScalarForm:
                         sign, mono = canonical_monomial(symbols)
                         if sign:
                             totals[mono] = totals.get(mono, 0) + sign * n
-        coeff = term.coefficient()
-        for mono, n in totals.items():
-            if n:
-                out.add_term(mono, coeff.scaled(Q2(n)))
+        out.append((term.coefficient(), {m: n for m, n in totals.items() if n}))
     return out
+
+
+def terms_form(terms: list[tuple[ScalarExpr, dict[Monomial, int]]]) -> ScalarForm:
+    """The sum of `expand_terms` families as one form, each monomial's
+    coefficient assembled once from its terms' counts."""
+    sums: dict[Monomial, dict] = {}
+    for coeff, counts in terms:
+        multiples: dict[int, list] = {}  # a term's counts repeat a few values
+        for mono, n in counts.items():
+            parts = multiples.get(n)
+            if parts is None:
+                parts = multiples[n] = [(key, q * n) for key, q in coeff.terms.items()]
+            acc = sums.setdefault(mono, {})
+            for key, q in parts:
+                acc[key] = acc[key] + q if key in acc else q
+    return ScalarForm({mono: ScalarExpr(acc) for mono, acc in sums.items()})
+
+
+def expand_target(text: str, dimension: int) -> ScalarForm:
+    """The whole expression expanded to one form."""
+    return terms_form(expand_terms(text, dimension))

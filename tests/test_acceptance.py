@@ -26,7 +26,7 @@ from sexpansion.fixtures import (build_connection, c_tensor, c_tensor_rotated,
                                  make_c_algebra_rotated, random_nilpotent,
                                  random_solvable_4d)
 from sexpansion.forms import LieValuedForm
-from sexpansion.goldens import load_golden, per_term_report
+from sexpansion.goldens import compare_golden, load_golden
 from sexpansion.invariant_tensor import (InvariantTensor, family_table,
                                          verify_invariance)
 from sexpansion.lagrangian import (compare_forms, dual_mc_check,
@@ -201,9 +201,7 @@ def test_criterion_10_outer_transgression_golden(c5_rotated, c5_tensor_alpha0, c
     across all 3475 monomials, and pinned to its measured value -1/2."""
     t0 = time.monotonic()
     q = transgression(c5_chain[0], c5_chain[1], c5_tensor_alpha0, 2, c5_rotated)
-    golden = load_golden("c5_outer_transgression_alpha0")
-    rep = compare_forms(q, golden.form(), up_to_scale=True)
-    fam = per_term_report(q, golden, rep.scale)
+    rep, fam = compare_golden(q, load_golden("c5_outer_transgression_alpha0"), True)
     ok = rep.matched and rep.scale == (Q2(Fraction(-1, 2)), 0) and fam.all_agree
     elapsed = time.monotonic() - t0
     detail = (f"18-term display agrees term-for-term at solved global "
@@ -263,9 +261,7 @@ def test_criterion_11_full_comparison_report(c5_rotated, c5_tensor_alpha0):
     the measured split (two terms at -l^3, eighteen at +l^3/2) is asserted so
     any drift is caught."""
     full = _sector(c5_rotated, c5_tensor_alpha0, ("w", "e", "k", "h"), 5)
-    golden = load_golden("c5_lagrangian_alpha0")
-    rep = compare_forms(full, golden.form(), up_to_scale=True)
-    fam = per_term_report(full, golden, rep.scale)
+    rep, fam = compare_golden(full, load_golden("c5_lagrangian_alpha0"), True)
     agreeing = sum(1 for t in fam.agreements if t.agrees)
     assert not rep.matched
     assert rep.scale == (Q2(Fraction(1, 2)), 3)

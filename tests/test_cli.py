@@ -9,6 +9,7 @@ import pytest
 
 from sexpansion import cli
 from sexpansion.cli import main
+from sexpansion.goldens import Golden, load_golden
 from sexpansion.lie_algebra import LieAlgebra, make_named
 
 
@@ -104,6 +105,23 @@ def test_lagrangian_sector_comparison_passes(tmp_path):
     assert main(["lagrangian", "--config", cfg, "--out", str(out)]) == 0
     report = (out / "comparison.txt").read_text()
     assert "matched=True" in report
+
+
+def test_lagrangian_reports_a_vanishing_printed_term(tmp_path, monkeypatch):
+    sector = load_golden("c3_lagrangian_kh0_sector")
+    golden = Golden("with_vanishing", 3, sector.text + "+ eps[abc] T[a] T[b] e[c]\n")
+    monkeypatch.setattr(cli, "load_golden", lambda name: golden)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "dimension": 3, "algebra": "c3_rotated", "tensor": "c3_rotated",
+        "fields": ["w", "e"], "compare": ["with_vanishing"],
+    })
+    out = tmp_path / "out"
+    assert main(["lagrangian", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "comparison.txt").read_text()
+    assert "matched=True" in report
+    assert report.count("  ok  ") == 2
+    assert ("  DIFF + eps[abc] T[a] T[b] e[c]\n"
+            "       machine family coefficient: (vanishes identically)") in report
 
 
 def test_lagrangian_full_3d_golden(tmp_path):

@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 
 from sexpansion import goldens
+from sexpansion.fixtures import (b5_tensor, c_tensor_rotated, connection_chain,
+                                 make_b5, make_c_algebra_rotated)
 from sexpansion.forms import ScalarForm, sym
-from sexpansion.goldens import Golden, per_term_report
+from sexpansion.goldens import (Golden, compare_golden, golden_names, load_golden,
+                                per_term_report, solve_families)
+from sexpansion.invariant_tensor import InvariantTensor
+from sexpansion.lagrangian import compare_forms, subspace_separation, transgression
 from sexpansion.lie_algebra import row_reduce
 from sexpansion.scalars import Q2, ScalarExpr
+from sexpansion.targets import expand_target, expand_terms
 
 # 30 single-symbol monomials, in canonical order
 MONOS = sorted([(sym("w", a, b),) for a in range(5) for b in range(a + 1, 5)]
@@ -104,25 +110,24 @@ def test_sparse_solve_matches_dense(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_per_term_report_matches_dense(monkeypatch, seed):
-    """Random term families as stand-ins for expanded golden terms."""
+    """Random term families with sqrt2 shapes as stand-ins for expanded
+    golden terms."""
     rng = random.Random(1000 + seed)
     rows, _, ncols = random_system(rng)
     monos = rng.sample(MONOS, len(rows))
     printed = [random_expr(rng) or ScalarExpr.alpha(0) for _ in range(ncols)]
-    families = {f"+ t{j}": ScalarForm({m: printed[j].scaled(row[j])
-                                       for m, row in zip(monos, rows) if j in row})
-                for j in range(ncols)}
-    golden = Golden("random", 5, "\n".join(f"t{j}" for j in range(ncols)))
-    monkeypatch.setattr(goldens, "expand_target", lambda text, d: families[text])
+    families = [(f"+ t{j}", printed[j], {m: row[j] for m, row in zip(monos, rows) if j in row})
+                for j in range(ncols)]
     computed = ScalarForm()
-    for j in range(ncols):
-        computed.add_form(families[f"+ t{j}"], rng.choice([Q2(1), Q2(-2), random_q2(rng)]))
+    for _, anchor, shape in families:
+        family = ScalarForm({m: anchor.scaled(q) for m, q in shape.items()})
+        computed.add_form(family, rng.choice([Q2(1), Q2(-2), random_q2(rng)]))
     if rng.random() < 0.5:
         computed.add_term(rng.choice(monos), random_expr(rng))
     scale = rng.choice([None, (Q2(-1), 0), (Q2(Fraction(1, 2)), 1)])
 
     def summary():
-        report = per_term_report(computed, golden, scale)
+        report = solve_families(computed, families, scale)
         return report.residual_monomials, [
             (t.term, t.machine_coefficient, t.agrees) for t in report.agreements]
 
@@ -131,23 +136,77 @@ def test_per_term_report_matches_dense(monkeypatch, seed):
     assert sparse == summary()
 
 
-def test_per_term_report_solves_every_alpha_ell_key(monkeypatch):
+def test_per_term_report_solves_every_alpha_ell_key():
     """Each (alpha, ell) key of the computed coefficients is its own
     right-hand side, so a printed coefficient with several keys comes back
     whole, and a stray monomial counts once as a residual."""
     printed = [ScalarExpr.alpha(0, 2) + ScalarExpr.const(Q2(0, 1), -1),
                ScalarExpr.alpha(1, ell=2) + ScalarExpr.const(3, 2)]
-    families = {
-        "+ t0": ScalarForm({MONOS[0]: printed[0], MONOS[1]: printed[0].scaled(2)}),
-        "+ t1": ScalarForm({MONOS[1]: printed[1], MONOS[2]: printed[1].scaled(-1)}),
-    }
-    monkeypatch.setattr(goldens, "expand_target", lambda text, d: families[text])
-    golden = Golden("two", 5, "t0\nt1")
-    computed = families["+ t0"] + families["+ t1"]
-    report = per_term_report(computed, golden)
+    families = [("+ t0", printed[0], {MONOS[0]: Q2(1), MONOS[1]: Q2(2)}),
+                ("+ t1", printed[1], {MONOS[1]: Q2(1), MONOS[2]: Q2(-1)})]
+    computed = ScalarForm({MONOS[0]: printed[0], MONOS[1]: printed[0].scaled(2)}) \
+        + ScalarForm({MONOS[1]: printed[1], MONOS[2]: printed[1].scaled(-1)})
+    report = solve_families(computed, families)
     assert [t.machine_coefficient for t in report.agreements] == printed
+    assert [t.printed for t in report.agreements] == [
+        ScalarForm({MONOS[0]: printed[0], MONOS[1]: printed[0].scaled(2)}),
+        ScalarForm({MONOS[1]: printed[1], MONOS[2]: printed[1].scaled(-1)})]
     assert report.all_agree
     computed.add_term(MONOS[3], printed[0] + printed[1])
-    report = per_term_report(computed, golden)
+    report = solve_families(computed, families)
     assert [t.machine_coefficient for t in report.agreements] == printed
     assert report.residual_monomials == 1
+
+
+def test_vanishing_term_is_reported_and_does_not_agree():
+    golden = Golden("rre", 5, "eps[abcdf] R[ab] R[cd] e[f]\n"
+                              "+ eps[abcdf] k[ab] k[cd] h[f]\n"
+                              "+ 0 eps[abcdf] R[ab] e[c] e[d] e[f]")
+    computed = expand_target("eps[abcdf] R[ab] R[cd] e[f]", 5)
+    report = per_term_report(computed, golden)
+    first, *vanishing = report.agreements
+    assert first.agrees and not first.vanishes
+    assert first.machine_coefficient == ScalarExpr.const(24)  # printed 1 times n_0
+    for t in vanishing:
+        assert t.vanishes and t.machine_coefficient is None and not t.agrees
+    assert not report.all_agree
+    assert report.residual_monomials == 0
+
+
+def test_no_registered_golden_has_a_vanishing_term():
+    for name in golden_names():
+        g = load_golden(name)
+        assert all(counts for _, counts in expand_terms(g.text, g.dimension)), name
+
+
+def _c3_lagrangian():
+    c3r = make_c_algebra_rotated(3)
+    return subspace_separation(connection_chain(c3r), c_tensor_rotated(3), 3, c3r)
+
+
+def _b5_lagrangian():
+    b5 = make_b5()
+    return subspace_separation(connection_chain(b5), b5_tensor(), 5, b5)
+
+
+def _c5_outer_transgression():
+    c5r = make_c_algebra_rotated(5)
+    tensor = c_tensor_rotated(5)
+    tensor = InvariantTensor(tensor.rank, {
+        k: v.specialize_alphas([1, -1, -1, -1]) for k, v in tensor.entries.items()})
+    chain = connection_chain(c5r)
+    return transgression(chain[0], chain[1], tensor, 2, c5r)
+
+
+@pytest.mark.parametrize("build, name", [
+    (_c3_lagrangian, "c3_lagrangian"),
+    (_b5_lagrangian, "b5_lagrangian"),
+    (_c5_outer_transgression, "c5_outer_transgression_alpha0"),
+], ids=["c3", "b5", "c5-outer"])
+def test_compare_golden_equals_two_expansions(build, name):
+    computed = build()
+    golden = load_golden(name)
+    rep = compare_forms(computed, golden.form(), up_to_scale=True)
+    fam = per_term_report(computed, golden, rep.scale)
+    assert rep.matched and fam.all_agree
+    assert compare_golden(computed, golden, True) == (rep, fam)

@@ -13,7 +13,7 @@ from sexpansion.goldens import golden_names, load_golden
 from sexpansion.invariant_tensor import perm_sign
 from sexpansion.lie_algebra import lorentz_eta, pair_basis
 from sexpansion.scalars import Q2, ScalarExpr
-from sexpansion.targets import TargetParseError, expand_target
+from sexpansion.targets import TargetParseError, expand_target, expand_terms
 
 
 def test_pure_epsilon_expansion():
@@ -161,6 +161,62 @@ def wedge_chain_expand(text, dimension):
                 weight = perm_sign(values) * math.prod(eta[v] for v in dvals)
                 out.add_form(prod, term.coefficient().scaled(Q2(weight)))
     return out
+
+
+def reference_expand_terms(text, dimension):
+    """Reference route: the unfolded integer loop, every eps permutation."""
+    eta = lorentz_eta(dimension)
+    out = []
+    for term in targets._parse_terms(text):
+        eps_letters, dummies = targets._validate_term(term, dimension, text)
+        factors = [(f.name, [ch for (_, ch) in f.indices])
+                   for f in term.factors if f.name != "eps"]
+        totals = {}
+        for values in itertools.permutations(range(dimension)):
+            for dvals in itertools.product(range(dimension), repeat=len(dummies)):
+                assign = dict(zip(eps_letters + dummies, values + dvals))
+                weight = perm_sign(values) * math.prod(eta[v] for v in dvals)
+                pieces = [targets._integer_factor(name, tuple(assign[ch] for ch in letters),
+                                                  dimension)
+                          for name, letters in factors]
+                for combo in itertools.product(*pieces):
+                    sign, mono = canonical_monomial(sum((m for m, _ in combo), ()))
+                    if sign:
+                        n = sign * weight * math.prod(c for _, c in combo)
+                        totals[mono] = totals.get(mono, 0) + n
+        out.append((term.coefficient(), {m: n for m, n in totals.items() if n}))
+    return out
+
+
+def test_folded_expansion_matches_unfolded_on_every_golden_term():
+    goldens = [load_golden(name) for name in golden_names()]
+    terms = sorted({(g.dimension, t) for g in goldens for t in g.terms()})
+    assert len([t for d, t in terms if d == 5]) == 45
+    for d, text in terms:
+        assert expand_terms(text, d) == reference_expand_terms(text, d), text
+
+
+@pytest.mark.parametrize("text, d", [
+    ("eps[abc] k[a _g] h[g] e[b] e[c]", 3),           # one eps letter, one dummy
+    ("eps[abc] w[ab] e[c]", 3),
+    ("eps[abc] Dk[ab] h[c]", 3),
+    ("eps[abcdf] Dk[ab] Dk[cd] h[f]", 5),              # a block of two Dk pairs
+    ("eps[abcdf] w[ab] k[cd] k[f _g] h[g]", 5),
+    ("eps[abc] k[a _g] h[g] k[b _f] h[f] e[c]", 3),    # two dummies
+    ("eps[abcdf] T[a] T[b] h[c] e[d] e[f]", 5),        # T, h and e blocks
+    ("eps[abcdf] k[ab] k[cd] h[f]", 5),                # vanishes identically
+])
+def test_folded_expansion_matches_unfolded_on_edge_terms(text, d):
+    assert expand_terms(text, d) == reference_expand_terms(text, d)
+
+
+def test_every_golden_parses_to_one_term_per_line():
+    for name in golden_names():
+        g = load_golden(name)
+        whole = expand_terms(g.text, g.dimension)
+        assert len(whole) == len(g.terms()), name
+        for line, term in zip(g.terms(), whole):
+            assert expand_terms(line, g.dimension) == [term], (name, line)
 
 
 def test_expansion_matches_wedge_chain_on_goldens():
