@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import string
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .lie_algebra import LieAlgebra, pair_basis
+from .lie_algebra import LieAlgebra, integer_constants, pair_basis
 from .scalars import Q2, ScalarExpr
 from .semigroup import Semigroup, make_cyclic
 
@@ -80,9 +82,17 @@ class InvariantTensor:
 
     @staticmethod
     def from_json_dict(d: dict) -> "InvariantTensor":
+        """The tensor a to_json_dict value describes; two entries on the same
+        sorted indices raise TensorError, where set_entry would keep the
+        last one."""
         t = InvariantTensor(d["rank"])
+        seen = set()
         for item in d["entries"]:
-            t.set_entry(tuple(item["indices"]), ScalarExpr.from_json_list(item["coeff"]))
+            key = tuple(sorted(item["indices"]))
+            if key in seen:
+                raise TensorError(f"entry {list(key)} is stated twice")
+            seen.add(key)
+            t.set_entry(key, ScalarExpr.from_json_list(item["coeff"]))
         return t
 
     @staticmethod
@@ -177,44 +187,86 @@ def require_fit(L: LieAlgebra, T: InvariantTensor) -> None:
                               f"the {L.dim} generators of {L.name}")
 
 
+def _integer_entries(T: InvariantTensor) -> tuple[int, list]:
+    """(D_T, view): D_T is the lcm of the denominators of all entry
+    coefficients, and view lists every entry as (slots, terms, irr).  slots
+    holds (b, K - b) for each distinct slot value b of the entry's key K,
+    terms holds (term key, p, q) with p + q*sqrt2 = D_T * coefficient, and
+    irr tells whether some q is nonzero."""
+    den = 1
+    for val in T.entries.values():
+        for v in val.terms.values():
+            den = math.lcm(den, v.a.denominator, v.b.denominator)
+    view = []
+    for key, val in T.entries.items():
+        terms = tuple((term, v.a.numerator * (den // v.a.denominator),
+                       v.b.numerator * (den // v.b.denominator))
+                      for term, v in val.terms.items())
+        slots = tuple((b, key[:i] + key[i + 1:]) for i, b in enumerate(key)
+                      if not (i and key[i - 1] == b))
+        view.append((slots, terms, any(q for _, _, q in terms)))
+    return den, view
+
+
 def verify_invariance(L: LieAlgebra, T: InvariantTensor) -> InvarianceReport:
     """Check that the adjoint action annihilates the tensor, from its entries.
 
     For every generator X = T_{A0} and every sorted slot tuple, the sum of the
     tensor with one slot rotated by ad_X must vanish identically in the alpha
-    symbols (each alpha component separately, which the exact scalar ring does
-    automatically).  The sums are scattered from the entries: an entry on K
-    feeds, for each distinct slot value b of K and each x with
-    C_{A0 x}^b != 0, the slot tuple combo = sorted(K - b + x), once for each
-    slot of combo that holds x.  The violation reported is the first A0 with
-    a nonzero sum and, within it, the smallest slot tuple.  A tensor index
-    outside the algebra raises TensorError.
+    symbols (each alpha and ell term separately).  The sums are scattered from
+    the entries: an entry on K feeds, for each distinct slot value b of K and
+    each x with C_{A0 x}^b != 0, the slot tuple combo = sorted(K - b + x),
+    once for each slot of combo that holds x.  The arithmetic is on integers:
+    the constants are scaled by their common denominator D and the entries by
+    theirs, D_T, and only the reported sum is divided back by D * D_T.  The
+    violation reported is the first A0 with a nonzero sum and, within it, the
+    smallest slot tuple.  A tensor index outside the algebra raises
+    TensorError.
     """
     require_fit(L, T)
-    dim = L.dim
-    for a0 in range(dim):
-        images: dict[int, list[tuple[int, Q2]]] = {}  # b -> [(x, C_{a0 x}^b)]
-        for x in range(dim):
-            for b, coeff in L.pair(a0, x).items():
-                images.setdefault(b, []).append((x, coeff))
-        totals: dict[tuple[int, ...], ScalarExpr] = {}
-        for key, val in T.entries.items():
-            for i, b in enumerate(key):
-                if b not in images or (i and key[i - 1] == b):
+    den, rows = integer_constants(L)
+    # a0 -> {b: [(x, p, q)]} with p + q*sqrt2 = D * C_{a0 x}^b
+    images: list[dict[int, list]] = [{} for _ in range(L.dim)]
+    for x, y, row in rows:
+        for b, p, q in row:
+            images[x].setdefault(b, []).append((y, p, q))
+            images[y].setdefault(b, []).append((x, -p, -q))
+    den_t, view = _integer_entries(T)
+    for a0 in range(L.dim):
+        ad = images[a0]
+        if not ad:
+            continue
+        # rational and sqrt2 parts of each sum, keyed by (combo, term key)
+        rat: dict[tuple, int] = {}
+        irr: dict[tuple, int] = {}
+        for slots, terms, t_irr in view:
+            for b, rest in slots:
+                if b not in ad:
                     continue
-                rest = key[:i] + key[i + 1:]
-                for x, coeff in images[b]:
+                for x, p, q in ad[b]:
                     combo = tuple(sorted(rest + (x,)))
-                    c = coeff * combo.count(x)
-                    total = totals.get(combo)
-                    if total is None:
-                        total = totals[combo] = ScalarExpr()
-                    for term, q in val.terms.items():
-                        total.add_term(term, q * c)
-        bad = [combo for combo, total in totals.items() if total]
+                    n = combo.count(x)
+                    pn = n * p
+                    if q or t_irr:
+                        qn = n * q
+                        for term, tp, tq in terms:
+                            key = (combo, term)
+                            rat[key] = rat.get(key, 0) + pn * tp + 2 * qn * tq
+                            irr[key] = irr.get(key, 0) + pn * tq + qn * tp
+                    else:
+                        for term, tp, _ in terms:
+                            key = (combo, term)
+                            rat[key] = rat.get(key, 0) + pn * tp
+        bad = [key[0] for acc in (rat, irr) for key, v in acc.items() if v]
         if bad:
             combo = min(bad)
-            return InvarianceReport(False, (a0, combo), totals[combo])
+            scale = den * den_t
+            terms = dict.fromkeys(key[1] for acc in (rat, irr) for key in acc
+                                  if key[0] == combo)
+            value = ScalarExpr({term: Q2(Fraction(rat.get((combo, term), 0), scale),
+                                         Fraction(irr.get((combo, term), 0), scale))
+                                for term in terms})
+            return InvarianceReport(False, (a0, combo), value)
     return InvarianceReport(True)
 
 

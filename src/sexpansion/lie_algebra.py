@@ -62,7 +62,16 @@ class LieAlgebra:
                     raise LieAlgebraError(f"nonzero bracket [T_{a}, T_{a}]")
                 continue
             key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-            row = self.constants.setdefault(key, {})
+            row = self.constants.get(key)
+            if row is None:  # first time: copy the nonzero values, no additions
+                row = {}
+                for c, coeff in targets.items():
+                    v = Q2.of(coeff)
+                    if v:
+                        row[c] = v if sign == 1 else -v
+                if row:
+                    self.constants[key] = row
+                continue
             for c, coeff in targets.items():
                 v = Q2.of(coeff) if sign == 1 else -Q2.of(coeff)
                 acc = row.get(c)
@@ -73,10 +82,10 @@ class LieAlgebra:
                     del row[c]
             if not row:
                 del self.constants[key]
-        for (a, b) in self.constants:
-            if not (0 <= a < self.dim and 0 <= b < self.dim):
+        for (a, b), row in self.constants.items():
+            if a < 0 or b >= self.dim:
                 raise LieAlgebraError("constant index out of range")
-            if any(not (0 <= c < self.dim) for c in self.constants[(a, b)]):
+            if min(row) < 0 or max(row) >= self.dim:
                 raise LieAlgebraError("constant target out of range")
 
     # -- bracket ------------------------------------------------------------
@@ -137,12 +146,25 @@ class LieAlgebra:
 
     @staticmethod
     def from_json_dict(d: dict) -> "LieAlgebra":
+        """The algebra a to_json_dict value describes.  Unlike the
+        constructor, which adds up what it is given, a file states each
+        constant once: a triple stated twice (in either orientation of A, B)
+        or a dim other than the number of labels raises LieAlgebraError."""
         labels = [Label(l["base"], tuple(l["index"]), tuple(l.get("tags", ())))
                   for l in d["labels"]]
+        if "dim" in d and d["dim"] != len(labels):
+            raise LieAlgebraError(f"dim {d['dim']!r} does not match the "
+                                  f"{len(labels)} labels")
         constants: PairTable = {}
+        seen = set()
         for t in d["constants"]:
+            a, b, c = t["A"], t["B"], t["C"]
+            triple = (min(a, b), max(a, b), c)
+            if triple in seen:
+                raise LieAlgebraError(f"constant (A, B, C) = {triple} is stated twice")
+            seen.add(triple)
             coeff = Q2(Fraction(t["c"]), Fraction(t.get("c_sqrt2", 0)))
-            constants.setdefault((t["A"], t["B"]), {})[t["C"]] = coeff
+            constants.setdefault((a, b), {})[c] = coeff
         return LieAlgebra(d["name"], labels, constants)
 
     @staticmethod
@@ -175,39 +197,45 @@ class AxiomReport:
         return self.ok
 
 
-def _integer_rows(L: LieAlgebra):
-    """Yield (x, y, row) for every stored pair x < y; the row holds (c, p, q)
-    with p + q*sqrt2 = D * C_xy^c, D the common denominator of all constants."""
+def integer_constants(L: LieAlgebra) -> tuple[int, list]:
+    """(D, rows): D is the lcm of the denominators of all constants, and rows
+    lists every stored pair x < y as (x, y, ((c, p, q), ...)) with
+    p + q*sqrt2 = D * C_xy^c, all ints."""
     den = 1
     for row in L.constants.values():
         for v in row.values():
             den = math.lcm(den, v.a.denominator, v.b.denominator)
+    rows = []
     for (x, y), row in L.constants.items():
-        yield x, y, tuple((c, int(v.a * den), int(v.b * den)) for c, v in row.items())
+        rows.append((x, y, tuple(
+            (c, v.a.numerator * (den // v.a.denominator),
+             v.b.numerator * (den // v.b.denominator)) for c, v in row.items())))
+    return den, rows
 
 
 def _jacobi_terms(a: int, adj: list, producers: list):
     """The terms f * (p + q*sqrt2) * row of the Jacobiator on (a, b, d),
-    a < b < d, as (b, d, f, p, q, row).
+    a < b < d, as (b, d, f, p, q, row, row_irr), row_irr telling whether the
+    row has a sqrt2 part.
 
     [[a,y],z] is walked from the neighbours y of a, and enters the triple
     (a, y, z) or (a, z, y) by the sign of the order of y and z; [[b,d],a] is
     walked from the producers of the neighbours c of a.
     """
-    for y, row, s in adj[a]:
+    for y, row, _, s in adj[a]:
         if y < a:
             continue
         for c, p, q in row:
-            for z, row2, s2 in adj[c]:
+            for z, row2, irr2, s2 in adj[c]:
                 if z > a and z != y:
                     if y < z:
-                        yield y, z, s * s2, p, q, row2
+                        yield y, z, s * s2, p, q, row2, irr2
                     else:
-                        yield z, y, -s * s2, p, q, row2
-    for c, row, s in adj[a]:
+                        yield z, y, -s * s2, p, q, row2, irr2
+    for c, row, irr, s in adj[a]:
         for x, y, p, q in producers[c]:
             if x > a:
-                yield x, y, -s, p, q, row
+                yield x, y, -s, p, q, row, irr
 
 
 def check_axioms(L: LieAlgebra) -> AxiomReport:
@@ -223,11 +251,12 @@ def check_axioms(L: LieAlgebra) -> AxiomReport:
     Jacobiator by D^2, which keeps exactly the triples where it vanishes.
     """
     dim = L.dim
-    adj: list[list] = [[] for _ in range(dim)]        # x -> [(y, [x,y] row, sign)]
+    adj: list[list] = [[] for _ in range(dim)]        # x -> [(y, [x,y] row, irr, sign)]
     producers: list[list] = [[] for _ in range(dim)]  # c -> [(x, y, D*C_xy^c)], x < y
-    for x, y, row in _integer_rows(L):
-        adj[x].append((y, row, 1))
-        adj[y].append((x, row, -1))
+    for x, y, row in integer_constants(L)[1]:
+        irr = any(q for _, _, q in row)
+        adj[x].append((y, row, irr, 1))
+        adj[y].append((x, row, irr, -1))
         for c, p, q in row:
             producers[c].append((x, y, p, q))
     for a in range(dim):
@@ -235,13 +264,19 @@ def check_axioms(L: LieAlgebra) -> AxiomReport:
         # (a, b, d), keyed by (b*dim + d)*dim + e, which orders like (b, d, e)
         rat: dict[int, int] = {}
         irr: dict[int, int] = {}
-        for b, d, f, p1, q1, row in _jacobi_terms(a, adj, producers):
+        for b, d, f, p1, q1, row, row_irr in _jacobi_terms(a, adj, producers):
             base = (b * dim + d) * dim
-            for e, p2, q2 in row:
-                key = base + e
-                rat[key] = rat.get(key, 0) + f * (p1 * p2 + 2 * q1 * q2)
-                if q1 or q2:
-                    irr[key] = irr.get(key, 0) + f * (p1 * q2 + q1 * p2)
+            fp = f * p1
+            if q1 or row_irr:
+                fq = f * q1
+                for e, p2, q2 in row:
+                    key = base + e
+                    rat[key] = rat.get(key, 0) + fp * p2 + 2 * fq * q2
+                    irr[key] = irr.get(key, 0) + fp * q2 + fq * p2
+            else:
+                for e, p2, _ in row:
+                    key = base + e
+                    rat[key] = rat.get(key, 0) + fp * p2
         bad = [key for acc in (rat, irr) for key, v in acc.items() if v]
         if bad:
             return AxiomReport(False, True, False, (a,) + divmod(min(bad) // dim, dim))
@@ -400,8 +435,8 @@ def change_basis(L: LieAlgebra, m: list[list[Q2]],
         raise LieAlgebraError("basis matrix shape mismatch")
     m = [[Q2.of(x) for x in row] for row in m]
     minv = mat_inverse(m)
-    cols = [[m[a][i] for a in range(n)] for i in range(n)]
-    sparse_cols = [[(a, col[a]) for a in range(n) if col[a]] for col in cols]
+    minv_cols = [[(k, minv[k][c]) for k in range(n) if minv[k][c]] for c in range(n)]
+    sparse_cols = [[(a, m[a][i]) for a in range(n) if m[a][i]] for i in range(n)]
     constants: PairTable = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -422,13 +457,12 @@ def change_basis(L: LieAlgebra, m: list[list[Q2]],
                 continue
             out: dict[int, Q2] = {}
             for c, v in acc.items():
-                for k in range(n):
-                    if minv[k][c]:
-                        w = out.get(k, Q2(0)) + minv[k][c] * v
-                        if w:
-                            out[k] = w
-                        elif k in out:
-                            del out[k]
+                for k, mk in minv_cols[c]:
+                    w = out.get(k, Q2(0)) + mk * v
+                    if w:
+                        out[k] = w
+                    elif k in out:
+                        del out[k]
             if out:
                 constants[(i, j)] = out
     return LieAlgebra(name or f"{L.name}'",

@@ -237,6 +237,21 @@ def test_unknown_name_is_usage_error(tmp_path, capsys, command, payload):
     assert err.startswith("error: unknown") and "nosuch" in err
 
 
+def _so3_file(constants, dim=3):
+    """An algebra file on the three so3 labels with the given (A, B, C, c)."""
+    return json.dumps({
+        "name": "x", "dim": dim,
+        "labels": [{"base": "J", "index": [i]} for i in (1, 2, 3)],
+        "constants": [{"A": a, "B": b, "C": c, "c": str(v)} for a, b, c, v in constants]})
+
+
+def _tensor_file(entries):
+    """A rank-2 tensor file with the given (indices, rational coefficient)."""
+    return json.dumps({"rank": 2, "entries": [
+        {"indices": list(key), "coeff": [{"alpha": None, "ell_pow": 0, "q": str(q)}]}
+        for key, q in entries]})
+
+
 # placeholder in a payload -> (text of the file it names, None for no file;
 # what the one error line must say besides the file name)
 _PATH_FILES = {
@@ -245,6 +260,18 @@ _PATH_FILES = {
     "NO_LABELS": ('{"name": "x"}', "algebra file {path} lacks the key 'labels'"),
     "NO_COEFF": ('{"rank": 2, "entries": [{"indices": [0, 1]}]}',
                  "tensor file {path} lacks the key 'coeff'"),
+    # a later zero entry on [1, 0] would drop [0, 1] and leave so3's Killing form
+    "REPEATED_ENTRY": (_tensor_file([((0, 0), 1), ((1, 1), 1), ((2, 2), 1),
+                                     ((0, 1), 3), ((1, 0), 0)]),
+                       "tensor file {path} is malformed: entry [0, 1] is stated twice"),
+    "REPEATED_TRIPLE": (_so3_file([(0, 1, 2, 1), (0, 1, 2, 5)]),
+                        "algebra file {path} is malformed: "
+                        "constant (A, B, C) = (0, 1, 2) is stated twice"),
+    "FLIPPED_TRIPLE": (_so3_file([(0, 1, 2, 1), (1, 0, 2, -1)]),
+                       "algebra file {path} is malformed: "
+                       "constant (A, B, C) = (0, 1, 2) is stated twice"),
+    "DIM_SEVEN": (_so3_file([(0, 1, 2, 1)], dim=7),
+                  "algebra file {path} is malformed: dim 7 does not match the 3 labels"),
 }
 
 
@@ -257,10 +284,14 @@ _PATH_FILES = {
     ("check", {"algebra": {"path": "NO_LABELS"}}),
     ("check", {"algebra": "so3", "tensor": {"path": "NOT_JSON"}}),
     ("check", {"algebra": "so3", "tensor": {"path": "NO_COEFF"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "REPEATED_ENTRY"}}),
+    ("check", {"algebra": {"path": "REPEATED_TRIPLE"}}),
+    ("check", {"algebra": {"path": "FLIPPED_TRIPLE"}}),
+    ("check", {"algebra": {"path": "DIM_SEVEN"}}),
 ])
 def test_missing_path_file_is_usage_error(tmp_path, capsys, command, payload):
-    """A path file that is missing, not JSON, or lacks a key exits 2 with one
-    error line naming the file and the problem."""
+    """A path file that is missing, not JSON, lacks a key or states a value
+    twice exits 2 with one error line naming the file and the problem."""
     text = json.dumps(payload)
     name = next(k for k in _PATH_FILES if k in text)
     content, message = _PATH_FILES[name]

@@ -7,14 +7,16 @@ import pytest
 from sexpansion.expansion import h_reduce, s_expand, zero_reduce
 from sexpansion.fixtures import (b5_tensor, c_tensor, c_tensor_rotated, make_b5,
                                  make_c_algebra, make_c_algebra_rotated,
-                                 mixing_rotation)
+                                 mixing_rotation, random_nilpotent,
+                                 random_solvable_4d)
 from sexpansion.invariant_tensor import (InvarianceReport, InvariantTensor,
                                          TensorError, epsilon_tensor,
                                          family_table, latex_family_table,
                                          lift_0s, lift_h, perm_sign,
                                          rotate_tensor, verify_invariance)
-from sexpansion.lie_algebra import make_ads, make_named, mat_identity, pair_basis
-from sexpansion.scalars import Q2, ScalarExpr
+from sexpansion.lie_algebra import (change_basis, killing_matrix, make_ads,
+                                    make_named, mat_identity, pair_basis)
+from sexpansion.scalars import Q2, SQRT2, ScalarExpr
 from sexpansion.semigroup import make_se
 
 
@@ -318,7 +320,7 @@ def _perturb_one_entry(L, T, rng):
     """T with one entry, existing or new (slots may repeat), set to a random
     alpha-linear value, which may be zero (the entry is dropped)."""
     out = InvariantTensor(T.rank, T.entries)
-    if rng.random() < 0.5:
+    if rng.random() < 0.5 and T.entries:
         key = rng.choice(sorted(T.entries))
     else:
         key = tuple(rng.randrange(L.dim) for _ in range(T.rank))
@@ -327,6 +329,21 @@ def _perturb_one_entry(L, T, rng):
         rng.choice((0, 0, -2))) + ScalarExpr.const(rng.randint(-1, 1))
     out.set_entry(key, value)
     return out
+
+
+def _random_tensor(L, rank, rng):
+    """A rank-r tensor with a few random entries."""
+    T = InvariantTensor(rank)
+    for _ in range(5):
+        T = _perturb_one_entry(L, T, rng)
+    return T
+
+
+def _killing_tensor(L):
+    """The Killing form, which is invariant on every Lie algebra."""
+    k = killing_matrix(L)
+    return InvariantTensor(2, {(a, b): ScalarExpr.const(k[a][b])
+                               for a in range(L.dim) for b in range(a, L.dim)})
 
 
 def test_sparse_invariance_matches_dense():
@@ -339,6 +356,20 @@ def test_sparse_invariance_matches_dense():
     cases = list(bases)
     for (L, T), count in zip(bases, (20, 20, 6, 6, 6, 10)):
         cases += [(L, _perturb_one_entry(L, T, rng)) for _ in range(count)]
+    # constants with denominators of up to 4 digits, and an algebra and a
+    # tensor that both have sqrt2 parts
+    bases = [(L, _random_tensor(L, 3, rng)) for L in (random_nilpotent(4, 3),
+                                                       random_nilpotent(4, 8))]
+    bases += [(L, _killing_tensor(L)) for L in (random_solvable_4d(3), random_solvable_4d(8))]
+    stretch = [[SQRT2 if i == j == 0 else Q2(int(i == j)) for j in range(ads3.dim)]
+               for i in range(ads3.dim)]
+    bases.append((change_basis(ads3, stretch), rotate_tensor(epsilon_tensor(3), stretch)))
+    assert any(coeff.b for val in bases[-1][1].entries.values() for coeff in val.terms.values())
+    assert any(1000 < v.a.denominator for L, _ in bases[:4]
+               for row in L.constants.values() for v in row.values())
+    cases += bases
+    for L, T in bases:
+        cases += [(L, _perturb_one_entry(L, T, rng)) for _ in range(10)]
     verdicts = set()
     for L, T in cases:
         sparse, dense = verify_invariance(L, T), dense_verify_invariance(L, T)
