@@ -15,7 +15,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .lie_algebra import LieAlgebra
-from .scalars import AlphaLinearityError, Q2, ScalarExpr
+from .scalars import (AlphaLinearityError, Q2, ScalarExpr, common_denominator,
+                      int_parts)
 
 _FIELD_ORDER = {"w": 0, "e": 1, "k": 2, "h": 3}
 _INTERNED: dict[tuple, "FormSymbol"] = {}  # (field, indices, differentiated) -> symbol
@@ -288,17 +289,13 @@ class IntForm:
 
     @staticmethod
     def of(f: ScalarForm) -> "IntForm":
-        den = 1
-        for c in f.terms.values():
-            for q in c.terms.values():
-                den = lcm(den, q.a.denominator, q.b.denominator)
+        den = common_denominator(q for c in f.terms.values() for q in c.terms.values())
         parts: dict[KernelKey, dict[Monomial, int]] = {}
         for m, c in f.terms.items():
             for (a, e), q in c.terms.items():
-                for r, x in ((0, q.a), (1, q.b)):
+                for r, x in enumerate(int_parts(q, den)):
                     if x:
-                        parts.setdefault((a, e, r), {})[m] = \
-                            x.numerator * (den // x.denominator)
+                        parts.setdefault((a, e, r), {})[m] = x
         return IntForm(parts, den)
 
     @staticmethod

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import string
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .lie_algebra import LieAlgebra, integer_constants, pair_basis
-from .scalars import Q2, ScalarExpr
+from .scalars import Q2, ScalarExpr, common_denominator, int_parts
 from .semigroup import Semigroup, make_cyclic
 
 
@@ -193,15 +192,10 @@ def _integer_entries(T: InvariantTensor) -> tuple[int, list]:
     holds (b, K - b) for each distinct slot value b of the entry's key K,
     terms holds (term key, p, q) with p + q*sqrt2 = D_T * coefficient, and
     irr tells whether some q is nonzero."""
-    den = 1
-    for val in T.entries.values():
-        for v in val.terms.values():
-            den = math.lcm(den, v.a.denominator, v.b.denominator)
+    den = common_denominator(v for val in T.entries.values() for v in val.terms.values())
     view = []
     for key, val in T.entries.items():
-        terms = tuple((term, v.a.numerator * (den // v.a.denominator),
-                       v.b.numerator * (den // v.b.denominator))
-                      for term, v in val.terms.items())
+        terms = tuple((term, *int_parts(v, den)) for term, v in val.terms.items())
         slots = tuple((b, key[:i] + key[i + 1:]) for i, b in enumerate(key)
                       if not (i and key[i - 1] == b))
         view.append((slots, terms, any(q for _, _, q in terms)))

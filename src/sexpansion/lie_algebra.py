@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Q2
+from .scalars import Q2, common_denominator, int_parts
 
 PairTable = dict[tuple[int, int], dict[int, Q2]]
 
@@ -62,16 +61,7 @@ class LieAlgebra:
                     raise LieAlgebraError(f"nonzero bracket [T_{a}, T_{a}]")
                 continue
             key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-            row = self.constants.get(key)
-            if row is None:  # first time: copy the nonzero values, no additions
-                row = {}
-                for c, coeff in targets.items():
-                    v = Q2.of(coeff)
-                    if v:
-                        row[c] = v if sign == 1 else -v
-                if row:
-                    self.constants[key] = row
-                continue
+            row = self.constants.setdefault(key, {})
             for c, coeff in targets.items():
                 v = Q2.of(coeff) if sign == 1 else -Q2.of(coeff)
                 acc = row.get(c)
@@ -201,15 +191,9 @@ def integer_constants(L: LieAlgebra) -> tuple[int, list]:
     """(D, rows): D is the lcm of the denominators of all constants, and rows
     lists every stored pair x < y as (x, y, ((c, p, q), ...)) with
     p + q*sqrt2 = D * C_xy^c, all ints."""
-    den = 1
-    for row in L.constants.values():
-        for v in row.values():
-            den = math.lcm(den, v.a.denominator, v.b.denominator)
-    rows = []
-    for (x, y), row in L.constants.items():
-        rows.append((x, y, tuple(
-            (c, v.a.numerator * (den // v.a.denominator),
-             v.b.numerator * (den // v.b.denominator)) for c, v in row.items())))
+    den = common_denominator(v for row in L.constants.values() for v in row.values())
+    rows = [(x, y, tuple((c, *int_parts(v, den)) for c, v in row.items()))
+            for (x, y), row in L.constants.items()]
     return den, rows
 
 

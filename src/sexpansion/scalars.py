@@ -9,6 +9,7 @@ so multiplying two alpha-carrying scalars is a programming error and raises.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 Rational = Union[int, Fraction]
@@ -116,6 +117,24 @@ class Q2:
 
 SQRT2 = Q2(0, 1)
 HALF_SQRT2 = Q2(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
+
+
+# The integer view of Q2 values that the int kernels read: every value over
+# one common denominator D, as the ints p, q with p + q*sqrt2 = D * value.
+
+def common_denominator(values: Iterable[Q2]) -> int:
+    """The lcm of the denominators of both parts of every value; 1 if none."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.a.denominator, v.b.denominator)
+    return den
+
+
+def int_parts(v: Q2, den: int) -> tuple[int, int]:
+    """(p, q) with p + q*sqrt2 = den * v, for a den from common_denominator."""
+    return (v.a.numerator * (den // v.a.denominator),
+            v.b.numerator * (den // v.b.denominator))
+
 
 Coeff = Union[Q2, int, Fraction]
 

@@ -210,85 +210,6 @@ def test_json_round_trip():
         assert again.to_json() == L.to_json()
 
 
-def reference_constants(dim, constants):
-    """Reference: the constructor's loop that adds every value into its
-    canonical row, first-seen keys included."""
-    out = {}
-    for (a, b), targets in constants.items():
-        if a == b:
-            if any(Q2.of(c) for c in targets.values()):
-                raise LieAlgebraError(f"nonzero bracket [T_{a}, T_{a}]")
-            continue
-        key, sign = ((a, b), 1) if a < b else ((b, a), -1)
-        row = out.setdefault(key, {})
-        for c, coeff in targets.items():
-            v = Q2.of(coeff) if sign == 1 else -Q2.of(coeff)
-            acc = row.get(c)
-            acc = v if acc is None else acc + v
-            if acc:
-                row[c] = acc
-            elif c in row:
-                del row[c]
-        if not row:
-            del out[key]
-    for (a, b) in out:
-        if not (0 <= a < dim and 0 <= b < dim):
-            raise LieAlgebraError("constant index out of range")
-        if any(not (0 <= c < dim) for c in out[(a, b)]):
-            raise LieAlgebraError("constant target out of range")
-    return out
-
-
-def _random_constants(rng, dim):
-    """Keys in both orientations and on the diagonal, int, Fraction and Q2
-    values, zeros, a flipped copy of a row that cancels it in part, and now
-    and then an index or a target one past the end."""
-    def value():
-        return rng.choice([0, rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-                           _random_q2(rng)])
-    constants = {}
-    for _ in range(rng.randint(0, 8)):
-        a, b = rng.randrange(dim), rng.randrange(dim)
-        row = {rng.randrange(dim): value() for _ in range(rng.randint(0, 3))}
-        if a == b and rng.random() < 0.8:
-            row = {c: 0 for c in row}
-        constants[(a, b)] = row
-        if a != b and rng.random() < 0.4:
-            constants[(b, a)] = {c: v if rng.random() < 0.6 else value() for c, v in row.items()}
-    if rng.random() < 0.1:
-        constants[(rng.randrange(dim), dim)] = {0: 1}
-    if rng.random() < 0.1:
-        constants.setdefault((0, dim - 1), {})[dim] = 1
-    return constants
-
-
-def _as_lists(constants):
-    return [(key, list(row.items())) for key, row in constants.items()]
-
-
-def test_constructor_matches_the_accumulate_loop():
-    rng = random.Random(20160409)
-    outcomes = set()
-    for _ in range(400):
-        dim = rng.randint(1, 5)
-        labels = [Label("T", (i,)) for i in range(dim)]
-        constants = _random_constants(rng, dim)
-        given = _as_lists(constants)
-        try:
-            expected = reference_constants(dim, constants)
-        except LieAlgebraError as exc:
-            with pytest.raises(LieAlgebraError) as got:
-                LieAlgebra("x", labels, constants)
-            assert str(got.value) == str(exc)
-            outcomes.add(str(exc).split(" [")[0])
-        else:
-            assert _as_lists(LieAlgebra("x", labels, constants).constants) == _as_lists(expected)
-            outcomes.add("ok" if expected else "empty")
-        assert _as_lists(constants) == given  # the input is left as it was
-    assert outcomes == {"ok", "empty", "nonzero bracket", "constant index out of range",
-                        "constant target out of range"}
-
-
 @pytest.mark.parametrize("constants, message", [
     ({(0, 3): {1: 1}}, "constant index out of range"),
     ({(3, 0): {1: 1}}, "constant index out of range"),

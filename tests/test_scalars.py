@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sexpansion.scalars import (AlphaLinearityError, Q2, SQRT2, ScalarExpr,
-                                scalar_quotient)
+                                common_denominator, int_parts, scalar_quotient)
 
 
 def test_q2_arithmetic():
@@ -99,3 +99,14 @@ def test_q2_keeps_fraction_arguments():
     q = Q2(third, third)
     assert q.a is third and q.b is third
     assert type(Q2(2).a) is Fraction and type(Q2(2).b) is Fraction
+
+
+def test_int_parts_over_the_common_denominator():
+    values = [Q2(Fraction(3, 4), Fraction(-5, 6)), Q2(2), Q2(0, Fraction(1, 9)), Q2(0)]
+    den = common_denominator(values)
+    assert den == 36
+    assert [int_parts(v, den) for v in values] == [(27, -30), (72, 0), (0, 4), (0, 0)]
+    for v in values:
+        p, q = int_parts(v, den)
+        assert Q2(Fraction(p, den), Fraction(q, den)) == v
+    assert common_denominator([]) == 1
