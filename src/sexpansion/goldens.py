@@ -53,14 +53,9 @@ def load_golden(name: str) -> Golden:
 @dataclass
 class TermAgreement:
     term: str
-    printed: ScalarForm
+    vanishes: bool  # the printed term expands to zero, so it spans no family
     machine_coefficient: Optional[ScalarExpr]  # None: dependent on earlier terms, or vanishing
     agrees: bool
-
-    @property
-    def vanishes(self) -> bool:
-        """The printed term expands to zero, so it spans no family."""
-        return not self.printed
 
 
 @dataclass
@@ -137,10 +132,8 @@ def solve_families(computed: ScalarForm, families: list[Family],
     dependents = [c for c in range(ncols) if c not in pivots]
     agreements = []
     for col, (text, anchor, shape) in enumerate(families):
-        multiples = {q: anchor.scaled(q).terms for q in set(shape.values())}
-        printed = ScalarForm({m: ScalarExpr(multiples[q]) for m, q in shape.items()})
         if col not in pivots:
-            agreements.append(TermAgreement(text, printed, None, anchor is not None))
+            agreements.append(TermAgreement(text, not shape, None, anchor is not None))
             continue
         pivot = rows[pivots[col]]
         machine = ScalarExpr({key: pivot[j] for key, j in rhs_cols.items() if j in pivot})
@@ -156,5 +149,5 @@ def solve_families(computed: ScalarForm, families: list[Family],
             agrees = printed_coeff == machine.scaled(scale[0], scale[1])
         else:
             agrees = printed_coeff == machine
-        agreements.append(TermAgreement(text, printed, machine, agrees))
+        agreements.append(TermAgreement(text, False, machine, agrees))
     return FamilyReport(agreements, residual, scale)

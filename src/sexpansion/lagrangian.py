@@ -15,12 +15,12 @@ from typing import Optional, Sequence
 
 from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm,
                     LieValuedForm, Monomial, ScalarForm, canonical_monomial,
-                    exterior_d, int_bracket_into, int_contract, int_d,
-                    int_entries, int_lie_form, int_lie_nonzero,
-                    lie_valued_form)
+                    int_bracket_into, int_contract, int_d, int_entries,
+                    int_lie_form, int_lie_nonzero, lie_valued_form,
+                    monomial_name)
 from .invariant_tensor import InvariantTensor
 from .lie_algebra import LieAlgebra, change_basis, row_reduce
-from .scalars import Q2, ScalarExpr, scalar_quotient
+from .scalars import Q2, ScalarExpr
 from .semigroup import make_cyclic
 
 TPoly = dict[int, LieValuedForm]
@@ -152,13 +152,11 @@ def is_d_exact(f: ScalarForm, cap: int = 200000) -> bool:
     image_rows: dict[Monomial, dict[int, Q2]] = {}
     ncols = 0
     for m in candidate_primitives(deg - 1, _symbol_universe(f), cap):
-        img = exterior_d(ScalarForm({m: ScalarExpr.const(1)}))
-        if img.is_zero():
+        img = int_d(IntForm({(None, 0, 0): {m: 1}})).parts
+        if not img:
             continue
-        for mono, coeff in img.terms.items():
-            (ckey, q), = coeff.terms.items()
-            assert ckey == (None, 0)
-            image_rows.setdefault(mono, {})[ncols] = q
+        for mono, n in img[(None, 0, 0)].items():
+            image_rows.setdefault(mono, {})[ncols] = Q2(n)
         ncols += 1
     # Solve per alpha/ell component over the rational field, the component
     # as the right-hand-side column.
@@ -201,33 +199,40 @@ def compare_forms(computed: ScalarForm, expected: ScalarForm,
                   up_to_scale: bool = False) -> ComparisonReport:
     """Monomial-map equality, optionally up to one global c * ell^k factor.
 
-    When a scale is allowed it is solved for on the first shared monomial and
-    then required to be consistent everywhere; every residual discrepancy is
-    returned with both coefficients printed.
+    When a scale is allowed it is solved for on the anchor, the first shared
+    monomial, and must map its whole coefficient; every monomial is then
+    compared at that scale, and each discrepancy is returned with both
+    coefficients printed.
     """
+    scale = (Q2(1), 0)
     if up_to_scale:
-        shared = [m for m, _ in expected.sorted_items() if m in computed.terms]
-        if not shared:
+        anchor = min((m for m in expected.terms if m in computed.terms), default=None)
+        if anchor is None:
             if expected.is_zero() and computed.is_zero():
-                return ComparisonReport(True, (Q2(1), 0))
+                return ComparisonReport(True, scale)
             return ComparisonReport(False, None,
                                     [TermDiff("<none shared>", str(computed), str(expected))])
-        quot = scalar_quotient(expected.terms[shared[0]], computed.terms[shared[0]])
-        if quot is None:
+        # c and k from the computed first term and the lowest ell power of
+        # its alpha in the expected coefficient; c must be alpha-free
+        base, target = computed.terms[anchor], expected.terms[anchor]
+        (a0, e0), c0 = base.sorted_terms()[0]
+        e1 = min((e for a, e in target.terms if a == a0), default=None)
+        if e1 is not None:
+            scale = (target.terms[(a0, e1)] / c0, e1 - e0)
+        if e1 is None or base.scaled(*scale) != target:
             return ComparisonReport(False, None, [TermDiff(
-                "^".join(map(str, shared[0])),
-                str(computed.terms[shared[0]]), str(expected.terms[shared[0]]))],
+                monomial_name(anchor), str(base), str(target))],
                 "no admissible scalar on the anchor term")
-        scaled = computed.scaled(ScalarExpr.const(quot[0], quot[1]))
-        rep = compare_forms(scaled, expected, up_to_scale=False)
-        return ComparisonReport(rep.matched, quot, rep.diffs, rep.note)
+    zero = ScalarExpr.zero()
     diffs = []
-    for m in sorted(set(computed.terms) | set(expected.terms)):
-        c = computed.terms.get(m, ScalarExpr.zero())
-        e = expected.terms.get(m, ScalarExpr.zero())
+    for m in sorted(computed.terms.keys() | expected.terms.keys()):
+        c = computed.terms.get(m, zero)
+        if up_to_scale:
+            c = c.scaled(*scale)
+        e = expected.terms.get(m, zero)
         if c != e:
-            diffs.append(TermDiff("^".join(map(str, m)) or "1", str(c), str(e)))
-    return ComparisonReport(not diffs, (Q2(1), 0), diffs)
+            diffs.append(TermDiff(monomial_name(m), str(c), str(e)))
+    return ComparisonReport(not diffs, scale, diffs)
 
 
 # -- dual (Maurer-Cartan) verification --------------------------------------------

@@ -137,9 +137,11 @@ class LieAlgebra:
     @staticmethod
     def from_json_dict(d: dict) -> "LieAlgebra":
         """The algebra a to_json_dict value describes.  Unlike the
-        constructor, which adds up what it is given, a file states each
-        constant once: a triple stated twice (in either orientation of A, B)
-        or a dim other than the number of labels raises LieAlgebraError."""
+        constructor, which adds up what it is given and drops what is zero, a
+        file states each constant once and only on generators it has: a
+        triple stated twice (in either orientation of A, B), an A, B or C
+        outside 0..dim-1 or with A == B (even with c = 0), or a dim other than
+        the number of labels raises LieAlgebraError."""
         labels = [Label(l["base"], tuple(l["index"]), tuple(l.get("tags", ())))
                   for l in d["labels"]]
         if "dim" in d and d["dim"] != len(labels):
@@ -149,6 +151,11 @@ class LieAlgebra:
         seen = set()
         for t in d["constants"]:
             a, b, c = t["A"], t["B"], t["C"]
+            if not all(type(i) is int and 0 <= i < len(labels) for i in (a, b, c)):
+                raise LieAlgebraError(f"constant (A, B, C) = ({a!r}, {b!r}, {c!r}) names "
+                                      f"a generator outside 0..{len(labels) - 1}")
+            if a == b:
+                raise LieAlgebraError(f"constant (A, B, C) = ({a}, {b}, {c}) has A == B")
             triple = (min(a, b), max(a, b), c)
             if triple in seen:
                 raise LieAlgebraError(f"constant (A, B, C) = {triple} is stated twice")

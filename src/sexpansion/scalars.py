@@ -273,10 +273,23 @@ class ScalarExpr:
 
     @staticmethod
     def from_json_list(items: Iterable[dict]) -> "ScalarExpr":
+        """The scalar a to_json_list value describes.  Each item states one
+        term, so a repeated (alpha, ell_pow) raises ValueError where add_term
+        would add the two up; so does an alpha other than null or a
+        non-negative int, or an ell_pow other than an int (a bool is neither)."""
         out = ScalarExpr()
+        seen = set()
         for c in items:
-            q = Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0)))
-            out.add_term((c["alpha"], c["ell_pow"]), q)
+            a, e = c["alpha"], c["ell_pow"]
+            if a is not None and (type(a) is not int or a < 0):
+                raise ValueError(f"alpha must be null or a non-negative integer, got {a!r}")
+            if type(e) is not int:
+                raise ValueError(f"ell_pow must be an integer, got {e!r}")
+            if (a, e) in seen:
+                raise ValueError(f"coefficient term (alpha, ell_pow) = ({a}, {e}) "
+                                 "is stated twice")
+            seen.add((a, e))
+            out.add_term((a, e), Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0))))
         return out
 
     # -- display -----------------------------------------------------------
@@ -312,25 +325,3 @@ class ScalarExpr:
         for b in bits[1:]:
             out += b if b.startswith("-") else "+" + b
         return out
-
-
-def scalar_quotient(target: ScalarExpr, base: ScalarExpr) -> Optional[tuple[Q2, int]]:
-    """Return (c, k) with target == c * ell^k * base, or None.
-
-    Used for comparisons that are only defined up to one global prefactor.
-    The quotient must be alpha-free for a match to count.
-    """
-    if base.is_zero():
-        return None if target else (Q2(1), 0)
-    if target.is_zero():
-        return None
-    (a0, e0), c0 = base.sorted_terms()[0]
-    candidates = [((a, e), c) for (a, e), c in target.terms.items() if a == a0]
-    if not candidates:
-        return None
-    (_, e1), c1 = sorted(candidates, key=lambda kv: kv[0][1])[0]
-    k = e1 - e0
-    c = c1 / c0
-    if base.scaled(c, k) == target:
-        return (c, k)
-    return None

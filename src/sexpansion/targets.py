@@ -38,8 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .forms import (Monomial, ScalarForm, canonical_monomial, monomial_name,
-                    pair_symbol, sym, wedge)
+from .forms import (FormSymbol, Monomial, ScalarForm, canonical_monomial,
+                    pair_symbol, sym)
 from .invariant_tensor import perm_sign
 from .lie_algebra import lorentz_eta
 from .scalars import Q2, ScalarExpr
@@ -249,13 +249,14 @@ def _validate_term(term: _Term, dimension: int, text: str) -> tuple[list[str], l
     return eps_letters, sorted(dummies)
 
 
-def _component(field: str, indices: tuple[int, ...], d: bool = False) -> ScalarForm:
-    """One field component (or its differential); a pair component carries
-    the sign of its index order and vanishes on equal indices."""
+def _component(field: str, indices: tuple[int, ...],
+               d: bool = False) -> tuple[int, Optional[FormSymbol]]:
+    """(sign, symbol) of one field component (or its differential); a pair
+    component carries the sign of its index order and vanishes on equal
+    indices, with sign 0."""
     if len(indices) == 1:
-        return ScalarForm.of_symbol(sym(field, indices[0], d=d))
-    s, symbol = pair_symbol(field, indices[0], indices[1], d=d)
-    return ScalarForm({(symbol,): ScalarExpr.const(s)}) if s else ScalarForm.zero()
+        return 1, sym(field, indices[0], d=d)
+    return pair_symbol(field, indices[0], indices[1], d=d)
 
 
 # factor -> (field, rotated slots): D X = d X + eta_cc w^{i_p c} X^{..c..},
@@ -265,41 +266,29 @@ _COVARIANT = {"T": ("e", (0,)), "Dh": ("h", (0,)), "R": ("w", (0,)), "Dk": ("k",
 
 
 @lru_cache(maxsize=None)
-def _concrete_factor(name: str, indices: tuple[int, ...], dimension: int) -> ScalarForm:
+def _integer_factor(name: str, indices: tuple[int, ...],
+                    dimension: int) -> tuple[tuple[Monomial, int], ...]:
+    """The factor's expansion as (monomial, integer coefficient) pairs: every
+    factor of the grammar expands with alpha-free, ell^0, integer (in fact
+    +-1) coefficients, which the expansion multiplies as plain ints."""
     if name in ("e", "h", "k", "w"):
-        return _component(name, indices)
+        s, symbol = _component(name, indices)
+        return (((symbol,), s),) if s else ()
     if name not in _COVARIANT:
         raise ValueError(f"no expansion for factor {name!r}")
     field, slots = _COVARIANT[name]
     eta = lorentz_eta(dimension)
-    out = _component(field, indices, d=True)
+    s, symbol = _component(field, indices, d=True)
+    out = {(symbol,): s} if s else {}
     for c in range(dimension):
         for p in slots:
-            s, w = pair_symbol("w", indices[p], c)
-            rotated = _component(field, indices[:p] + (c,) + indices[p + 1:])
-            if s and rotated:
-                out.add_form(wedge(ScalarForm({(w,): ScalarExpr.const(s * eta[c])}),
-                                   rotated))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _integer_factor(name: str, indices: tuple[int, ...],
-                    dimension: int) -> tuple[tuple[Monomial, int], ...]:
-    """The factor's expansion as (monomial, integer coefficient) pairs.
-
-    Every factor of the grammar expands with alpha-free, ell^0, integer
-    (in fact +-1) coefficients; anything else is rejected, since the
-    expansion below multiplies these coefficients as plain ints.
-    """
-    out = []
-    for m, c in _concrete_factor(name, indices, dimension).terms.items():
-        q = c.terms.get((None, 0))
-        if len(c.terms) != 1 or q is None or q.b or q.a.denominator != 1:
-            raise ValueError(f"factor {name}{list(indices)} has the non-integer "
-                             f"coefficient {c} on {monomial_name(m)}")
-        out.append((m, int(q.a)))
-    return tuple(out)
+            s1, w = pair_symbol("w", indices[p], c)
+            s2, rotated = _component(field, indices[:p] + (c,) + indices[p + 1:])
+            if s1 and s2:
+                sign, mono = canonical_monomial((w, rotated))
+                if sign:
+                    out[mono] = out.get(mono, 0) + sign * s1 * s2 * eta[c]
+    return tuple((m, n) for m, n in out.items() if n)
 
 
 def _eps_fold(factors: list[tuple[str, list[str]]],

@@ -252,6 +252,12 @@ def _tensor_file(entries):
         for key, q in entries]})
 
 
+def _coeff_file(*items):
+    """A rank-2 tensor file whose one entry, on [0, 0], states these
+    coefficient items."""
+    return json.dumps({"rank": 2, "entries": [{"indices": [0, 0], "coeff": list(items)}]})
+
+
 # placeholder in a payload -> (text of the file it names, None for no file;
 # what the one error line must say besides the file name)
 _PATH_FILES = {
@@ -272,6 +278,29 @@ _PATH_FILES = {
                        "constant (A, B, C) = (0, 1, 2) is stated twice"),
     "DIM_SEVEN": (_so3_file([(0, 1, 2, 1)], dim=7),
                   "algebra file {path} is malformed: dim 7 does not match the 3 labels"),
+    # an item that repeats (alpha, ell_pow) was added to the first, giving 3
+    "REPEATED_TERM": (_coeff_file({"alpha": None, "ell_pow": 0, "q": "1"},
+                                  {"alpha": None, "ell_pow": 0, "q": "2"}),
+                      "tensor file {path} is malformed: coefficient term "
+                      "(alpha, ell_pow) = (None, 0) is stated twice"),
+    "ALPHA_NOT_INT": (_coeff_file({"alpha": "x", "ell_pow": 0, "q": "1"}),
+                      "tensor file {path} is malformed: alpha must be null or a "
+                      "non-negative integer, got 'x'"),
+    "ALPHA_BOOL": (_coeff_file({"alpha": True, "ell_pow": 0, "q": "1"}),
+                   "tensor file {path} is malformed: alpha must be null or a "
+                   "non-negative integer, got True"),
+    "ELL_NOT_INT": (_coeff_file({"alpha": None, "ell_pow": "2", "q": "1"}),
+                    "tensor file {path} is malformed: ell_pow must be an integer, got '2'"),
+    # a zero constant on a generator that does not exist read as nothing
+    "OUT_OF_RANGE": (_so3_file([(0, 1, 2, 1), (0, 1, 7, 0)]),
+                     "algebra file {path} is malformed: "
+                     "constant (A, B, C) = (0, 1, 7) names a generator outside 0..2"),
+    "NEGATIVE_INDEX": (_so3_file([(-1, 1, 2, 0)]),
+                       "algebra file {path} is malformed: "
+                       "constant (A, B, C) = (-1, 1, 2) names a generator outside 0..2"),
+    "ZERO_DIAGONAL": (_so3_file([(1, 1, 2, 0)]),
+                      "algebra file {path} is malformed: "
+                      "constant (A, B, C) = (1, 1, 2) has A == B"),
 }
 
 
@@ -288,10 +317,18 @@ _PATH_FILES = {
     ("check", {"algebra": {"path": "REPEATED_TRIPLE"}}),
     ("check", {"algebra": {"path": "FLIPPED_TRIPLE"}}),
     ("check", {"algebra": {"path": "DIM_SEVEN"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "REPEATED_TERM"}}),
+    ("invariants", {"algebra": "so3", "tensor": {"path": "ALPHA_NOT_INT"}, "alphas": [1]}),
+    ("check", {"algebra": "so3", "tensor": {"path": "ALPHA_BOOL"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "ELL_NOT_INT"}}),
+    ("check", {"algebra": {"path": "OUT_OF_RANGE"}}),
+    ("check", {"algebra": {"path": "NEGATIVE_INDEX"}}),
+    ("check", {"algebra": {"path": "ZERO_DIAGONAL"}}),
 ])
 def test_missing_path_file_is_usage_error(tmp_path, capsys, command, payload):
-    """A path file that is missing, not JSON, lacks a key or states a value
-    twice exits 2 with one error line naming the file and the problem."""
+    """A path file that is missing, not JSON, lacks a key, states a value
+    twice or has an ill-typed or out-of-range value exits 2 with one error
+    line naming the file and the problem."""
     text = json.dumps(payload)
     name = next(k for k in _PATH_FILES if k in text)
     content, message = _PATH_FILES[name]

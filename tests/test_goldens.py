@@ -148,9 +148,6 @@ def test_per_term_report_solves_every_alpha_ell_key():
         + ScalarForm({MONOS[1]: printed[1], MONOS[2]: printed[1].scaled(-1)})
     report = solve_families(computed, families)
     assert [t.machine_coefficient for t in report.agreements] == printed
-    assert [t.printed for t in report.agreements] == [
-        ScalarForm({MONOS[0]: printed[0], MONOS[1]: printed[0].scaled(2)}),
-        ScalarForm({MONOS[1]: printed[1], MONOS[2]: printed[1].scaled(-1)})]
     assert report.all_agree
     computed.add_term(MONOS[3], printed[0] + printed[1])
     report = solve_families(computed, families)

@@ -11,11 +11,13 @@ from sexpansion.fixtures import (b5_tensor, build_connection, c_tensor_rotated,
                                  connection_chain, make_b5,
                                  make_c_algebra_rotated)
 from sexpansion.forms import (LieValuedForm, ScalarForm, canonical_monomial,
-                              contract, exterior_d, scalar_form_to_json_dict, sym)
+                              contract, exterior_d, monomial_name,
+                              scalar_form_to_json_dict, sym)
 from sexpansion.goldens import load_golden
 from sexpansion.invariant_tensor import InvariantTensor
-from sexpansion.lagrangian import (_symbol_universe, candidate_primitives,
-                                   chern_simons, compare_forms, dual_mc_check,
+from sexpansion.lagrangian import (TermDiff, _symbol_universe,
+                                   candidate_primitives, chern_simons,
+                                   compare_forms, dual_mc_check,
                                    homotopy_curvature, is_d_exact,
                                    subspace_separation, transgression)
 from sexpansion.lie_algebra import Label, LieAlgebra, make_named
@@ -260,6 +262,63 @@ def test_compare_up_to_scale_requires_consistency():
     g = ScalarForm({m1: ScalarExpr.const(2), m2: ScalarExpr.const(5)})
     rep = compare_forms(f, g, up_to_scale=True)
     assert not rep.matched and rep.diffs
+
+
+_E_MONOS = [(sym("e", a),) for a in range(5)]
+
+
+def test_compare_up_to_scale_solves_an_alpha_anchor_shifted_in_ell():
+    base = ScalarExpr.alpha(0) + ScalarExpr.alpha(1)
+    f = ScalarForm({_E_MONOS[0]: base, _E_MONOS[1]: base.scaled(2, -1)})
+    g = ScalarForm({m: c.scaled(Q2(Fraction(-3, 2)), 3) for m, c in f.terms.items()})
+    rep = compare_forms(f, g, up_to_scale=True)
+    assert rep.matched and not rep.diffs
+    assert rep.scale == (Q2(Fraction(-3, 2)), 3)
+
+
+@pytest.mark.parametrize("computed, expected", [
+    (ScalarExpr.alpha(0), ScalarExpr.alpha(1)),
+    (ScalarExpr.const(1) + ScalarExpr.alpha(0), ScalarExpr.const(2) + ScalarExpr.alpha(0, 3)),
+])
+def test_compare_up_to_scale_rejects_an_alpha_dependent_anchor_ratio(computed, expected):
+    f = ScalarForm({_E_MONOS[0]: computed, _E_MONOS[1]: ScalarExpr.const(1)})
+    g = ScalarForm({_E_MONOS[0]: expected, _E_MONOS[1]: ScalarExpr.const(1)})
+    rep = compare_forms(f, g, up_to_scale=True)
+    assert not rep.matched and rep.scale is None
+    assert rep.note == "no admissible scalar on the anchor term"
+    assert rep.diffs == [TermDiff(monomial_name(_E_MONOS[0]), str(computed), str(expected))]
+
+
+def _random_coefficient(rng):
+    """A nonzero scalar with sqrt2, alpha and ell terms."""
+    out = ScalarExpr()
+    while not out:
+        for _ in range(rng.randint(1, 3)):
+            q = Q2(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                   rng.choice([0, Fraction(rng.randint(-3, 3), rng.randint(1, 3))]))
+            out.add_term((rng.choice([None, 0, 1, 2]), rng.randint(-3, 3)), q)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_compare_up_to_scale_recovers_a_random_scale(seed):
+    """f against f * c * ell^k matches at exactly (c, k); changing one
+    monomial other than the anchor gives exactly that one diff."""
+    rng = random.Random(3100 + seed)
+    monos = rng.sample(_E_MONOS, rng.randint(2, 5))
+    f = ScalarForm({m: _random_coefficient(rng) for m in monos})
+    c = Q2(Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)),
+           rng.choice([0, Fraction(rng.randint(-2, 2), 3)]))
+    k = rng.randint(-4, 4)
+    g = ScalarForm({m: v.scaled(c, k) for m, v in f.terms.items()})
+    rep = compare_forms(f, g, up_to_scale=True)
+    assert rep.matched and rep.scale == (c, k)
+    changed = rng.choice(sorted(monos)[1:])
+    g.terms[changed] = g.terms[changed] + ScalarExpr.alpha(3, ell=5)
+    rep = compare_forms(f, g, up_to_scale=True)
+    assert not rep.matched and rep.scale == (c, k)
+    assert rep.diffs == [TermDiff(monomial_name(changed), str(f.terms[changed].scaled(c, k)),
+                                  str(g.terms[changed]))]
 
 
 def test_comparison_algebra_lagrangian_matches_its_golden():

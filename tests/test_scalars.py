@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sexpansion.scalars import (AlphaLinearityError, Q2, SQRT2, ScalarExpr,
-                                common_denominator, int_parts, scalar_quotient)
+                                common_denominator, int_parts)
 
 
 def test_q2_arithmetic():
@@ -58,12 +58,21 @@ def test_specialize_and_substitute():
     assert num == ScalarExpr.const(5) + ScalarExpr.const(7, 2)
 
 
-def test_scalar_quotient():
-    base = ScalarExpr.alpha(0) + ScalarExpr.alpha(1)
-    target = base.scaled(Q2(Fraction(-3, 2)), 3)
-    assert scalar_quotient(target, base) == (Q2(Fraction(-3, 2)), 3)
-    assert scalar_quotient(ScalarExpr.alpha(0), base) is None
-    assert scalar_quotient(ScalarExpr.zero(), base) is None
+def _item(alpha, ell_pow, q="1"):
+    return {"alpha": alpha, "ell_pow": ell_pow, "q": q}
+
+
+@pytest.mark.parametrize("items, message", [
+    ([_item(2, 0), _item(2, 0, "0")], r"\(alpha, ell_pow\) = \(2, 0\) is stated twice"),
+    ([_item(-1, 0)], "alpha must be null or a non-negative integer, got -1"),
+    ([_item(False, 0)], "alpha must be null or a non-negative integer, got False"),
+    ([_item(1.0, 0)], "alpha must be null or a non-negative integer, got 1.0"),
+    ([_item(None, True)], "ell_pow must be an integer, got True"),
+    ([_item(None, "2")], "ell_pow must be an integer, got '2'"),
+])
+def test_coefficient_json_items_are_validated(items, message):
+    with pytest.raises(ValueError, match=message):
+        ScalarExpr.from_json_list(items)
 
 
 def test_string_forms():

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -78,8 +77,9 @@ def test_curvature_factor_matches_engine(d):
 
 
 def expand_target_factor(name, indices, d):
-    from sexpansion.targets import _concrete_factor
-    return _concrete_factor(name, indices, d)
+    """`_integer_factor`'s (monomial, int) pairs as a ScalarForm."""
+    return ScalarForm({m: ScalarExpr.const(n)
+                       for m, n in targets._integer_factor(name, indices, d)})
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -130,18 +130,16 @@ def test_deterministic_expansion():
 
 
 def test_expansion_leaves_cached_factors_unchanged():
-    from sexpansion.forms import scalar_form_to_json_dict
-    from sexpansion.targets import _concrete_factor
     keys = [("R", (0, 1)), ("T", (2,)), ("Dk", (0, 2)), ("Dh", (1,)), ("w", (1, 0))]
-    cached = {k: _concrete_factor(k[0], k[1], 3) for k in keys}
-    before = {k: scalar_form_to_json_dict(f) for k, f in cached.items()}
+    cached = {k: targets._integer_factor(k[0], k[1], 3) for k in keys}
+    before = {k: expand_target_factor(k[0], k[1], 3) for k in keys}
     text = ("eps[abc] R[ab] T[c] + eps[abc] Dk[ab] Dh[c] + eps[abc] w[ab] e[c]"
             " + eps[abc] R[ab] e[c]")
     first = expand_target(text, 3)
     assert expand_target(text, 3) == first
     for k, f in cached.items():
-        assert _concrete_factor(k[0], k[1], 3) is f
-        assert scalar_form_to_json_dict(f) == before[k]
+        assert targets._integer_factor(k[0], k[1], 3) is f
+        assert expand_target_factor(k[0], k[1], 3) == before[k]
 
 
 def wedge_chain_expand(text, dimension):
@@ -157,7 +155,7 @@ def wedge_chain_expand(text, dimension):
                 prod = ScalarForm({(): ScalarExpr.const(1)})
                 for f in factors:
                     concrete = tuple(assign[ch] for (_, ch) in f.indices)
-                    prod = wedge(prod, targets._concrete_factor(f.name, concrete, dimension))
+                    prod = wedge(prod, expand_target_factor(f.name, concrete, dimension))
                 weight = perm_sign(values) * math.prod(eta[v] for v in dvals)
                 out.add_form(prod, term.coefficient().scaled(Q2(weight)))
     return out
@@ -228,13 +226,3 @@ def test_expansion_matches_wedge_chain_on_goldens():
     for text in random.Random(4).sample(terms5, 8):
         assert expand_target(text, 5) == wedge_chain_expand(text, 5), text
 
-
-@pytest.mark.parametrize("coeff", [
-    ScalarExpr.const(Fraction(1, 2)), ScalarExpr.const(Q2(0, 1)),
-    ScalarExpr.const(1, -1), ScalarExpr.alpha(0),
-])
-def test_integer_view_rejects_non_integer_factor(monkeypatch, coeff):
-    monkeypatch.setattr(targets, "_concrete_factor",
-                        lambda name, indices, d: ScalarForm({(sym("e", 0),): coeff}))
-    with pytest.raises(ValueError, match="non-integer"):
-        targets._integer_factor.__wrapped__("e", (0,), 3)
