@@ -225,4 +225,3 @@ def test_expansion_matches_wedge_chain_on_goldens():
     terms5 = sorted({t for g in goldens if g.dimension == 5 for t in g.terms()})
     for text in random.Random(4).sample(terms5, 8):
         assert expand_target(text, 5) == wedge_chain_expand(text, 5), text
-
