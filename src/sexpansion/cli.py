@@ -337,6 +337,8 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
         lines.append(f"[{name}] matched={rep.matched} "
                      f"scale={rep.scale and (str(rep.scale[0]), rep.scale[1])} "
                      f"diffs={len(rep.diffs)}")
+        if rep.note:
+            lines.append(f"  note: {rep.note}")
         for t in fam.agreements:
             coeff = "(vanishes identically)" if t.vanishes \
                 else "(absorbed in earlier family)" if t.machine_coefficient is None \

@@ -10,6 +10,7 @@ Koszul sign applied at construction time.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -387,27 +388,53 @@ def _nonzero(parts: dict[KernelKey, dict[Monomial, int]]) -> dict[KernelKey, dic
     return out
 
 
+def _odd_bits(m: Monomial) -> tuple[int, int]:
+    """(mask, par) of a canonical monomial: mask has bit b set for each odd
+    symbol b (a symbol is its int value), and par is the XOR over those b of
+    every bit above b.  Two monomials' odd symbols meet iff mask1 & mask2,
+    and moving m2's odd symbols past m1's takes an odd number of swaps iff
+    (mask1 & par2).bit_count() is odd."""
+    mask = par = 0
+    for s in m:
+        if s.degree == 1:
+            mask |= 1 << s
+            par ^= -2 << s
+    return mask, par
+
+
 def int_wedge(f: IntForm, g: IntForm) -> IntForm:
+    """Graded product of kernel forms.  Both factors' monomials are
+    canonical, so a product is the sorted concatenation, zero when an odd
+    symbol repeats, with the sign of `_odd_bits`; the masks live for this
+    call only."""
+    gbits = {k2: [(m2, *_odd_bits(m2), c2) for m2, c2 in p2.items()]
+             for k2, p2 in g.parts.items()}
     parts: dict[KernelKey, dict[Monomial, int]] = {}
     for k1, p1 in f.parts.items():
-        for k2, p2 in g.parts.items():
+        fbits = [(m1, _odd_bits(m1)[0], c1) for m1, c1 in p1.items()]
+        for k2, q2 in gbits.items():
             if k1[0] is not None and k2[0] is not None:
                 # two alpha keys raise only once a nonzero product is formed
-                if any(canonical_monomial(m1 + m2)[0] for m1 in p1 for m2 in p2):
+                if any(not mask1 & mask2 for _, mask1, _ in fbits for _, mask2, _, _ in q2):
                     _key_product(k1, k2)
                 continue
             key, two = _key_product(k1, k2)
             acc = parts.setdefault(key, {})
-            for m1, c1 in p1.items():
+            for m1, mask1, c1 in fbits:
                 c1 *= two
-                for m2, c2 in p2.items():
-                    sign, mono = canonical_monomial(m1 + m2)
-                    if sign:
-                        acc[mono] = acc.get(mono, 0) + (c1 * c2 if sign > 0 else -c1 * c2)
+                for m2, mask2, par2, c2 in q2:
+                    if mask1 & mask2:
+                        continue
+                    mono = tuple(sorted(m1 + m2))
+                    c = c1 * c2
+                    acc[mono] = acc.get(mono, 0) + (-c if (mask1 & par2).bit_count() & 1 else c)
     return IntForm(_nonzero(parts), f.den * g.den)
 
 
 def int_d(f: IntForm) -> IntForm:
+    """d on a kernel form: d turns an odd symbol into its even d-image, so
+    the odd symbols stay in order and distinct, and the sign is the parity
+    of the odd symbols before it."""
     parts: dict[KernelKey, dict[Monomial, int]] = {}
     for key, part in f.parts.items():
         acc = parts.setdefault(key, {})
@@ -416,12 +443,9 @@ def int_d(f: IntForm) -> IntForm:
             for i, s in enumerate(m):
                 ds = s.d()
                 if ds is not None:
-                    sign, mono = canonical_monomial(m[:i] + (ds,) + m[i + 1:])
-                    if sign:
-                        if before_odd % 2:
-                            sign = -sign
-                        acc[mono] = acc.get(mono, 0) + (c if sign > 0 else -c)
-                before_odd += s.degree % 2
+                    mono = tuple(sorted(m[:i] + (ds,) + m[i + 1:]))
+                    acc[mono] = acc.get(mono, 0) + (-c if before_odd & 1 else c)
+                    before_odd += 1
     return IntForm(_nonzero(parts), f.den)
 
 
@@ -469,20 +493,26 @@ def _is_even(f: IntLieForm) -> bool:
                for k in f.values() for part in k.parts.values() for m in part)
 
 
-def int_contract(entries: list[tuple[tuple[int, ...], IntForm]],
-                 forms: Sequence[IntLieForm]) -> IntForm:
-    """`contract` on kernel forms, with the tensor as its (key, IntForm.scalar)
-    entries; slots group by the identity of their form objects."""
+TensorEntry = tuple[tuple[tuple[int, ...], ...], IntForm]
+
+
+def int_contract(entries: list[TensorEntry], forms: Sequence[IntLieForm]) -> IntForm:
+    """`contract` on kernel forms, with the tensor as its `int_entries`: each
+    entry carries its key's distinct orderings, so a chain of contractions
+    with one tensor builds them once.  An ordering counts when every slot's
+    form has a component at its index; slots group by the identity of their
+    form objects."""
     slots_of: dict[int, list[int]] = {}
     for slot, f in enumerate(forms):
         slots_of.setdefault(id(f), []).append(slot)
     groups = [slots for slots in slots_of.values()
               if len(slots) > 1 and _is_even(forms[slots[0]])]
+    supports = [f.keys() for f in forms]
     out = IntForm()
-    for key, val in entries:
+    for orderings, val in entries:
         counts: dict[tuple[int, ...], int] = {}
-        for order in set(itertools.permutations(key)):
-            if not all(i in c for i, c in zip(order, forms)):
+        for order in orderings:
+            if not all(map(operator.contains, supports, order)):
                 continue
             order = list(order)
             for slots in groups:  # sorted indices stand for the group's orderings
@@ -501,8 +531,12 @@ def int_contract(entries: list[tuple[tuple[int, ...], IntForm]],
     return out
 
 
-def int_entries(T) -> list[tuple[tuple[int, ...], IntForm]]:
-    return [(key, IntForm.scalar(val)) for key, val in T.entries.items()]
+def int_entries(T) -> list[TensorEntry]:
+    """The tensor for `int_contract`: per sparse entry, the distinct
+    orderings of its key, sorted, and the entry as an `IntForm.scalar`.
+    Build it once per tensor and pass it to every contraction."""
+    return [(tuple(sorted(set(itertools.permutations(key)))), IntForm.scalar(val))
+            for key, val in T.entries.items()]
 
 
 # -- the public entry points: ScalarForm in, kernel, ScalarForm out --------------

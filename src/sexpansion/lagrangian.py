@@ -14,10 +14,10 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm,
-                    LieValuedForm, Monomial, ScalarForm, canonical_monomial,
-                    int_bracket_into, int_contract, int_d, int_entries,
-                    int_lie_form, int_lie_nonzero, lie_valued_form,
-                    monomial_name)
+                    LieValuedForm, Monomial, ScalarForm, TensorEntry,
+                    canonical_monomial, int_bracket_into, int_contract, int_d,
+                    int_entries, int_lie_form, int_lie_nonzero,
+                    lie_valued_form, monomial_name)
 from .invariant_tensor import InvariantTensor
 from .lie_algebra import LieAlgebra, change_basis, row_reduce
 from .scalars import Q2, ScalarExpr
@@ -54,7 +54,7 @@ def homotopy_curvature(A: LieValuedForm, Abar: LieValuedForm, L: LieAlgebra) -> 
 
 
 def _transgression(A: IntLieForm, Abar: IntLieForm,
-                   entries: list[tuple[tuple[int, ...], IntForm]], k: int,
+                   entries: list[TensorEntry], k: int,
                    L: LieAlgebra) -> IntForm:
     out = IntForm()
     delta = _difference(A, Abar)

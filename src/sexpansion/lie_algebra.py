@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Q2, common_denominator, int_parts
+from .scalars import Q2, common_denominator, int_parts, json_rational
 
 PairTable = dict[tuple[int, int], dict[int, Q2]]
 
@@ -141,7 +141,8 @@ class LieAlgebra:
         file states each constant once and only on generators it has: a
         triple stated twice (in either orientation of A, B), an A, B or C
         outside 0..dim-1 or with A == B (even with c = 0), or a dim other than
-        the number of labels raises LieAlgebraError."""
+        the number of labels raises LieAlgebraError; a c or c_sqrt2 that is
+        not an int or a string raises ValueError (`json_rational`)."""
         labels = [Label(l["base"], tuple(l["index"]), tuple(l.get("tags", ())))
                   for l in d["labels"]]
         if "dim" in d and d["dim"] != len(labels):
@@ -160,7 +161,8 @@ class LieAlgebra:
             if triple in seen:
                 raise LieAlgebraError(f"constant (A, B, C) = {triple} is stated twice")
             seen.add(triple)
-            coeff = Q2(Fraction(t["c"]), Fraction(t.get("c_sqrt2", 0)))
+            coeff = Q2(json_rational(t["c"], "c"),
+                       json_rational(t.get("c_sqrt2", 0), "c_sqrt2"))
             constants.setdefault((a, b), {})[c] = coeff
         return LieAlgebra(d["name"], labels, constants)
 

@@ -119,6 +119,16 @@ SQRT2 = Q2(0, 1)
 HALF_SQRT2 = Q2(0, Fraction(1, 2))  # 1/sqrt2 = sqrt2/2
 
 
+def json_rational(value, name: str) -> Fraction:
+    """An exact rational stated in a JSON file, as an int or a string such
+    as "1/2".  A JSON number with a fraction part is a binary float, which
+    would read as its exact binary value, so a float (or a bool) raises
+    ValueError."""
+    if type(value) is int or isinstance(value, str):
+        return Fraction(value)
+    raise ValueError(f"{name} must be an integer or a string, got {value!r}")
+
+
 # The integer view of Q2 values that the int kernels read: every value over
 # one common denominator D, as the ints p, q with p + q*sqrt2 = D * value.
 
@@ -276,7 +286,8 @@ class ScalarExpr:
         """The scalar a to_json_list value describes.  Each item states one
         term, so a repeated (alpha, ell_pow) raises ValueError where add_term
         would add the two up; so does an alpha other than null or a
-        non-negative int, or an ell_pow other than an int (a bool is neither)."""
+        non-negative int, an ell_pow other than an int (a bool is neither), or a
+        q or q_sqrt2 that is not an int or a string (`json_rational`)."""
         out = ScalarExpr()
         seen = set()
         for c in items:
@@ -289,7 +300,8 @@ class ScalarExpr:
                 raise ValueError(f"coefficient term (alpha, ell_pow) = ({a}, {e}) "
                                  "is stated twice")
             seen.add((a, e))
-            out.add_term((a, e), Q2(Fraction(c["q"]), Fraction(c.get("q_sqrt2", 0))))
+            out.add_term((a, e), Q2(json_rational(c["q"], "q"),
+                                    json_rational(c.get("q_sqrt2", 0), "q_sqrt2")))
         return out
 
     # -- display -----------------------------------------------------------

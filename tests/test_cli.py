@@ -124,6 +124,22 @@ def test_lagrangian_reports_a_vanishing_printed_term(tmp_path, monkeypatch):
             "       machine family coefficient: (vanishes identically)") in report
 
 
+def test_lagrangian_writes_the_comparison_note(tmp_path):
+    """At [1, -1, -1, -1] the computed anchor is -4*a0*l^-3 against a printed
+    2*a1*l^-2 + 2*a2*l^-2, so no alpha-free c*l^k maps one to the other and
+    the report says why under the golden's header line."""
+    cfg = write_config(tmp_path, "cfg.json", {
+        "dimension": 3, "algebra": "c3_rotated", "tensor": "c3_rotated",
+        "alphas": [1, -1, -1, -1], "fields": ["w", "e"], "compare": ["c3_lagrangian"],
+    })
+    out = tmp_path / "out"
+    assert main(["lagrangian", "--config", cfg, "--out", str(out)]) == 1
+    lines = (out / "comparison.txt").read_text().splitlines()
+    assert lines[:2] == ["[c3_lagrangian] matched=False scale=None diffs=1",
+                         "  note: no admissible scalar on the anchor term"]
+    assert "    e0^e1^e2: computed -4*a0*l^-3 vs printed 2*a1*l^-2 + 2*a2*l^-2" in lines
+
+
 def test_lagrangian_full_3d_golden(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "dimension": 3, "algebra": "c3_rotated", "tensor": "c3_rotated",
@@ -245,6 +261,14 @@ def _so3_file(constants, dim=3):
         "constants": [{"A": a, "B": b, "C": c, "c": str(v)} for a, b, c, v in constants]})
 
 
+def _so3_constant_file(constant):
+    """An algebra file on the three so3 labels whose one constant is this
+    JSON object, stated as it is."""
+    return json.dumps({
+        "name": "x", "labels": [{"base": "J", "index": [i]} for i in (1, 2, 3)],
+        "constants": [constant]})
+
+
 def _tensor_file(entries):
     """A rank-2 tensor file with the given (indices, rational coefficient)."""
     return json.dumps({"rank": 2, "entries": [
@@ -301,6 +325,18 @@ _PATH_FILES = {
     "ZERO_DIAGONAL": (_so3_file([(1, 1, 2, 0)]),
                       "algebra file {path} is malformed: "
                       "constant (A, B, C) = (1, 1, 2) has A == B"),
+    # a JSON number with a fraction part is a binary float: 0.1 read as
+    # 3602879701896397/36028797018963968
+    "Q_FLOAT": (_coeff_file({"alpha": None, "ell_pow": 0, "q": 0.1}),
+                "tensor file {path} is malformed: q must be an integer or a string, got 0.1"),
+    "Q_SQRT2_BOOL": (_coeff_file({"alpha": None, "ell_pow": 0, "q": "1", "q_sqrt2": True}),
+                     "tensor file {path} is malformed: "
+                     "q_sqrt2 must be an integer or a string, got True"),
+    "C_FLOAT": (_so3_constant_file({"A": 0, "B": 1, "C": 2, "c": 0.5}),
+                "algebra file {path} is malformed: c must be an integer or a string, got 0.5"),
+    "C_SQRT2_FLOAT": (_so3_constant_file({"A": 0, "B": 1, "C": 2, "c": "1", "c_sqrt2": 2.0}),
+                      "algebra file {path} is malformed: "
+                      "c_sqrt2 must be an integer or a string, got 2.0"),
 }
 
 
@@ -324,6 +360,10 @@ _PATH_FILES = {
     ("check", {"algebra": {"path": "OUT_OF_RANGE"}}),
     ("check", {"algebra": {"path": "NEGATIVE_INDEX"}}),
     ("check", {"algebra": {"path": "ZERO_DIAGONAL"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "Q_FLOAT"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "Q_SQRT2_BOOL"}}),
+    ("check", {"algebra": {"path": "C_FLOAT"}}),
+    ("check", {"algebra": {"path": "C_SQRT2_FLOAT"}}),
 ])
 def test_missing_path_file_is_usage_error(tmp_path, capsys, command, payload):
     """A path file that is missing, not JSON, lacks a key, states a value

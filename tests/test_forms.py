@@ -11,8 +11,9 @@ import pytest
 from sexpansion.fixtures import (build_connection, c_tensor_rotated,
                                  make_c_algebra_rotated)
 from sexpansion.forms import (FormSymbol, IntForm, LieValuedForm, ScalarForm,
-                              canonical_monomial, contract, curvature,
-                              exterior_d, lie_bracket_form, parse_symbol,
+                              _odd_bits, canonical_monomial, contract, curvature,
+                              exterior_d, int_d, int_wedge, lie_bracket_form,
+                              parse_symbol,
                               scalar_form_from_json_dict,
                               scalar_form_to_json_dict, sym, wedge)
 from sexpansion.invariant_tensor import InvariantTensor, epsilon_tensor
@@ -694,3 +695,89 @@ def test_alpha_product_raises_only_when_a_nonzero_product_forms():
     with pytest.raises(AlphaLinearityError):
         contract(InvariantTensor(2, {(0, 1): ScalarExpr.alpha(0)}), [A, A])
     assert contract(T, [A, A]) == reference_contract(T, [A, A])
+
+
+# -- the kernel's monomial product against canonical_monomial -------------------
+
+
+def _symbol_set(d):
+    """The symbols of a d-dimensional connection and their d-images, and
+    every symbol with index 9."""
+    return [FormSymbol(*spec) for spec in _SPECS if spec[1][-1] < d or 9 in spec[1]]
+
+
+def _random_canonical(rng, symbols, odd_from=()):
+    """A canonical monomial of up to four odd and two even symbols; with
+    odd_from it holds one odd symbol of that monomial."""
+    odd = [s for s in symbols if s.degree == 1]
+    even = [s for s in symbols if s.degree == 2]
+    seq = rng.sample(odd, rng.randint(0, 4))
+    seq += [rng.choice(even) for _ in range(rng.randint(0, 2))]
+    shared = [s for s in odd_from if s.degree == 1]
+    if shared:
+        seq.append(rng.choice(shared))
+    rng.shuffle(seq)
+    sign, mono = canonical_monomial(seq)
+    return mono if sign else ()
+
+
+_KEY = (None, 0, 0)
+
+
+def _kernel_pair(m1, m2):
+    """(sign, monomial) of m1 ^ m2 as int_wedge forms it from two one-term
+    forms; (0, None) when it vanishes."""
+    part = int_wedge(IntForm({_KEY: {m1: 1}}), IntForm({_KEY: {m2: 1}})).parts.get(_KEY)
+    if not part:
+        return 0, None
+    [(mono, sign)] = part.items()
+    return sign, mono
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_kernel_products_and_d_equal_the_references(d):
+    """Pairs of canonical monomials, a third of them sharing an odd symbol,
+    with the empty monomial on either side: each product against both
+    canonical_monomial and the dataclass reference kernel, and the d of the
+    first factor against reference_exterior_d."""
+    rng = random.Random(20161010 + d)
+    symbols = _symbol_set(d)
+    outcomes = {-1: 0, 0: 0, 1: 0}
+    for i in range(3000):
+        m1 = _random_canonical(rng, symbols)
+        m2 = _random_canonical(rng, symbols, m1 if i % 3 == 0 else ())
+        if i % 50 == 0:
+            m1 = ()
+        elif i % 50 == 1:
+            m2 = ()
+        sign, mono = _kernel_pair(m1, m2)
+        assert (sign, mono) == canonical_monomial(m1 + m2)
+        ref_sign, ref_mono = reference_canonical_monomial(
+            [DataclassSymbol(*_spec(s)) for s in m1 + m2])
+        assert sign == ref_sign
+        assert (mono is None and ref_mono is None) or \
+            [_spec(s) for s in mono] == [_spec(s) for s in ref_mono]
+        outcomes[sign] += 1
+        f = ScalarForm({m1: ScalarExpr.const(i % 7 + 1)})
+        assert int_d(IntForm.of(f)).into_scalar_form() == reference_exterior_d(f)
+    assert all(n > 300 for n in outcomes.values()), outcomes
+    assert _kernel_pair((), ()) == (1, ())
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_odd_bits_follow_their_definition(d):
+    """mask holds the odd symbols; par's bit at any symbol p is the parity
+    of the odd symbols below p.  The products alone cannot tell par from
+    the XOR of the bits at and above each b: the two differ only on the
+    monomial's own odd bits, which the other factor of a nonzero product
+    never holds."""
+    rng = random.Random(31 + d)
+    symbols = _symbol_set(d)
+    for _ in range(300):
+        m = _random_canonical(rng, symbols)
+        odd = [s for s in m if s.degree == 1]
+        mask, par = _odd_bits(m)
+        assert mask == sum(1 << s for s in odd)
+        for p in symbols:
+            assert (par >> p) & 1 == sum(s < p for s in odd) & 1
+

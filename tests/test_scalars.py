@@ -69,6 +69,9 @@ def _item(alpha, ell_pow, q="1"):
     ([_item(1.0, 0)], "alpha must be null or a non-negative integer, got 1.0"),
     ([_item(None, True)], "ell_pow must be an integer, got True"),
     ([_item(None, "2")], "ell_pow must be an integer, got '2'"),
+    ([_item(None, 0, 0.1)], "q must be an integer or a string, got 0.1"),
+    ([_item(None, 0, False)], "q must be an integer or a string, got False"),
+    ([dict(_item(None, 0), q_sqrt2=0.5)], "q_sqrt2 must be an integer or a string, got 0.5"),
 ])
 def test_coefficient_json_items_are_validated(items, message):
     with pytest.raises(ValueError, match=message):
