@@ -31,7 +31,8 @@ class FormSymbol(int):
     (2 * field order + d) * 100 + the index digits, so its hash, equality and
     order are the int's, and that order is `sort_key`'s (field, then d, then
     indices).  A symbol therefore also equals the plain int of its value;
-    monomials hold symbols only.  Attributes are set once, in `__new__`.
+    monomials hold symbols only.  Attributes are set once, in `__new__`;
+    `d_image` is the interned d-image of an odd symbol, None on an even one.
     """
 
     def __new__(cls, field: str, indices: tuple[int, ...], differentiated: bool = False):
@@ -59,7 +60,8 @@ class FormSymbol(int):
         s.__dict__.update(field=field, indices=indices, differentiated=d,
                           degree=2 if d else 1,
                           sort_key=(_FIELD_ORDER[field], d, indices),
-                          _name=("d" if d else "") + field + "".join(map(str, indices)))
+                          _name=("d" if d else "") + field + "".join(map(str, indices)),
+                          d_image=None if d else FormSymbol(field, indices, True))
         _INTERNED[(field, indices, d)] = s
         return s
 
@@ -73,9 +75,7 @@ class FormSymbol(int):
         return FormSymbol, (self.field, self.indices, self.differentiated)
 
     def d(self) -> Optional["FormSymbol"]:
-        if self.differentiated:
-            return None
-        return FormSymbol(self.field, self.indices, True)
+        return self.d_image
 
     def __str__(self) -> str:
         return self._name
@@ -441,7 +441,7 @@ def int_d(f: IntForm) -> IntForm:
         for m, c in part.items():
             before_odd = 0
             for i, s in enumerate(m):
-                ds = s.d()
+                ds = s.d_image
                 if ds is not None:
                     mono = tuple(sorted(m[:i] + (ds,) + m[i + 1:]))
                     acc[mono] = acc.get(mono, 0) + (-c if before_odd & 1 else c)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -116,17 +115,19 @@ def solve_families(computed: ScalarForm, families: list[Family],
     Families that are linearly dependent on earlier ones are reported
     without a coefficient, and so are vanishing ones, which never agree.
     """
-    monos = sorted(set(itertools.chain(computed.terms, *(s for _, _, s in families))))
-    # one right-hand-side column per (alpha, ell) key of the computed form
+    # one row per monomial, filled family by family; one right-hand-side
+    # column per (alpha, ell) key of the computed form
     ncols = len(families)
+    table: dict[Monomial, dict] = {}
+    for j, (_, _, shape) in enumerate(families):
+        for m, q in shape.items():
+            table.setdefault(m, {})[j] = q
     rhs_cols: dict = {}
-    rows = []
-    for m in monos:
-        row = {j: shape[m] for j, (_, _, shape) in enumerate(families) if m in shape}
-        if m in computed.terms:
-            for key, q in computed.terms[m].terms.items():
-                row[rhs_cols.setdefault(key, ncols + len(rhs_cols))] = q
-        rows.append(row)
+    for m, coeff in computed.terms.items():
+        row = table.setdefault(m, {})
+        for key, q in coeff.terms.items():
+            row[rhs_cols.setdefault(key, ncols + len(rhs_cols))] = q
+    rows = [table[m] for m in sorted(table)]
     pivots = row_reduce(rows, ncols)
     residual = sum(1 for r in rows[len(pivots):] if r)
     dependents = [c for c in range(ncols) if c not in pivots]

@@ -10,17 +10,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Optional, Sequence
 
-from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm,
+from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm, KernelKey,
                     LieValuedForm, Monomial, ScalarForm, TensorEntry,
                     canonical_monomial, int_bracket_into, int_contract, int_d,
                     int_entries, int_lie_form, int_lie_nonzero,
                     lie_valued_form, monomial_name)
 from .invariant_tensor import InvariantTensor
 from .lie_algebra import LieAlgebra, change_basis, row_reduce
-from .scalars import Q2, ScalarExpr
+from .scalars import Q2, ScalarExpr, int_parts
 from .semigroup import make_cyclic
 
 TPoly = dict[int, LieValuedForm]
@@ -202,7 +202,11 @@ def compare_forms(computed: ScalarForm, expected: ScalarForm,
     When a scale is allowed it is solved for on the anchor, the first shared
     monomial, and must map its whole coefficient; every monomial is then
     compared at that scale, and each discrepancy is returned with both
-    coefficients printed.
+    coefficients printed.  The comparison runs on the `IntForm` parts of
+    both forms: with c = (x + y*sqrt2) / z, computed * c * ell^k equals
+    expected iff, key by key, the computed parts shifted by k in ell, times
+    x + y*sqrt2 with sqrt2^2 folded, and times the expected denominator equal
+    the expected parts times z and the computed denominator.
     """
     scale = (Q2(1), 0)
     if up_to_scale:
@@ -223,15 +227,39 @@ def compare_forms(computed: ScalarForm, expected: ScalarForm,
             return ComparisonReport(False, None, [TermDiff(
                 monomial_name(anchor), str(base), str(target))],
                 "no admissible scalar on the anchor term")
+    c, k = scale
+    z = lcm(c.a.denominator, c.b.denominator)
+    x, y = int_parts(c, z)
+    lhs, rhs = IntForm.of(computed), IntForm.of(expected)
+    # both sides over the denominator z * lhs.den * rhs.den; a key of the
+    # scaled computed form gathers one or (with y) two computed parts
+    sources: dict[KernelKey, list[tuple[dict[Monomial, int], int]]] = {}
+    for (a, e, r), part in lhs.parts.items():
+        # sqrt2^r * (x + y sqrt2) = n0 + n1 sqrt2
+        n0, n1 = (2 * y, x) if r else (x, y)
+        for r2, n in ((0, n0), (1, n1)):
+            if n:
+                sources.setdefault((a, e + k, r2), []).append((part, n * rhs.den))
+    widen = z * lhs.den
+    differ: set[Monomial] = set()
+    for key in sources.keys() | rhs.parts.keys():
+        (part, n), *more = sources.get(key, [({}, 1)])
+        got = {m: v * n for m, v in part.items()}
+        if more:
+            for part, n in more:
+                for m, v in part.items():
+                    got[m] = got.get(m, 0) + v * n
+            got = {m: v for m, v in got.items() if v}
+        want = {m: v * widen for m, v in rhs.parts.get(key, {}).items()}
+        if got != want:
+            differ.update(m for m in got.keys() | want.keys() if got.get(m) != want.get(m))
     zero = ScalarExpr.zero()
     diffs = []
-    for m in sorted(computed.terms.keys() | expected.terms.keys()):
-        c = computed.terms.get(m, zero)
+    for m in sorted(differ):
+        got = computed.terms.get(m, zero)
         if up_to_scale:
-            c = c.scaled(*scale)
-        e = expected.terms.get(m, zero)
-        if c != e:
-            diffs.append(TermDiff(monomial_name(m), str(c), str(e)))
+            got = got.scaled(*scale)
+        diffs.append(TermDiff(monomial_name(m), str(got), str(expected.terms.get(m, zero))))
     return ComparisonReport(not diffs, scale, diffs)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -293,30 +294,104 @@ def row_reduce(rows: list[dict[int, Q2]], ncols: int) -> dict[int, int]:
     along and never pivot.  On return pivot row p holds 1 at its column and
     the dependency coefficients at the non-pivot columns; the rows from
     len(pivots) on hold right-hand-side entries only, so the system is
-    consistent iff they are all empty.  Row dicts other than the pivots are
-    updated in place, so callers pass rows they own.
+    consistent iff they are all empty.  The row dicts are rewritten in
+    place, so callers pass rows they own.
+
+    Inside, a row is a dict of Z[sqrt2] int pairs (p, q), for p + q*sqrt2,
+    over one positive int denominator, kept in lowest terms; Q2 values
+    appear only on the way in and out.  An index from each column to the
+    rows holding it replaces the scans over all rows.
     """
+    nrows = len(rows)
+    ents: list[dict[int, tuple[int, int]]] = []
+    dens: list[int] = []
+    # each entry as ((p, q), d) with p + q*sqrt2 = d * entry; a Q2 repeated
+    # across the rows is read once.  The entries of all rows are alive
+    # together when the call starts, so no two of them share an id.
+    seen: dict[int, tuple[tuple[int, int], int]] = {}
+    for row in rows:
+        den = 1
+        parts = {}
+        for j, v in row.items():
+            x = seen.get(id(v))
+            if x is None:
+                d = math.lcm(v.a.denominator, v.b.denominator)
+                x = seen[id(v)] = (int_parts(v, d), d)
+            parts[j] = x
+            den = math.lcm(den, x[1])
+        ents.append({j: pq for j, (pq, _) in parts.items()} if den == 1 else
+                    {j: (p * (den // d), q * (den // d)) for j, ((p, q), d) in parts.items()})
+        dens.append(den)
+        row.clear()
+    holders: list[set[int]] = [set() for _ in range(ncols)]
+    for r, row in enumerate(ents):
+        for j in row:
+            if j < ncols:
+                holders[j].add(r)
+    order = list(range(nrows))  # position -> row
+    where = list(range(nrows))  # row -> position
     pivots: dict[int, int] = {}
     for col in range(ncols):
         rowi = len(pivots)
-        piv = next((r for r in range(rowi, len(rows)) if col in rows[r]), None)
+        piv = min((where[r] for r in holders[col] if where[r] >= rowi), default=None)
         if piv is None:
             continue
-        rows[rowi], rows[piv] = rows[piv], rows[rowi]
-        sc = rows[rowi][col].inverse()
-        pivot = {j: x * sc for j, x in rows[rowi].items()}
-        rows[rowi] = pivot
-        for r, row in enumerate(rows):
-            if r != rowi and col in row:
-                f = row[col]
-                for j, y in pivot.items():
-                    x = row[j] - f * y if j in row else -(f * y)
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+        p, o = order[piv], order[rowi]
+        order[rowi], order[piv] = p, o
+        where[p], where[o] = rowi, piv
+        # the pivot row over its own entry at col: times that entry's
+        # conjugate s - t*sqrt2, over its norm
+        prow = ents[p]
+        s, t = prow[col]
+        if t:
+            prow = {j: (x * s - 2 * y * t, y * s - x * t) for j, (x, y) in prow.items()}
+            s = s * s - 2 * t * t
+        if s < 0:
+            prow = {j: (-x, -y) for j, (x, y) in prow.items()}
+            s = -s
+        prow, den = _lowest_terms(prow, s)
+        ents[p], dens[p] = prow, den
+        others = [(j, x, y) for j, (x, y) in prow.items() if j != col]
+        for r in holders[col]:
+            if r == p:
+                continue
+            row = ents[r]
+            s, t = row.pop(col)
+            if den != 1:
+                row = {j: (x * den, y * den) for j, (x, y) in row.items()}
+            for j, x, y in others:
+                x, y = (s * x + 2 * t * y, s * y + t * x) if t else (s * x, s * y)
+                old = row.get(j)
+                if old is None:
+                    row[j] = (-x, -y)
+                    if j < ncols:
+                        holders[j].add(r)
+                elif old[0] != x or old[1] != y:
+                    row[j] = (old[0] - x, old[1] - y)
+                else:
+                    del row[j]
+                    if j < ncols:
+                        holders[j].discard(r)
+            ents[r], dens[r] = _lowest_terms(row, dens[r] * den)
+        holders[col] = {p}
         pivots[col] = rowi
+    owned = list(rows)
+    for i, r in enumerate(order):
+        den = dens[r]
+        row = owned[r]
+        row.update({j: Q2(Fraction(x, den), Fraction(y, den)) for j, (x, y) in ents[r].items()})
+        rows[i] = row
     return pivots
+
+
+def _lowest_terms(row: dict[int, tuple[int, int]], den: int) -> tuple[dict[int, tuple[int, int]], int]:
+    """The row and its denominator divided by the gcd of all their ints."""
+    if den == 1:
+        return row, 1
+    g = math.gcd(den, *itertools.chain.from_iterable(row.values()))
+    if g == 1:
+        return row, den
+    return {j: (x // g, y // g) for j, (x, y) in row.items()}, den // g
 
 
 def mat_inverse(m: list[list[Q2]]) -> list[list[Q2]]:

@@ -32,14 +32,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .forms import (FormSymbol, Monomial, ScalarForm, canonical_monomial,
-                    pair_symbol, sym)
+from .forms import (FormSymbol, Monomial, ScalarForm, _odd_bits,
+                    canonical_monomial, pair_symbol, sym)
 from .invariant_tensor import perm_sign
 from .lie_algebra import lorentz_eta
 from .scalars import Q2, ScalarExpr
@@ -332,9 +333,11 @@ def expand_terms(text: str, dimension: int) -> list[tuple[ScalarExpr, dict[Monom
     coefficient, so each term comes back as its coefficient and its
     monomial -> nonzero int counts: the sum over the eps permutations (one
     per `_eps_fold` orbit, weighed by the orbit size), the dummy values and
-    the products of the factors' terms, with `canonical_monomial` once per
-    product.  Each term's eps carries exactly `dimension` letters, which ties
-    the text to the dimension.
+    the products of the factors' terms.  Each factor's pieces are read once
+    per call, with the `_odd_bits` masks of their monomials, so a product is
+    the sorted concatenation, zero when two odd masks meet, with the sign of
+    the masks (as in `int_wedge`).  Each term's eps carries exactly
+    `dimension` letters, which ties the text to the dimension.
     """
     eta = lorentz_eta(dimension)
     out = []
@@ -343,34 +346,47 @@ def expand_terms(text: str, dimension: int) -> list[tuple[ScalarExpr, dict[Monom
         factors = [(f.name, [ch for (_, ch) in f.indices])
                    for f in term.factors if f.name != "eps"]
         order, fold = _eps_fold(factors, eps_letters)
+        slot = {ch: i for i, ch in enumerate(eps_letters + dummies)}
+        # per factor: whether it takes an index pair, a getter of its indices
+        # from values + dvals (one int for a vector factor), and the table of
+        # its pieces with their `_odd_bits` masks, shared by the factors of
+        # one name
+        tables: dict[str, dict] = {}
+        readers = [(name, len(letters) > 1, operator.itemgetter(*(slot[ch] for ch in letters)),
+                    tables.setdefault(name, {})) for name, letters in factors]
+        dweights = [(dvals, math.prod(eta[v] for v in dvals))
+                    for dvals in itertools.product(range(dimension), repeat=len(dummies))]
         totals: dict[Monomial, int] = {}
         for values in itertools.permutations(range(dimension)):
             if any(values[i] > values[j] for i, j in order):
                 continue
             eps_sign = fold * perm_sign(values)
-            assign = dict(zip(eps_letters, values))
-            for dvals in itertools.product(range(dimension), repeat=len(dummies)):
-                weight = eps_sign
-                for ch, v in zip(dummies, dvals):
-                    assign[ch] = v
-                    weight *= eta[v]
-                pieces = []
-                for name, letters in factors:
-                    piece = _integer_factor(name, tuple(assign[ch] for ch in letters),
-                                            dimension)
-                    if not piece:
+            for dvals, weight in dweights:
+                full = values + dvals
+                # the partial products as (symbols, odd mask, par, count); par
+                # is read on a factor's pieces only, so a partial carries 0
+                products = None
+                for name, pair, get, table in readers:
+                    key = get(full)
+                    piece = table.get(key)
+                    if piece is None:
+                        piece = table[key] = [
+                            (m, *_odd_bits(m), c)
+                            for m, c in _integer_factor(name, key if pair else (key,), dimension)]
+                    if products is None:
+                        products = piece
+                    else:
+                        products = [(s + m, mask | mk, 0,
+                                     -n * c if (mask & par).bit_count() & 1 else n * c)
+                                    for s, mask, _, n in products
+                                    for m, mk, par, c in piece if not mask & mk]
+                    if not products:
                         break
-                    pieces.append(piece)
                 else:
-                    for combo in itertools.product(*pieces):
-                        symbols = ()
-                        n = weight
-                        for m, c in combo:
-                            symbols += m
-                            n *= c
-                        sign, mono = canonical_monomial(symbols)
-                        if sign:
-                            totals[mono] = totals.get(mono, 0) + sign * n
+                    weight *= eps_sign
+                    for s, _, _, n in products:
+                        mono = tuple(sorted(s))
+                        totals[mono] = totals.get(mono, 0) + n * weight
         out.append((term.coefficient(), {m: n for m, n in totals.items() if n}))
     return out
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from sexpansion import goldens
 from sexpansion.fixtures import (b5_tensor, c_tensor_rotated, connection_chain,
                                  make_b5, make_c_algebra_rotated)
 from sexpansion.forms import ScalarForm, sym
-from sexpansion.goldens import (Golden, compare_golden, golden_names, load_golden,
+from sexpansion.goldens import (FamilyReport, Golden, TermAgreement, _families,
+                                compare_golden, golden_names, load_golden,
                                 per_term_report, solve_families)
 from sexpansion.invariant_tensor import InvariantTensor
 from sexpansion.lagrangian import compare_forms, subspace_separation, transgression
@@ -207,3 +209,147 @@ def test_compare_golden_equals_two_expansions(build, name):
     fam = per_term_report(computed, golden, rep.scale)
     assert rep.matched and fam.all_agree
     assert compare_golden(computed, golden, True) == (rep, fam)
+
+
+def reference_solve_families(computed, families, scale=None):
+    """Reference: the whole system as Q2 rows built monomial by monomial,
+    each scanning every family, solved by `row_reduce`."""
+    monos = sorted(set(itertools.chain(computed.terms, *(s for _, _, s in families))))
+    ncols = len(families)
+    rhs_cols = {}
+    rows = []
+    for m in monos:
+        row = {j: shape[m] for j, (_, _, shape) in enumerate(families) if m in shape}
+        if m in computed.terms:
+            for key, q in computed.terms[m].terms.items():
+                row[rhs_cols.setdefault(key, ncols + len(rhs_cols))] = q
+        rows.append(row)
+    pivots = row_reduce(rows, ncols)
+    residual = sum(1 for r in rows[len(pivots):] if r)
+    dependents = [c for c in range(ncols) if c not in pivots]
+    agreements = []
+    for col, (text, anchor, shape) in enumerate(families):
+        if col not in pivots:
+            agreements.append(TermAgreement(text, not shape, None, anchor is not None))
+            continue
+        pivot = rows[pivots[col]]
+        machine = ScalarExpr({key: pivot[j] for key, j in rhs_cols.items() if j in pivot})
+        printed_coeff = anchor
+        for dep in dependents:
+            c = pivot.get(dep)
+            if c:
+                printed_coeff = printed_coeff + families[dep][1].scaled(c)
+        if scale is not None:
+            agrees = printed_coeff == machine.scaled(scale[0], scale[1])
+        else:
+            agrees = printed_coeff == machine
+        agreements.append(TermAgreement(text, False, machine, agrees))
+    return FamilyReport(agreements, residual, scale)
+
+
+SCALES = [None, (Q2(-1), 0), (Q2(Fraction(1, 2)), 1)]
+
+
+def random_families(rng):
+    """Term families from `random_system`'s columns (sqrt2 entries, columns
+    dependent on earlier ones), a vanishing family now and then, and a
+    computed form in their span with a few monomials pushed out of it."""
+    rows, _, ncols = random_system(rng)
+    monos = rng.sample(MONOS, len(rows) + 2)
+    families = []
+    for j in range(ncols):
+        shape = {m: row[j] for m, row in zip(monos, rows) if j in row}
+        anchor = (random_expr(rng) or ScalarExpr.alpha(0)) if shape else None
+        families.append((f"+ t{j}", anchor, shape))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        families.insert(rng.randint(0, len(families)), ("+ v", None, {}))
+    computed = ScalarForm()
+    for _, anchor, shape in families:
+        if anchor is not None and rng.random() < 0.8:
+            family = ScalarForm({m: anchor.scaled(q) for m, q in shape.items()})
+            computed.add_form(family, rng.choice([Q2(1), Q2(-2), random_q2(rng)]))
+    for m in rng.sample(monos, rng.randint(0, 2)):  # the last two sit in no family
+        computed.add_term(m, random_expr(rng))
+    return computed, families
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_solve_families_equals_the_reference_on_random_families(seed):
+    rng = random.Random(5000 + seed)
+    computed, families = random_families(rng)
+    scale = SCALES[seed % 3]
+    report = solve_families(computed, families, scale)
+    assert report == reference_solve_families(computed, families, scale)
+    assert len(report.agreements) == len(families)
+
+
+def test_random_families_cover_the_cases():
+    """The seeds above give residual rows, sqrt2 shapes, dependent and
+    vanishing families, and agreeing as well as disagreeing terms."""
+    seen = set()
+    for seed in range(45):
+        computed, families = random_families(random.Random(5000 + seed))
+        report = solve_families(computed, families, SCALES[seed % 3])
+        if report.residual_monomials:
+            seen.add("residual")
+        if any(not q.is_rational for _, _, s in families for q in s.values()):
+            seen.add("sqrt2")
+        for t, (_, _, shape) in zip(report.agreements, families):
+            if t.vanishes:
+                seen.add("vanishing")
+            elif t.machine_coefficient is None:
+                seen.add("dependent")
+            seen.add("agrees" if t.agrees else "disagrees")
+    assert seen == {"residual", "sqrt2", "vanishing", "dependent", "agrees", "disagrees"}
+
+
+def _sector(algebra, tensor, fields, dimension):
+    return subspace_separation(connection_chain(algebra, fields), tensor, dimension, algebra)
+
+
+def _alpha0(tensor):
+    return InvariantTensor(tensor.rank, {
+        k: v.specialize_alphas([1, -1, -1, -1]) for k, v in tensor.entries.items()})
+
+
+def _c5_middle_transgression():
+    c5r = make_c_algebra_rotated(5)
+    chain = connection_chain(c5r)
+    return transgression(chain[1], chain[2], c_tensor_rotated(5), 2, c5r)
+
+
+# each registered golden with the form its acceptance criterion compares it
+# with (criteria 9-12; b5 as in test_comparison_algebra_lagrangian_matches_its_golden)
+GOLDEN_FORMS = {
+    "c5_middle_transgression": _c5_middle_transgression,
+    "c5_outer_transgression_alpha0": _c5_outer_transgression,
+    "c5_lagrangian_alpha0": lambda: _sector(
+        make_c_algebra_rotated(5), _alpha0(c_tensor_rotated(5)), ("w", "e", "k", "h"), 5),
+    "c5_lagrangian_kh0_sector": lambda: _sector(
+        make_c_algebra_rotated(5), _alpha0(c_tensor_rotated(5)), ("w", "e"), 5),
+    "c5_lagrangian_h0_sector": lambda: _sector(
+        make_c_algebra_rotated(5), _alpha0(c_tensor_rotated(5)), ("w", "e", "k"), 5),
+    "c5_lagrangian_k0_sector": lambda: _sector(
+        make_c_algebra_rotated(5), _alpha0(c_tensor_rotated(5)), ("w", "e", "h"), 5),
+    "c3_lagrangian": _c3_lagrangian,
+    "c3_lagrangian_kh0_sector": lambda: _sector(
+        make_c_algebra_rotated(3), c_tensor_rotated(3), ("w", "e"), 3),
+    "c3_lagrangian_h0_sector": lambda: _sector(
+        make_c_algebra_rotated(3), c_tensor_rotated(3), ("w", "e", "k"), 3),
+    "b5_lagrangian": _b5_lagrangian,
+}
+
+
+def test_every_golden_has_its_form():
+    assert sorted(GOLDEN_FORMS) == golden_names()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FORMS))
+def test_solve_families_equals_the_reference_on_every_golden(name):
+    computed = GOLDEN_FORMS[name]()
+    golden = load_golden(name)
+    families = _families(golden, expand_terms(golden.text, golden.dimension))
+    scale = compare_forms(computed, golden.form(), up_to_scale=True).scale
+    for s in {scale, None}:
+        assert solve_families(computed, families, s) == \
+            reference_solve_families(computed, families, s)

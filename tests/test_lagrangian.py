@@ -15,7 +15,7 @@ from sexpansion.forms import (LieValuedForm, ScalarForm, canonical_monomial,
                               scalar_form_to_json_dict, sym)
 from sexpansion.goldens import load_golden
 from sexpansion.invariant_tensor import InvariantTensor
-from sexpansion.lagrangian import (TermDiff, _symbol_universe,
+from sexpansion.lagrangian import (ComparisonReport, TermDiff, _symbol_universe,
                                    candidate_primitives, chern_simons,
                                    compare_forms, dual_mc_check,
                                    homotopy_curvature, is_d_exact,
@@ -319,6 +319,135 @@ def test_compare_up_to_scale_recovers_a_random_scale(seed):
     assert not rep.matched and rep.scale == (c, k)
     assert rep.diffs == [TermDiff(monomial_name(changed), str(f.terms[changed].scaled(c, k)),
                                   str(g.terms[changed]))]
+
+
+def reference_compare_forms(computed, expected, up_to_scale=False):
+    """Reference: the scale solved on the anchor as `compare_forms` does, then
+    every monomial compared as scaled `ScalarExpr`s."""
+    scale = (Q2(1), 0)
+    if up_to_scale:
+        anchor = min((m for m in expected.terms if m in computed.terms), default=None)
+        if anchor is None:
+            if expected.is_zero() and computed.is_zero():
+                return ComparisonReport(True, scale)
+            return ComparisonReport(False, None,
+                                    [TermDiff("<none shared>", str(computed), str(expected))])
+        base, target = computed.terms[anchor], expected.terms[anchor]
+        (a0, e0), c0 = base.sorted_terms()[0]
+        e1 = min((e for a, e in target.terms if a == a0), default=None)
+        if e1 is not None:
+            scale = (target.terms[(a0, e1)] / c0, e1 - e0)
+        if e1 is None or base.scaled(*scale) != target:
+            return ComparisonReport(False, None, [TermDiff(
+                monomial_name(anchor), str(base), str(target))],
+                "no admissible scalar on the anchor term")
+    zero = ScalarExpr.zero()
+    diffs = []
+    for m in sorted(computed.terms.keys() | expected.terms.keys()):
+        c = computed.terms.get(m, zero)
+        if up_to_scale:
+            c = c.scaled(*scale)
+        e = expected.terms.get(m, zero)
+        if c != e:
+            diffs.append(TermDiff(monomial_name(m), str(c), str(e)))
+    return ComparisonReport(not diffs, scale, diffs)
+
+
+def assert_compares_as_the_reference(f, g):
+    for up_to_scale in (False, True):
+        rep = compare_forms(f, g, up_to_scale)
+        ref = reference_compare_forms(f, g, up_to_scale)
+        assert (rep.matched, rep.scale, rep.note) == (ref.matched, ref.scale, ref.note)
+        assert rep.diffs == ref.diffs
+
+
+_PAIR_MONOS = [(sym("e", a), sym("e", b)) for a in range(4) for b in range(a + 1, 4)]
+_SQRT2 = Q2(0, 1)
+
+
+def _random_pair(rng):
+    """f and g = f * c * ell^k with a few monomials changed, dropped or
+    added; c has a sqrt2 part now and then, and now and then g is unrelated."""
+    monos = rng.sample(_PAIR_MONOS, rng.randint(0, 6))
+    f = ScalarForm({m: _random_coefficient(rng) for m in monos})
+    if rng.random() < 0.15:
+        return f, ScalarForm({m: _random_coefficient(rng)
+                              for m in rng.sample(_PAIR_MONOS, rng.randint(0, 6))})
+    c = Q2(Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)),
+           rng.choice([0, 0, Fraction(rng.randint(-2, 2), rng.randint(1, 3))]))
+    k = rng.randint(-3, 3)
+    g = ScalarForm({m: v.scaled(c, k) for m, v in f.terms.items()})
+    for m in rng.sample(_PAIR_MONOS, rng.randint(0, 3)):
+        action = rng.choice(["change", "drop", "set"])
+        if action == "change" and m in g.terms:
+            g.add_term(m, _random_coefficient(rng))
+        elif action == "drop":
+            g.terms.pop(m, None)
+        else:
+            g.terms[m] = _random_coefficient(rng)
+    return f, g
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compare_forms_equals_the_reference_on_random_forms(seed):
+    f, g = _random_pair(random.Random(4200 + seed))
+    assert_compares_as_the_reference(f, g)
+    assert_compares_as_the_reference(g, f)
+
+
+def test_random_forms_reach_every_outcome():
+    outcomes = set()
+    for seed in range(40):
+        f, g = _random_pair(random.Random(4200 + seed))
+        rep = compare_forms(f, g, up_to_scale=True)
+        outcomes.add("matched" if rep.matched else rep.note or "diffs")
+        if rep.scale and not rep.scale[0].is_rational:
+            outcomes.add("sqrt2 scale")
+        if rep.scale and rep.scale[1]:
+            outcomes.add("ell shift")
+    assert outcomes == {"matched", "diffs", "no admissible scalar on the anchor term",
+                        "sqrt2 scale", "ell shift"}
+
+
+_A = ScalarExpr.alpha
+_C = ScalarExpr.const
+
+
+@pytest.mark.parametrize("f, g", [
+    # no shared monomial
+    (ScalarForm({_E_MONOS[0]: _C(1)}), ScalarForm({_E_MONOS[1]: _C(1)})),
+    (ScalarForm(), ScalarForm({_E_MONOS[1]: _C(1)})),
+    # both forms zero
+    (ScalarForm(), ScalarForm()),
+    # no admissible scale on the anchor: no term of the alpha, or a ratio
+    # that differs between the anchor's terms
+    (ScalarForm({_E_MONOS[0]: _A(0)}), ScalarForm({_E_MONOS[0]: _A(1)})),
+    (ScalarForm({_E_MONOS[0]: _C(1) + _A(0)}),
+     ScalarForm({_E_MONOS[0]: _C(2) + _A(0, 3), _E_MONOS[1]: _C(1)})),
+    # sqrt2 coefficients, and a sqrt2 scale whose product cancels the
+    # rational part of one monomial: (2 - sqrt2)(1 + sqrt2) = sqrt2
+    (ScalarForm({_E_MONOS[0]: _C(1), _E_MONOS[1]: _C(Q2(2, -1))}),
+     ScalarForm({_E_MONOS[0]: _C(Q2(1, 1)), _E_MONOS[1]: _C(_SQRT2)})),
+    (ScalarForm({_E_MONOS[0]: _C(1), _E_MONOS[1]: _C(Q2(2, -1))}),
+     ScalarForm({_E_MONOS[0]: _C(Q2(1, 1)), _E_MONOS[1]: _C(Q2(1, 1))})),
+    # several alpha keys, matched and off by one key
+    (ScalarForm({_E_MONOS[0]: _A(0) + _A(1, 2, -1) + _C(3, 2),
+                 _E_MONOS[1]: _A(2, Q2(1, 1))}),
+     ScalarForm({_E_MONOS[0]: _A(0, -2) + _A(1, -4, -1) + _C(-6, 2),
+                 _E_MONOS[1]: _A(2, Q2(-2, -2))})),
+    (ScalarForm({_E_MONOS[0]: _A(0) + _A(1, 2, -1), _E_MONOS[1]: _A(2) + _A(3)}),
+     ScalarForm({_E_MONOS[0]: _A(0, -2) + _A(1, -4, -1), _E_MONOS[1]: _A(2, -2)})),
+    # a nonzero ell shift, matched and with one monomial off
+    (ScalarForm({_E_MONOS[0]: _C(2, -1), _E_MONOS[2]: _A(1, 1, 2)}),
+     ScalarForm({_E_MONOS[0]: _C(1, 2), _E_MONOS[2]: _A(1, Fraction(1, 2), 5)})),
+    (ScalarForm({_E_MONOS[0]: _C(2, -1), _E_MONOS[2]: _A(1, 1, 2)}),
+     ScalarForm({_E_MONOS[0]: _C(1, 2), _E_MONOS[2]: _A(1, Fraction(1, 2), 4)})),
+], ids=["disjoint", "computed-zero", "both-zero", "other-alpha", "alpha-ratio",
+        "sqrt2-scale", "sqrt2-scale-off", "alpha-keys", "alpha-key-missing",
+        "ell-shift", "ell-shift-off"])
+def test_compare_forms_equals_the_reference_on_edge_cases(f, g):
+    assert_compares_as_the_reference(f, g)
+    assert_compares_as_the_reference(g, f)
 
 
 def test_comparison_algebra_lagrangian_matches_its_golden():
