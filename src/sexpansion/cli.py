@@ -218,7 +218,7 @@ class Output:
         self._write(name + ext, text if text.endswith("\n") else text + "\n")
 
     def emit_latex(self, name: str, text: str) -> None:
-        self._write(name + ".tex", text if text.endswith("\n") else text + "\n")
+        self.emit_text(name, text, ".tex")
 
     def _write(self, filename: str, text: str) -> None:
         if self.dir:

@@ -4,7 +4,8 @@ All four constructions live here: the semigroup product expansion, the
 absorbing-element reduction, resonant subalgebra extraction, and the
 sign-identification quotient by a fixed-point-free tag pairing.  The halved
 Z_{2n} reduction `h_reduce` is that quotient of the Z_{2n} expansion with
-g paired to g + n; it has no construction of its own.
+g paired to g + n; it has no construction of its own.  The three
+reductions map bracket targets through one loop, `_quotient`.
 
 Expanded generators are ordered tag-major: dense index = tag * dim + base,
 so the tag-0 block is a verbatim copy of the original ordering.
@@ -41,24 +42,33 @@ def s_expand(s: Semigroup, L: LieAlgebra, name: Optional[str] = None) -> LieAlge
     return LieAlgebra(name or f"{s.name}x{L.name}", labels, constants)
 
 
-def _subalgebra_on(G: LieAlgebra, keep: Sequence[int], name: str) -> LieAlgebra:
-    """Restrict to the listed generators; brackets landing outside raise."""
-    keep = list(keep)
+def _quotient(G: LieAlgebra, keep: Sequence[int],
+              image: dict[int, tuple[int, int]], name: str) -> LieAlgebra:
+    """The algebra on the generators `keep` (ascending) whose brackets are
+    G's with every target c sent to image[c] = (new index, sign), or
+    dropped when c has no image; targets that meet are summed."""
     remap = {old: new for new, old in enumerate(keep)}
-    labels = [G.labels[i] for i in keep]
     constants: PairTable = {}
     for (a, b), targets in G.constants.items():
         if a not in remap or b not in remap:
             continue
         row = {}
         for c, v in targets.items():
-            if c not in remap:
-                raise ExpansionError(
-                    f"not closed: [{G.labels[a]}, {G.labels[b]}] hits {G.labels[c]}")
-            row[remap[c]] = v
+            img = image.get(c)
+            if img is None:
+                continue
+            qc, sc = img
+            v = v if sc > 0 else -v
+            w = row.get(qc)
+            w = v if w is None else w + v
+            if w:
+                row[qc] = w
+            else:
+                del row[qc]
         if row:
+            # keep is ascending, so remap[a] < remap[b]
             constants[(remap[a], remap[b])] = row
-    return LieAlgebra(name, labels, constants)
+    return LieAlgebra(name, [G.labels[i] for i in keep], constants)
 
 
 def zero_reduce(G: LieAlgebra, s: Semigroup, name: Optional[str] = None) -> LieAlgebra:
@@ -67,19 +77,8 @@ def zero_reduce(G: LieAlgebra, s: Semigroup, name: Optional[str] = None) -> LieA
     if s.zero_index is None:
         raise ExpansionError("semigroup has no designated zero element")
     keep = [i for i, lab in enumerate(G.labels) if lab.tags and lab.tags[0] != s.zero_index]
-    remap = {old: new for new, old in enumerate(keep)}
-    labels = [G.labels[i] for i in keep]
-    constants: PairTable = {}
-    for (a, b), targets in G.constants.items():
-        if a not in remap or b not in remap:
-            continue
-        row = {}
-        for c, v in targets.items():
-            if c in remap:
-                row[remap[c]] = v
-        if row:
-            constants[(remap[a], remap[b])] = row
-    return LieAlgebra(name or f"{G.name}_0red", labels, constants)
+    image = {old: (new, 1) for new, old in enumerate(keep)}
+    return _quotient(G, keep, image, name or f"{G.name}_0red")
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,14 @@ def resonant_subalgebra(G: LieAlgebra, s: Semigroup, L: LieAlgebra,
         assert lab.tags and lab.tags[0] == i // L.dim, "tag-major ordering expected"
         if lab.tags[0] in spec.subsets[spec.partition[base]]:
             keep.append(i)
-    return _subalgebra_on(G, keep, name or f"{G.name}_res")
+    image = {old: (new, 1) for new, old in enumerate(keep)}
+    for (a, b), targets in G.constants.items():
+        if a in image and b in image:
+            for c in targets:
+                if c not in image:
+                    raise ExpansionError(
+                        f"not closed: [{G.labels[a]}, {G.labels[b]}] hits {G.labels[c]}")
+    return _quotient(G, keep, image, name or f"{G.name}_res")
 
 
 def h_reduce(n: int, L: LieAlgebra, name: Optional[str] = None) -> LieAlgebra:
@@ -250,27 +256,6 @@ def impose_sign_identification(G: LieAlgebra, s: Semigroup,
     reps = sorted({rep[a] for a in tags})
     rep_pos = {t: i for i, t in enumerate(reps)}
     keep = [t * dim + a for t in reps for a in range(dim)]
-    labels = [G.labels[i] for i in keep]
-
-    def quotient_index(i: int) -> tuple[int, int]:
-        t, a = divmod(i, dim)
-        return rep_pos[rep[t]] * dim + a, sgn[t]
-
-    remap = {old: new for new, old in enumerate(keep)}
-    constants: PairTable = {}
-    for (a, b), targets in G.constants.items():
-        if a not in remap or b not in remap:
-            continue
-        i, j = remap[a], remap[b]  # keep is ascending, so i < j is preserved
-        row = constants.setdefault((i, j), {})
-        for c, v in targets.items():
-            qc, sc = quotient_index(c)
-            v = v if sc > 0 else -v
-            w = row.get(qc)
-            w = v if w is None else w + v
-            if w:
-                row[qc] = w
-            elif qc in row:
-                del row[qc]
-    constants = {k: v for k, v in constants.items() if v}
-    return LieAlgebra(name or f"{G.name}_sig", labels, constants)
+    image = {t * dim + a: (rep_pos[rep[t]] * dim + a, sgn[t])
+             for t in tags for a in range(dim)}
+    return _quotient(G, keep, image, name or f"{G.name}_sig")

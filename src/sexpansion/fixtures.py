@@ -170,12 +170,12 @@ def _elementary_nilpotent(n: int) -> LieAlgebra:
         for y in range(x + 1, len(slots)):
             k, l = slots[y]
             row = {}
-            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+            # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj; at most one term
+            # applies, as j == k and l == i would give i < j = k < l = i
             if j == k and (i, l) in pos:
-                row[pos[(i, l)]] = row.get(pos[(i, l)], Q2(0)) + Q2(1)
+                row[pos[(i, l)]] = Q2(1)
             if l == i and (k, j) in pos:
-                row[pos[(k, j)]] = row.get(pos[(k, j)], Q2(0)) - Q2(1)
-            row = {c: v for c, v in row.items() if v}
+                row[pos[(k, j)]] = Q2(-1)
             if row:
                 constants[(x, y)] = row
     return LieAlgebra(f"n{n}", labels, constants)

@@ -7,12 +7,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .forms import Monomial, ScalarForm
-from .lagrangian import ComparisonReport, compare_forms
+from .forms import IntForm, Monomial, ScalarForm
+from .lagrangian import ComparisonReport, compare_int_forms
 from .lie_algebra import row_reduce
 from .pipeline import registry
 from .scalars import Q2, ScalarExpr
-from .targets import expand_target, expand_terms, terms_form
+from .targets import expand_target, expand_terms, sum_terms
 
 
 def golden_names() -> list[str]:
@@ -99,9 +99,9 @@ def per_term_report(computed: ScalarForm, golden: Golden,
 def compare_golden(computed: ScalarForm, golden: Golden,
                    up_to_scale: bool) -> tuple[ComparisonReport, FamilyReport]:
     """`compare_forms` against the whole golden and `per_term_report` at the
-    solved scale, from one expansion of the golden."""
+    solved scale, from one expansion of the golden, compared as kernel forms."""
     terms = expand_terms(golden.text, golden.dimension)
-    rep = compare_forms(computed, terms_form(terms), up_to_scale=up_to_scale)
+    rep = compare_int_forms(IntForm.of(computed), sum_terms(terms), up_to_scale)
     return rep, solve_families(computed, _families(golden, terms), rep.scale)
 
 

@@ -14,26 +14,13 @@ import string
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .lie_algebra import LieAlgebra, integer_constants, pair_basis
+from .lie_algebra import LieAlgebra, integer_constants, pair_basis, perm_sign
 from .scalars import Q2, ScalarExpr, common_denominator, int_parts
 from .semigroup import Semigroup, make_cyclic
 
 
 class TensorError(ValueError):
     pass
-
-
-def perm_sign(values: Sequence[int]) -> int:
-    """Sign of the permutation taking sorted(values) to values; 0 on repeats."""
-    n = len(values)
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if values[i] == values[j]:
-                return 0
-            if values[i] > values[j]:
-                sign = -sign
-    return sign
 
 
 class InvariantTensor:

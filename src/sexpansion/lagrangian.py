@@ -10,17 +10,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Optional, Sequence
 
-from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm, KernelKey,
+from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm,
                     LieValuedForm, Monomial, ScalarForm, TensorEntry,
                     canonical_monomial, int_bracket_into, int_contract, int_d,
                     int_entries, int_lie_form, int_lie_nonzero,
                     lie_valued_form, monomial_name)
 from .invariant_tensor import InvariantTensor
 from .lie_algebra import LieAlgebra, change_basis, row_reduce
-from .scalars import Q2, ScalarExpr, int_parts
+from .scalars import Q2, ScalarExpr
 from .semigroup import make_cyclic
 
 TPoly = dict[int, LieValuedForm]
@@ -195,30 +195,33 @@ class ComparisonReport:
         return self.matched
 
 
-def compare_forms(computed: ScalarForm, expected: ScalarForm,
-                  up_to_scale: bool = False) -> ComparisonReport:
-    """Monomial-map equality, optionally up to one global c * ell^k factor.
+def _monomials(f: IntForm) -> set[Monomial]:
+    return set().union(*f.parts.values())
 
-    When a scale is allowed it is solved for on the anchor, the first shared
-    monomial, and must map its whole coefficient; every monomial is then
-    compared at that scale, and each discrepancy is returned with both
-    coefficients printed.  The comparison runs on the `IntForm` parts of
-    both forms: with c = (x + y*sqrt2) / z, computed * c * ell^k equals
-    expected iff, key by key, the computed parts shifted by k in ell, times
-    x + y*sqrt2 with sqrt2^2 folded, and times the expected denominator equal
-    the expected parts times z and the computed denominator.
-    """
+
+def _coefficient(f: IntForm, m: Monomial) -> ScalarExpr:
+    """The coefficient of one monomial of a kernel form."""
+    one = IntForm({key: {m: part[m]} for key, part in f.parts.items() if m in part}, f.den)
+    return one.into_scalar_form().terms.get(m, ScalarExpr.zero())
+
+
+def compare_int_forms(lhs: IntForm, rhs: IntForm,
+                      up_to_scale: bool = False) -> ComparisonReport:
+    """`compare_forms` on kernel forms: with the scale c * ell^k solved on
+    the anchor, the monomials of lhs * c * ell^k - rhs are the diffs."""
     scale = (Q2(1), 0)
     if up_to_scale:
-        anchor = min((m for m in expected.terms if m in computed.terms), default=None)
+        anchor = min(_monomials(lhs) & _monomials(rhs), default=None)
         if anchor is None:
-            if expected.is_zero() and computed.is_zero():
+            if lhs.is_zero() and rhs.is_zero():
                 return ComparisonReport(True, scale)
-            return ComparisonReport(False, None,
-                                    [TermDiff("<none shared>", str(computed), str(expected))])
+            # into_scalar_form empties its form: convert shallow copies
+            computed, expected = (str(IntForm(dict(f.parts), f.den).into_scalar_form())
+                                  for f in (lhs, rhs))
+            return ComparisonReport(False, None, [TermDiff("<none shared>", computed, expected)])
         # c and k from the computed first term and the lowest ell power of
         # its alpha in the expected coefficient; c must be alpha-free
-        base, target = computed.terms[anchor], expected.terms[anchor]
+        base, target = _coefficient(lhs, anchor), _coefficient(rhs, anchor)
         (a0, e0), c0 = base.sorted_terms()[0]
         e1 = min((e for a, e in target.terms if a == a0), default=None)
         if e1 is not None:
@@ -227,40 +230,26 @@ def compare_forms(computed: ScalarForm, expected: ScalarForm,
             return ComparisonReport(False, None, [TermDiff(
                 monomial_name(anchor), str(base), str(target))],
                 "no admissible scalar on the anchor term")
-    c, k = scale
-    z = lcm(c.a.denominator, c.b.denominator)
-    x, y = int_parts(c, z)
-    lhs, rhs = IntForm.of(computed), IntForm.of(expected)
-    # both sides over the denominator z * lhs.den * rhs.den; a key of the
-    # scaled computed form gathers one or (with y) two computed parts
-    sources: dict[KernelKey, list[tuple[dict[Monomial, int], int]]] = {}
-    for (a, e, r), part in lhs.parts.items():
-        # sqrt2^r * (x + y sqrt2) = n0 + n1 sqrt2
-        n0, n1 = (2 * y, x) if r else (x, y)
-        for r2, n in ((0, n0), (1, n1)):
-            if n:
-                sources.setdefault((a, e + k, r2), []).append((part, n * rhs.den))
-    widen = z * lhs.den
-    differ: set[Monomial] = set()
-    for key in sources.keys() | rhs.parts.keys():
-        (part, n), *more = sources.get(key, [({}, 1)])
-        got = {m: v * n for m, v in part.items()}
-        if more:
-            for part, n in more:
-                for m, v in part.items():
-                    got[m] = got.get(m, 0) + v * n
-            got = {m: v for m, v in got.items() if v}
-        want = {m: v * widen for m, v in rhs.parts.get(key, {}).items()}
-        if got != want:
-            differ.update(m for m in got.keys() | want.keys() if got.get(m) != want.get(m))
-    zero = ScalarExpr.zero()
-    diffs = []
-    for m in sorted(differ):
-        got = computed.terms.get(m, zero)
-        if up_to_scale:
-            got = got.scaled(*scale)
-        diffs.append(TermDiff(monomial_name(m), str(got), str(expected.terms.get(m, zero))))
+    diff = IntForm()
+    diff.add(lhs, IntForm.scalar(ScalarExpr.const(*scale)))
+    diff.add(rhs, MINUS_ONE)
+    diffs = [TermDiff(monomial_name(m), str(_coefficient(lhs, m).scaled(*scale)),
+                      str(_coefficient(rhs, m)))
+             for m in sorted(_monomials(diff))]
     return ComparisonReport(not diffs, scale, diffs)
+
+
+def compare_forms(computed: ScalarForm, expected: ScalarForm,
+                  up_to_scale: bool = False) -> ComparisonReport:
+    """Monomial-map equality, optionally up to one global c * ell^k factor.
+
+    When a scale is allowed it is solved for on the anchor, the first shared
+    monomial, and must map its whole coefficient; every monomial is then
+    compared at that scale, and each discrepancy is returned with both
+    coefficients printed.  The comparison runs on the kernel forms of both
+    sides (`compare_int_forms`).
+    """
+    return compare_int_forms(IntForm.of(computed), IntForm.of(expected), up_to_scale)
 
 
 # -- dual (Maurer-Cartan) verification --------------------------------------------
@@ -327,19 +316,13 @@ def dual_mc_check(n: int, L: LieAlgebra) -> DualMCReport:
         return {k: v for k, v in out.items() if v}
 
     # reduced constants from the k components
+    # each (i, j, k * dim + c) is written once: the k blocks are disjoint
     reduced_constants: dict[tuple[int, int], dict[int, Q2]] = {}
     for k in range(n):
-        coll = collected(k)
-        for (i, j), row in coll.items():
+        for (i, j), row in collected(k).items():
             dest = reduced_constants.setdefault((i, j), {})
             for c, v in row.items():
-                kidx = k * dim + c
-                w = dest.get(kidx, Q2(0)) + v
-                if w:
-                    dest[kidx] = w
-                elif kidx in dest:
-                    del dest[kidx]
-    reduced_constants = {k: v for k, v in reduced_constants.items() if v}
+                dest[k * dim + c] = v
     labels = [L.labels[a].tagged(t) for t in range(n) for a in range(dim)]
     reduced = LieAlgebra(f"dual(Z{2*n}x{L.name})_H", labels, reduced_constants)
 

@@ -541,20 +541,22 @@ def change_basis(L: LieAlgebra, m: list[list[Q2]],
 # -- named algebras -----------------------------------------------------------
 
 
-_EPS3 = {}
-for _p in itertools.permutations((1, 2, 3)):
-    _sign = 1
-    _lst = list(_p)
-    for _i in range(3):
-        for _j in range(_i + 1, 3):
-            if _lst[_i] > _lst[_j]:
-                _sign = -_sign
-    _EPS3[_p] = _sign
+def perm_sign(values: Sequence[int]) -> int:
+    """Sign of the permutation taking sorted(values) to values; 0 on repeats."""
+    n = len(values)
+    sign = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if values[i] == values[j]:
+                return 0
+            if values[i] > values[j]:
+                sign = -sign
+    return sign
 
 
 def eps3(i: int, j: int, k: int) -> int:
     """Levi-Civita symbol on {1,2,3}."""
-    return _EPS3.get((i, j, k), 0)
+    return perm_sign((i, j, k)) if {i, j, k} == {1, 2, 3} else 0
 
 
 def _so3_like(name: str, kk_sign: int) -> LieAlgebra:
@@ -571,11 +573,8 @@ def _so3_like(name: str, kk_sign: int) -> LieAlgebra:
             if i == j:
                 continue
             k = next(t for t in (1, 2, 3) if t not in (i, j))
-            e = eps3(i, j, k)
-            a, b = i - 1, j + 2
-            constants.setdefault((a, b) if a < b else (b, a), {})
-            row = constants[(a, b)] if a < b else constants[(b, a)]
-            row[k + 2] = Q2(e if a < b else -e)               # [J_i, K_j] = eps K
+            # [J_i, K_j] = eps K, with J_i before K_j: i - 1 < 3 <= j + 2
+            constants.setdefault((i - 1, j + 2), {})[k + 2] = Q2(eps3(i, j, k))
     return LieAlgebra(name, labels, constants)
 
 

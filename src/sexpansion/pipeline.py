@@ -47,18 +47,32 @@ def required_int(spec: dict, key: str, where: str) -> int:
     return number
 
 
-def resonance_spec_from_config(cfg: dict, base: LieAlgebra) -> ResonanceSpec:
+def resonance_spec_from_config(cfg: dict, base: LieAlgebra, where: str) -> ResonanceSpec:
+    """The spec a resonance config describes; a malformed shape is a config
+    error that names where it is."""
+    subsets = required(cfg, "subsets", where)
+    if not isinstance(subsets, list) or not all(
+            isinstance(tags, list) and all(type(t) is int for t in tags) for tags in subsets):
+        raise PipelineError(f"{where}: 'subsets' must be a list of lists of int tags, "
+                            f"got {subsets!r}")
     if "partition" in cfg:
-        partition = list(cfg["partition"])
+        partition = cfg["partition"]
     elif "partition_by_base" in cfg:
         table = cfg["partition_by_base"]
+        if not isinstance(table, dict):
+            raise PipelineError(f"{where}: 'partition_by_base' must be an object, got {table!r}")
         try:
             partition = [table[lab.base] for lab in base.labels]
         except KeyError as exc:
-            raise PipelineError(f"partition does not cover base symbol {exc}")
+            raise PipelineError(f"{where}: partition does not cover base symbol {exc}")
     else:
-        raise PipelineError("resonance config needs 'partition' or 'partition_by_base'")
-    return ResonanceSpec.make(partition, cfg["subsets"])
+        raise PipelineError(f"{where}: resonance config needs 'partition' or 'partition_by_base'")
+    if (not isinstance(partition, list) or len(partition) != base.dim
+            or not all(type(p) is int and 0 <= p < len(subsets) for p in partition)):
+        raise PipelineError(
+            f"{where}: the partition must give each of the {base.dim} base generators "
+            f"a part in 0..{len(subsets) - 1}, got {partition!r}")
+    return ResonanceSpec.make(partition, subsets)
 
 
 @dataclass
@@ -113,7 +127,7 @@ def run_pipeline(start: LieAlgebra, steps: list[dict],
                     raise PipelineError(f"{where}: unknown resonance {name!r}")
             elif cfg is None:
                 cfg = step
-            spec = resonance_spec_from_config(cfg, state.base)
+            spec = resonance_spec_from_config(cfg, state.base, where)
             reduced = resonant_subalgebra(state.algebra, state.semigroup,
                                           state.base, spec)
             state = PipelineState(reduced, base=state.base, semigroup=state.semigroup)

@@ -39,10 +39,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .forms import (FormSymbol, Monomial, ScalarForm, _odd_bits,
+from .forms import (FormSymbol, IntForm, Monomial, ScalarForm, _odd_bits,
                     canonical_monomial, pair_symbol, sym)
-from .invariant_tensor import perm_sign
-from .lie_algebra import lorentz_eta
+from .lie_algebra import lorentz_eta, perm_sign
 from .scalars import Q2, ScalarExpr
 
 
@@ -391,22 +390,15 @@ def expand_terms(text: str, dimension: int) -> list[tuple[ScalarExpr, dict[Monom
     return out
 
 
-def terms_form(terms: list[tuple[ScalarExpr, dict[Monomial, int]]]) -> ScalarForm:
-    """The sum of `expand_terms` families as one form, each monomial's
-    coefficient assembled once from its terms' counts."""
-    sums: dict[Monomial, dict] = {}
+def sum_terms(terms: list[tuple[ScalarExpr, dict[Monomial, int]]]) -> IntForm:
+    """The sum of `expand_terms` families as one kernel form: each term's
+    counts, times its coefficient."""
+    out = IntForm()
     for coeff, counts in terms:
-        multiples: dict[int, list] = {}  # a term's counts repeat a few values
-        for mono, n in counts.items():
-            parts = multiples.get(n)
-            if parts is None:
-                parts = multiples[n] = [(key, q * n) for key, q in coeff.terms.items()]
-            acc = sums.setdefault(mono, {})
-            for key, q in parts:
-                acc[key] = acc[key] + q if key in acc else q
-    return ScalarForm({mono: ScalarExpr(acc) for mono, acc in sums.items()})
+        out.add(IntForm({(None, 0, 0): counts}), IntForm.scalar(coeff))
+    return out
 
 
 def expand_target(text: str, dimension: int) -> ScalarForm:
     """The whole expression expanded to one form."""
-    return terms_form(expand_terms(text, dimension))
+    return sum_terms(expand_terms(text, dimension)).into_scalar_form()

@@ -468,6 +468,32 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
      "verify must be true or false, got 'no'"),
     ("invariants", {"algebra": "c5", "tensor": "c5", "verify": 0},
      "verify must be true or false, got 0"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": "abc", "subsets": [[0, 1]]}]},
+     "step 1: the partition must give each of the 3 base generators a part in 0..0"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 0], "subsets": 5}]},
+     "step 1: 'subsets' must be a list of lists of int tags, got 5"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 1], "subsets": [[0, 1]]}]},
+     "step 1: the partition must give each of the 3 base generators a part in 0..0, "
+     "got [0, 0, 1]"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 0]}]},
+     "step 1: missing 'subsets'"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0], "subsets": [[0, 1]]}]},
+     "step 1: the partition must give each of the 3 base generators a part in 0..0, "
+     "got [0, 0]"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition_by_base": [0], "subsets": [[0, 1]]}]},
+     "step 1: 'partition_by_base' must be an object, got [0]"),
 ])
 def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -475,6 +501,16 @@ def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_well_formed_family_out_of_resonance_is_a_verification_failure(tmp_path, capsys):
+    # both subsets hold tag 1, but the product of 1 and 1 in Z2 is 0
+    cfg = write_config(tmp_path, "cfg.json", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 0], "subsets": [[1]]}]})
+    assert main(["expand", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("compare, argv, message", [

@@ -277,3 +277,122 @@ def test_random_algebras_are_lie_algebras():
     for seed in (1, 2, 20160409):
         assert check_axioms(random_nilpotent(4, seed)).ok
         assert check_axioms(random_solvable_4d(seed)).ok
+
+
+def reference_subalgebra_on(G, keep, name):
+    """Reference: restrict to the listed generators; brackets landing outside
+    raise."""
+    keep = list(keep)
+    remap = {old: new for new, old in enumerate(keep)}
+    labels = [G.labels[i] for i in keep]
+    constants = {}
+    for (a, b), targets in G.constants.items():
+        if a not in remap or b not in remap:
+            continue
+        row = {}
+        for c, v in targets.items():
+            if c not in remap:
+                raise ExpansionError(
+                    f"not closed: [{G.labels[a]}, {G.labels[b]}] hits {G.labels[c]}")
+            row[remap[c]] = v
+        if row:
+            constants[(remap[a], remap[b])] = row
+    return LieAlgebra(name, labels, constants)
+
+
+def reference_zero_reduce(G, s, name=None):
+    """Reference: delete the zero-tagged generators and every bracket target
+    on them."""
+    keep = [i for i, lab in enumerate(G.labels) if lab.tags and lab.tags[0] != s.zero_index]
+    remap = {old: new for new, old in enumerate(keep)}
+    labels = [G.labels[i] for i in keep]
+    constants = {}
+    for (a, b), targets in G.constants.items():
+        if a not in remap or b not in remap:
+            continue
+        row = {}
+        for c, v in targets.items():
+            if c in remap:
+                row[remap[c]] = v
+        if row:
+            constants[(remap[a], remap[b])] = row
+    return LieAlgebra(name or f"{G.name}_0red", labels, constants)
+
+
+def resonant_keep(G, L, spec):
+    """The generators `resonant_subalgebra` keeps."""
+    return [i for i, lab in enumerate(G.labels)
+            if lab.tags[0] in spec.subsets[spec.partition[i % L.dim]]]
+
+
+def assert_same_algebra(got, want):
+    assert got.name == want.name
+    assert got.labels == want.labels
+    assert got.constants == want.constants
+    # the rows come out in the same order too
+    assert list(got.constants) == list(want.constants)
+
+
+def se_split(L, N):
+    """The resonance of S_E^(N) with the rotation/translation split of an
+    AdS algebra (even and odd tags, the zero in both), or the one-part spec
+    that keeps everything for any other algebra."""
+    zero = N + 1
+    if L.name.startswith("ads"):
+        partition = [0 if lab.base == "J" else 1 for lab in L.labels]
+        return ResonanceSpec.make(partition, [[*range(0, N + 1, 2), zero],
+                                              [*range(1, N + 1, 2), zero]])
+    return ResonanceSpec.make([0] * L.dim, [range(N + 2)])
+
+
+REDUCTION_BASES = {"so3": lambda: make_named("so3"), "ads3": lambda: make_named("ads3"),
+                   "ads5": lambda: make_named("ads5"),
+                   "nilpotent": lambda: random_nilpotent(4, seed=7),
+                   "solvable": lambda: random_solvable_4d(seed=7)}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("base", REDUCTION_BASES)
+def test_reductions_equal_the_references_on_truncated_expansions(base, N):
+    L = REDUCTION_BASES[base]()
+    s = make_se(N)
+    G = s_expand(s, L)
+    assert_same_algebra(zero_reduce(G, s), reference_zero_reduce(G, s))
+    spec = se_split(L, N)
+    res = resonant_subalgebra(G, s, L, spec)
+    assert_same_algebra(res, reference_subalgebra_on(G, resonant_keep(G, L, spec),
+                                                     f"{G.name}_res"))
+    if L.name.startswith("ads"):
+        assert res.dim < G.dim
+    assert_same_algebra(zero_reduce(res, s, name="r"), reference_zero_reduce(res, s, "r"))
+
+
+def test_reductions_equal_the_references_on_the_b5_resonance():
+    s, ads5, spec = make_se(3), make_named("ads5"), b5_resonance_spec()
+    G = s_expand(s, ads5)
+    res = resonant_subalgebra(G, s, ads5, spec)
+    assert_same_algebra(res, reference_subalgebra_on(G, resonant_keep(G, ads5, spec),
+                                                     f"{G.name}_res"))
+    reduced = zero_reduce(res, s, name="b5")
+    assert_same_algebra(reduced, reference_zero_reduce(res, s, name="b5"))
+    assert reduced.constants == make_b5().constants
+
+
+def test_non_closed_keep_set_raises_the_reference_message():
+    # move one kept bracket target onto a generator the resonance drops
+    s, ads3 = make_se(2), make_named("ads3")
+    spec = se_split(ads3, 2)
+    G = s_expand(s, ads3)
+    keep = resonant_keep(G, ads3, spec)
+    (a, b), row = next((key, row) for key, row in G.constants.items()
+                       if key[0] in keep and key[1] in keep)
+    dropped = next(i for i in range(G.dim) if i not in keep)
+    constants = dict(G.constants)
+    constants[(a, b)] = {**row, dropped: Q2(1)}
+    broken = LieAlgebra(G.name, G.labels, constants)
+    with pytest.raises(ExpansionError) as got:
+        resonant_subalgebra(broken, s, ads3, spec)
+    with pytest.raises(ExpansionError) as want:
+        reference_subalgebra_on(broken, keep, "x")
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("not closed: ")

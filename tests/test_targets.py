@@ -225,3 +225,26 @@ def test_expansion_matches_wedge_chain_on_goldens():
     terms5 = sorted({t for g in goldens if g.dimension == 5 for t in g.terms()})
     for text in random.Random(4).sample(terms5, 8):
         assert expand_target(text, 5) == wedge_chain_expand(text, 5), text
+
+
+def reference_terms_form(terms):
+    """Reference: the sum of `expand_terms` families assembled in `ScalarExpr`,
+    each monomial's coefficient summed once from its terms' counts."""
+    sums = {}
+    for coeff, counts in terms:
+        multiples = {}  # a term's counts repeat a few values
+        for mono, n in counts.items():
+            parts = multiples.get(n)
+            if parts is None:
+                parts = multiples[n] = [(key, q * n) for key, q in coeff.terms.items()]
+            acc = sums.setdefault(mono, {})
+            for key, q in parts:
+                acc[key] = acc[key] + q if key in acc else q
+    return ScalarForm({mono: ScalarExpr(acc) for mono, acc in sums.items()})
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_expand_target_equals_the_reference_sum_on_every_golden(name):
+    g = load_golden(name)
+    assert expand_target(g.text, g.dimension) == reference_terms_form(
+        expand_terms(g.text, g.dimension))
