@@ -16,22 +16,17 @@ from pathlib import Path
 from typing import Optional
 
 from .expansion import ExpansionError
-from .fixtures import (algebra_by_name, build_connection, connection_chain,
-                       semigroup_by_name, tensor_by_name)
+from .fixtures import algebra_by_name, build_connection, connection_chain, tensor_by_name
 from .forms import scalar_form_latex, scalar_form_to_json_dict
 from .goldens import compare_golden, load_golden
 from .invariant_tensor import (InvariantTensor, TensorError, latex_family_table,
                                lift_0s, lift_h, require_fit, verify_invariance)
 from .lagrangian import chern_simons, subspace_separation
 from .lie_algebra import LieAlgebra, check_axioms
-from .pipeline import PipelineError, required, required_int, run_pipeline
+from .pipeline import (ConfigError, by_name, read_json_path, required, required_int,
+                       run_pipeline, semigroup_from_config)
 from .scalars import Q2, ScalarExpr
-from .semigroup import Semigroup, SemigroupError, find_isomorphism
-from .targets import TargetParseError
-
-
-class UsageError(ValueError):
-    pass
+from .semigroup import SemigroupError, find_isomorphism
 
 
 # the config keys each command reads; any other key is a config error, found
@@ -52,133 +47,82 @@ class VerificationFailure(Exception):
 
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
-        raise UsageError("--config is required")
+        raise ConfigError("--config is required")
     try:
         with open(path) as fh:
             config = json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(config, dict):
-        raise UsageError("config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     return config
 
 
 def _check_keys(config: dict, command: str) -> None:
     unknown = sorted(set(config) - set(_CONFIG_KEYS[command]))
     if unknown:
-        raise UsageError(f"unknown config key {', '.join(map(repr, unknown))} for "
-                         f"{command}; its keys are {', '.join(_CONFIG_KEYS[command])}")
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))} for "
+                          f"{command}; its keys are {', '.join(_CONFIG_KEYS[command])}")
 
 
 def _flag(config: dict, key: str, default: bool) -> bool:
     """A boolean key; anything but a JSON true or false is a config error."""
     value = config.get(key, default)
     if not isinstance(value, bool):
-        raise UsageError(f"{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
-
-
-def _by_name(lookup, name: str):
-    """A named fixture; an unknown name is a config error, not a failed check."""
-    try:
-        return lookup(name)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _read_json_path(spec: dict, what: str):
-    """The JSON value in the file at spec['path']; a file that cannot be read
-    or is not JSON is a config error naming the file."""
-    path = spec["path"]
-    if not isinstance(path, str):
-        raise UsageError(f"{what}: 'path' must be a string, got {path!r}")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path!r}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file is not valid JSON: {path!r}: {exc}")
 
 
 def _decode_path(spec: dict, what: str, from_json_dict):
     """from_json_dict of the file at spec['path']; a file that lacks a key or
     has the wrong shape is a config error naming the file and the problem."""
-    data = _read_json_path(spec, what)
+    data = read_json_path(spec, what)
     try:
         return from_json_dict(data)
     except KeyError as exc:
-        raise UsageError(f"{what} file {spec['path']!r} lacks the key {exc}")
+        raise ConfigError(f"{what} file {spec['path']!r} lacks the key {exc}")
     except (TypeError, AttributeError, ValueError) as exc:
-        raise UsageError(f"{what} file {spec['path']!r} is malformed: {exc}")
+        raise ConfigError(f"{what} file {spec['path']!r} is malformed: {exc}")
 
 
 def _resolve_algebra(spec) -> LieAlgebra:
     if isinstance(spec, str):
-        return _by_name(algebra_by_name, spec)
+        return by_name(algebra_by_name, spec)
     if isinstance(spec, dict) and "path" in spec:
         return _decode_path(spec, "algebra", LieAlgebra.from_json_dict)
-    raise UsageError("algebra must be a fixture name or {'path': ...}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _resolve_semigroup(spec) -> Semigroup:
-    """A named semigroup or a {name, order, table, zero} descriptor, inline or
-    in a file.  A descriptor of the wrong shape or types is a config error;
-    whether its table is a semigroup is Semigroup's own (verification) check."""
-    if isinstance(spec, str):
-        return _by_name(semigroup_by_name, spec)
-    if isinstance(spec, dict) and "path" in spec:
-        spec = _read_json_path(spec, "semigroup")
-    if not isinstance(spec, dict):
-        raise UsageError("semigroup must be a name, a descriptor, or {'path': ...}")
-    name, order, table, zero = (required(spec, key, "semigroup")
-                                for key in ("name", "order", "table", "zero"))
-    if not isinstance(name, str):
-        raise UsageError(f"semigroup: 'name' must be a string, got {name!r}")
-    if not _is_int(order):
-        raise UsageError(f"semigroup: 'order' must be an integer, got {order!r}")
-    if not isinstance(table, list) or not all(
-            isinstance(row, list) and all(_is_int(v) for v in row) for row in table):
-        raise UsageError("semigroup: 'table' must be a list of lists of integers")
-    if zero is not None and not _is_int(zero):
-        raise UsageError(f"semigroup: 'zero' must be an integer or null, got {zero!r}")
-    return Semigroup.from_json_dict(spec)
+    raise ConfigError("algebra must be a fixture name or {'path': ...}")
 
 
 def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
     if isinstance(spec, str):
-        tensor = _by_name(tensor_by_name, spec)
+        tensor = by_name(tensor_by_name, spec)
     elif isinstance(spec, dict) and "path" in spec:
         tensor = _decode_path(spec, "tensor", InvariantTensor.from_json_dict)
     elif isinstance(spec, dict) and "lift" in spec:
-        base = _by_name(tensor_by_name, required(spec, "base", "tensor"))
+        base = by_name(tensor_by_name, required(spec, "base", "tensor"))
         lift = spec["lift"]
         if not isinstance(lift, dict):
-            raise UsageError(f"tensor: 'lift' must be an object with a 'kind', got {lift!r}")
+            raise ConfigError(f"tensor: 'lift' must be an object with a 'kind', got {lift!r}")
         kind = required(lift, "kind", "tensor lift")
         try:
             if kind == "h":
                 return lift_h(required_int(lift, "n", "tensor lift"), algebra, base)
             if kind == "zero":
-                s = _resolve_semigroup(required(lift, "semigroup", "tensor lift"))
+                s = semigroup_from_config(required(lift, "semigroup", "tensor lift"))
                 if s.zero_index is None:
-                    raise UsageError(f"tensor lift: semigroup {s.name!r} has no zero element")
+                    raise ConfigError(f"tensor lift: semigroup {s.name!r} has no zero element")
                 return lift_0s(s, algebra, required_int(lift, "base_dim", "tensor lift"), base)
         except TensorError as exc:  # the lift does not fit the algebra
-            raise UsageError(f"tensor lift: {exc}")
-        raise UsageError(f"unknown lift kind {kind!r}")
+            raise ConfigError(f"tensor lift: {exc}")
+        raise ConfigError(f"unknown lift kind {kind!r}")
     else:
-        raise UsageError("tensor must be a name, {'path': ...}, or a lift spec")
+        raise ConfigError("tensor must be a name, {'path': ...}, or a lift spec")
     try:
         require_fit(algebra, tensor)
     except TensorError as exc:  # a tensor of a larger algebra; a lift always fits
-        raise UsageError(f"tensor: {exc}")
+        raise ConfigError(f"tensor: {exc}")
     return tensor
 
 
@@ -187,11 +131,11 @@ def _specialize(tensor: InvariantTensor, alphas) -> InvariantTensor:
     needed = 1 + max((a for v in tensor.entries.values() for (a, _) in v.terms
                       if a is not None), default=-1)
     if not isinstance(alphas, list) or len(alphas) < needed:
-        raise UsageError(f"alphas must be 'general' or a list of {needed} ratios")
+        raise ConfigError(f"alphas must be 'general' or a list of {needed} ratios")
     try:
         ratios = [Fraction(str(r)) for r in alphas]
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"alphas must be rational numbers, got {alphas}")
+        raise ConfigError(f"alphas must be rational numbers, got {alphas}")
     return InvariantTensor(tensor.rank, {
         k: v.specialize_alphas(ratios) for k, v in tensor.entries.items()})
 
@@ -199,7 +143,7 @@ def _specialize(tensor: InvariantTensor, alphas) -> InvariantTensor:
 def _name_list(config: dict, key: str, default: list[str]) -> list[str]:
     names = config.get(key, default)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise UsageError(f"{key} must be a list of names")
+        raise ConfigError(f"{key} must be a list of names")
     return names
 
 
@@ -282,34 +226,34 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     tensor = _resolve_tensor(config.get("tensor"), algebra)
     _check_keys(config, "lagrangian")
     dimension = config.get("dimension")
-    if dimension != 2 * tensor.rank - 1:
-        raise UsageError(f"dimension must be 2 * rank - 1 = {2 * tensor.rank - 1} "
-                         f"for the rank-{tensor.rank} tensor, got {dimension!r}")
+    if type(dimension) is not int or dimension != 2 * tensor.rank - 1:
+        raise ConfigError(f"dimension must be 2 * rank - 1 = {2 * tensor.rank - 1} "
+                          f"for the rank-{tensor.rank} tensor, got {dimension!r}")
     alphas = config.get("alphas", "general")
     if alphas != "general":
         tensor = _specialize(tensor, alphas)
     fields = tuple(_name_list(config, "fields", ["w", "e", "k", "h"]))
     unknown = sorted(set(fields) - {"w", "e", "k", "h"})
     if unknown:
-        raise UsageError(f"unknown fields {unknown}; fields are a subset of w e k h")
+        raise ConfigError(f"unknown fields {unknown}; fields are a subset of w e k h")
     goldens = []
     for name in _name_list(config, "compare", []) + extra_compare:
         try:
             golden = load_golden(name)
         except KeyError as exc:
-            raise UsageError(exc.args[0])
+            raise ConfigError(exc.args[0])
         if golden.dimension != dimension:
-            raise UsageError(f"golden {name!r} is a {golden.dimension}d expression")
+            raise ConfigError(f"golden {name!r} is a {golden.dimension}d expression")
         goldens.append(golden)
     up_to_scale = _flag(config, "compare_up_to_scale", True)
     method = config.get("method", "separated")
     if method not in ("separated", "direct"):
-        raise UsageError("method must be 'separated' or 'direct'")
+        raise ConfigError("method must be 'separated' or 'direct'")
     try:  # an algebra with a generator that no field attaches to
         chain = connection_chain(algebra, fields) if method == "separated" \
             else [build_connection(algebra, fields)]
     except ValueError as exc:
-        raise UsageError(f"connection: {exc}")
+        raise ConfigError(f"connection: {exc}")
     if method == "separated":
         lagrangian = subspace_separation(chain, tensor, dimension, algebra)
     else:
@@ -366,17 +310,17 @@ def cmd_semigroup(config: dict, out: Output) -> None:
     _check_keys(config, "semigroup")
     action = config.get("action", "construct")
     if action == "construct":
-        s = _resolve_semigroup(config.get("semigroup"))
+        s = semigroup_from_config(config.get("semigroup"))
         out.emit_json("semigroup", s.to_json_dict())
     elif action == "verify":
         try:
-            _resolve_semigroup(config.get("semigroup"))
+            semigroup_from_config(config.get("semigroup"))
         except SemigroupError as exc:
             raise VerificationFailure(f"invalid semigroup: {exc}")
         out.emit_text("verify", "ok")
     elif action == "isomorphism":
-        s1 = _resolve_semigroup(config.get("first"))
-        s2 = _resolve_semigroup(config.get("second"))
+        s1 = semigroup_from_config(config.get("first"))
+        s2 = semigroup_from_config(config.get("second"))
         perm = find_isomorphism(s1, s2)
         out.emit_json("isomorphism",
                       {"first": s1.name, "second": s2.name,
@@ -385,7 +329,7 @@ def cmd_semigroup(config: dict, out: Output) -> None:
         if perm is None:
             raise VerificationFailure("no isomorphism found")
     else:
-        raise UsageError(f"unknown semigroup action {action!r}")
+        raise ConfigError(f"unknown semigroup action {action!r}")
 
 
 def cmd_check(config: dict, out: Output) -> None:
@@ -435,15 +379,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             cmd_semigroup(config, out)
         elif args.command == "check":
             cmd_check(config, out)
-    except (UsageError, TargetParseError, PipelineError, KeyError) as exc:
+    except (VerificationFailure, ExpansionError, SemigroupError) as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError) as exc:  # a config error, whatever raised it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except (ExpansionError, ValueError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -39,7 +39,10 @@ class Q2:
         return bool(self.a) or bool(self.b)
 
     def __eq__(self, other) -> bool:
-        other = Q2.of(other)
+        if not isinstance(other, Q2):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Q2(other)
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
@@ -208,8 +211,9 @@ class ScalarExpr:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        other = ScalarExpr.of(other)
-        return self.terms == other.terms
+        if not isinstance(other, (ScalarExpr, Q2, int, Fraction)):
+            return NotImplemented
+        return self.terms == ScalarExpr.of(other).terms
 
     def __neg__(self) -> "ScalarExpr":
         return ScalarExpr({k: -v for k, v in self.terms.items()})

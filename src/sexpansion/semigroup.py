@@ -89,10 +89,6 @@ class Semigroup:
             zero_index=d["zero"],
         )
 
-    @staticmethod
-    def from_json(s: str) -> "Semigroup":
-        return Semigroup.from_json_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class SelectorQuery:

@@ -405,6 +405,9 @@ _C5_SECTOR = dict(_C5, alphas=[1, -1, -1, -1], fields=["w", "e"],
      "compare_up_to_scale must be true or false, got 'x'"),
     ({"dimension": 3, "algebra": "random6", "tensor": "ads3_eps"},
      "connection: no field assignment for generator N(0,1)"),
+    # a float that equals the right dimension is not an integer
+    ({"dimension": 3.0, "algebra": "c3_rotated", "tensor": "c3_rotated"},
+     "dimension must be 2 * rank - 1 = 3 for the rank-2 tensor, got 3.0"),
 ])
 def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -494,6 +497,22 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
         {"op": "s_expand", "semigroup": "Z2"},
         {"op": "resonant", "partition_by_base": [0], "subsets": [[0, 1]]}]},
      "step 1: 'partition_by_base' must be an object, got [0]"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "h_reduce", "n": 2.9}]},
+     "step 0: 'n' must be an integer, got 2.9"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "h_reduce", "n": True}]},
+     "step 0: 'n' must be an integer, got True"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": "Z2"},
+                                            {"op": "sign_identify", "pairing": [[0.0, 1]]}]},
+     "step 1: 'pairing' must be a list of [tag, tag] pairs, got [[0.0, 1]]"),
+    # a subset that no part of the partition uses
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 0], "subsets": [[0, 1], []]}]},
+     "step 1: the partition must use every part 0..1, one per subset, got [0, 0, 0]"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 0], "subsets": [[0, 1, 7]]}]},
+     "step 1: 'subsets' must hold tags in 0..1 of Z2, got [[0, 1, 7]]"),
 ])
 def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -561,6 +580,14 @@ _SG = {"name": "x", "order": 2, "table": [[0, 1], [1, 0]], "zero": None}
      "semigroup: 'table' must be a list of lists of integers"),
     ("semigroup", {"action": "construct", "semigroup": {"path": None}},
      "semigroup: 'path' must be a string, got None"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": dict(_SG, table=5)}]},
+     "step 0: semigroup: 'table' must be a list of lists of integers"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": dict(
+        _SG, table=[[0, 1], [1, 1.0]])}]},
+     "step 0: semigroup: 'table' must be a list of lists of integers"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": {
+        "name": "x", "order": 2, "table": [[0, 1], [1, 0]]}}]},
+     "step 0: semigroup: missing 'zero'"),
 ])
 def test_malformed_semigroup_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -584,6 +611,20 @@ def test_malformed_semigroup_file_is_usage_error(tmp_path, capsys, text, message
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def test_s_expand_step_reads_a_semigroup_file(tmp_path):
+    """A step's semigroup can be a {'path': ...} file, as in the semigroup
+    command; Z2 from a file expands so3 as the name Z2 does."""
+    out = tmp_path / "out"
+    sg = write_config(tmp_path, "sg.json", {"action": "construct", "semigroup": "Z2"})
+    assert main(["semigroup", "--config", sg, "--out", str(out)]) == 0
+    for name, semigroup in [("named", "Z2"), ("file", {"path": str(out / "semigroup.json")})]:
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "algebra": "so3", "steps": [{"op": "s_expand", "semigroup": semigroup}]})
+        assert main(["expand", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "file" / "algebra.json").read_bytes() == \
+        (tmp_path / "named" / "algebra.json").read_bytes()
+
+
 @pytest.mark.parametrize("action, table, order, message", [
     ("construct", [[0, 5], [5, 1]], 2, "table entry out of range at (0,1)"),
     ("construct", [[0, 1], [1, 0]], 3, "table shape does not match order"),
@@ -596,6 +637,19 @@ def test_semigroup_that_fails_its_axioms_exits_one(tmp_path, capsys, action, tab
     assert main(["semigroup", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failure: ") and message in err
+
+
+def test_a_library_value_error_is_not_a_verification_failure(tmp_path, capsys):
+    """The LaTeX table cannot render a tensor whose one entry is [0, 0]; that
+    ValueError is an error (exit 2), not a failed check (exit 1)."""
+    path = tmp_path / "t.json"
+    path.write_text(_tensor_file([((0, 0), 1)]))
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"algebra": "so3", "tensor": {"path": str(path)}, "verify": False})
+    assert main(["invariants", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--format", "latex"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: entry does not look like an epsilon contraction\n"
 
 
 @pytest.mark.parametrize("command", ["invariants", "check", "lagrangian"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sexpansion.expansion import (ExpansionError, PairingError, ResonanceSpec,
@@ -10,7 +12,7 @@ from sexpansion.fixtures import (b5_resonance_spec, make_b5, make_c_algebra,
 from sexpansion.lie_algebra import (LieAlgebra, check_axioms, killing_profile, make_ads,
                                    make_named)
 from sexpansion.scalars import Q2
-from sexpansion.semigroup import Semigroup, make_cyclic, make_klein, make_se
+from sexpansion.semigroup import Semigroup, direct_product, make_cyclic, make_klein, make_se
 
 
 def test_trivial_expansion_is_identity():
@@ -396,3 +398,13 @@ def test_non_closed_keep_set_raises_the_reference_message():
         reference_subalgebra_on(broken, keep, "x")
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("not closed: ")
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7])
+def test_expansion_by_a_product_semigroup_keeps_jacobi(seed):
+    """s_expand by Z_a x S_E^(b), for seeded a and b, is a Lie algebra over
+    so3 and over a random nilpotent algebra."""
+    rng = random.Random(seed)
+    s = direct_product(make_cyclic(rng.randint(2, 4)), make_se(rng.randint(0, 2)))
+    for L in (make_named("so3"), random_nilpotent(3, seed)):
+        assert check_axioms(s_expand(s, L)).ok

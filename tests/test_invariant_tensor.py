@@ -15,7 +15,7 @@ from sexpansion.invariant_tensor import (InvarianceReport, InvariantTensor,
                                          lift_0s, lift_h, perm_sign,
                                          rotate_tensor, verify_invariance)
 from sexpansion.lie_algebra import (change_basis, killing_matrix, make_ads,
-                                    make_named, mat_identity, pair_basis)
+                                    make_named, mat_identity, mat_inverse, pair_basis)
 from sexpansion.scalars import Q2, SQRT2, ScalarExpr
 from sexpansion.semigroup import make_se
 
@@ -377,3 +377,16 @@ def test_sparse_invariance_matches_dense():
             (dense.ok, dense.violation, dense.value)
         verdicts.add(sparse.ok)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rotating_back_by_the_inverse_gives_the_tensor(seed):
+    """rotate_tensor by a seeded invertible M with sqrt2 parts, then by M^-1,
+    is the identity on ads3's epsilon."""
+    rng = random.Random(seed)
+    m = [[Q2(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
+          for _ in range(6)] for _ in range(6)]
+    t = epsilon_tensor(3)
+    rotated = rotate_tensor(t, m)
+    assert rotated != t
+    assert rotate_tensor(rotated, mat_inverse(m)) == t

@@ -122,3 +122,20 @@ def test_int_parts_over_the_common_denominator():
         p, q = int_parts(v, den)
         assert Q2(Fraction(p, den), Fraction(q, den)) == v
     assert common_denominator([]) == 1
+
+
+@pytest.mark.parametrize("other", [None, "a", [1], 1.5], ids=["None", "str", "list", "float"])
+def test_equality_with_a_non_scalar_is_false(other):
+    """A scalar compared with anything but a scalar, an int or a Fraction is
+    unequal to it, so a lookup that misses (None) reads as a difference."""
+    for x in (Q2(1), Q2(Fraction(3, 2)), ScalarExpr.const(1), ScalarExpr.alpha(0)):
+        assert x != other and not x == other
+        assert other != x and not other == x
+
+
+def test_equality_across_the_scalar_types():
+    half = Fraction(1, 2)
+    assert Q2(half) == half and Q2(2) == 2 and Q2(2) != 3
+    assert ScalarExpr.const(2) == 2 and ScalarExpr.const(half) == Q2(half)
+    assert Q2(2) == ScalarExpr.const(2) and Q2(2, 1) != ScalarExpr.const(2)
+    assert ScalarExpr.alpha(0) != ScalarExpr.const(1)
