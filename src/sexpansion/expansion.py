@@ -126,6 +126,9 @@ def check_resonance(s: Semigroup, L: LieAlgebra, spec: ResonanceSpec) -> None:
     the subspace decomposition."""
     if len(spec.partition) != L.dim:
         raise ExpansionError("partition length must equal the base dimension")
+    if set(spec.partition) != set(range(len(spec.subsets))):
+        raise ExpansionError("the partition must use the parts 0..len(subsets) - 1, "
+                             "one per subset")
     cover = set().union(*spec.subsets) if spec.subsets else set()
     if cover != set(s.elements()):
         raise ExpansionError("subsets must cover the whole semigroup")

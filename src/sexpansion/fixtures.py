@@ -11,11 +11,12 @@ from typing import Iterable
 
 from .expansion import ResonanceSpec, h_reduce, resonant_subalgebra, s_expand, zero_reduce
 from .forms import LieValuedForm, ScalarForm, pair_symbol, sym
-from .invariant_tensor import InvariantTensor, epsilon_tensor, lift_0s, lift_h
-from .lie_algebra import (Label, LieAlgebra, change_basis, make_ads, make_named,
-                          pair_basis)
+from .invariant_tensor import (InvariantTensor, epsilon_tensor, lift_0s, lift_h,
+                               rotate_tensor)
+from .lie_algebra import (Label, LieAlgebra, LieAlgebraError, change_basis,
+                          make_ads, make_named, mat_inverse, pair_basis)
 from .scalars import HALF_SQRT2, Q2, SQRT2, ScalarExpr
-from .semigroup import Semigroup, make_cyclic, make_se
+from .semigroup import Semigroup, make_cyclic, make_klein, make_se
 
 
 # -- the halved-Z4 gravity algebras --------------------------------------------
@@ -74,7 +75,6 @@ def c_tensor(d: int) -> InvariantTensor:
 
 def c_tensor_rotated(d: int) -> InvariantTensor:
     """Same tensor in the mixed vector basis, with the 1/sqrt2 absorbed."""
-    from .invariant_tensor import rotate_tensor
     return rotate_tensor(c_tensor(d), mixing_rotation(d)).scaled(
         ScalarExpr.const(SQRT2))
 
@@ -186,10 +186,9 @@ def _random_invertible(dim: int, rng: random.Random) -> list[list[Q2]]:
         m = [[Q2(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(dim)]
              for _ in range(dim)]
         try:
-            from .lie_algebra import mat_inverse
             mat_inverse([row[:] for row in m])
             return m
-        except Exception:
+        except LieAlgebraError:
             continue
 
 
@@ -248,7 +247,6 @@ def tensor_by_name(name: str) -> InvariantTensor:
 
 
 def semigroup_by_name(name: str) -> Semigroup:
-    from .semigroup import make_klein
     if name.startswith("Z") and name[1:].isdigit():
         return make_cyclic(int(name[1:]))
     if name.startswith("SE") and name[2:].isdigit():

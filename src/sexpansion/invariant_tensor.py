@@ -9,7 +9,6 @@ algebra, never in the tensor).
 from __future__ import annotations
 
 import itertools
-import json
 import string
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -63,27 +62,26 @@ class InvariantTensor:
                 "entries": [{"indices": list(key), "coeff": self.entries[key].to_json_list()}
                             for key in sorted(self.entries)]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
-
     @staticmethod
     def from_json_dict(d: dict) -> "InvariantTensor":
-        """The tensor a to_json_dict value describes; two entries on the same
-        sorted indices raise TensorError, where set_entry would keep the
-        last one."""
-        t = InvariantTensor(d["rank"])
+        """The tensor a to_json_dict value describes; a rank or an index
+        that is not a JSON int, or two entries on the same sorted indices
+        (where set_entry would keep the last one), raise TensorError."""
+        rank = d["rank"]
+        if type(rank) is not int:
+            raise TensorError(f"rank must be an integer, got {rank!r}")
+        t = InvariantTensor(rank)
         seen = set()
         for item in d["entries"]:
-            key = tuple(sorted(item["indices"]))
+            indices = item["indices"]
+            if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+                raise TensorError(f"entry indices must be integers, got {indices!r}")
+            key = tuple(sorted(indices))
             if key in seen:
                 raise TensorError(f"entry {list(key)} is stated twice")
             seen.add(key)
             t.set_entry(key, ScalarExpr.from_json_list(item["coeff"]))
         return t
-
-    @staticmethod
-    def from_json(s: str) -> "InvariantTensor":
-        return InvariantTensor.from_json_dict(json.loads(s))
 
 
 # -- epsilon tensors of the base algebras -------------------------------------

@@ -13,17 +13,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .forms import (HALF, MINUS_ONE, FormSymbol, IntForm, IntLieForm,
-                    LieValuedForm, Monomial, ScalarForm, TensorEntry,
-                    canonical_monomial, int_bracket_into, int_contract, int_d,
-                    int_entries, int_lie_form, int_lie_nonzero,
-                    lie_valued_form, monomial_name)
+from .expansion import h_reduce
+from .forms import (HALF, MINUS_ONE, IntForm, IntLieForm, LieValuedForm,
+                    Monomial, ScalarForm, TensorEntry, int_bracket_into,
+                    int_contract, int_d, int_entries, int_lie_form,
+                    int_lie_nonzero, lie_valued_form, monomial_name)
 from .invariant_tensor import InvariantTensor
-from .lie_algebra import LieAlgebra, change_basis, row_reduce
+from .lie_algebra import LieAlgebra, change_basis
 from .scalars import Q2, ScalarExpr
 from .semigroup import make_cyclic
-
-TPoly = dict[int, LieValuedForm]
 
 
 def _homotopy_curvature(Abar: IntLieForm, delta: IntLieForm,
@@ -46,7 +44,8 @@ def _difference(A: IntLieForm, Abar: IntLieForm) -> IntLieForm:
     return int_lie_nonzero(delta)
 
 
-def homotopy_curvature(A: LieValuedForm, Abar: LieValuedForm, L: LieAlgebra) -> TPoly:
+def homotopy_curvature(A: LieValuedForm, Abar: LieValuedForm,
+                       L: LieAlgebra) -> dict[int, LieValuedForm]:
     """F_t = d A_t + (1/2)[A_t, A_t] with A_t = Abar + t (A - Abar)."""
     kbar = int_lie_form(Abar)
     ft = _homotopy_curvature(kbar, _difference(int_lie_form(A), kbar), L)
@@ -108,70 +107,20 @@ def subspace_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
 # -- exactness detection -------------------------------------------------------
 
 
-def _symbol_universe(f: ScalarForm) -> list[FormSymbol]:
-    syms: set[FormSymbol] = set()
-    for m in f.terms:
-        for s in m:
-            base = FormSymbol(s.field, s.indices, False)
-            syms.add(base)
-            syms.add(FormSymbol(s.field, s.indices, True))
-    return sorted(syms)
+def is_d_exact(f: ScalarForm) -> bool:
+    """Whether f = d g for some form g, decided by d alone.
 
-
-def candidate_primitives(degree: int, universe: Sequence[FormSymbol],
-                         cap: int = 200000) -> list[Monomial]:
-    """Every canonical monomial of the given degree over the universe."""
-    odds = [s for s in universe if s.degree == 1]
-    evens = [s for s in universe if s.degree == 2]
-    out: list[Monomial] = []
-    for n_even in range(degree // 2 + 1):
-        n_odd = degree - 2 * n_even
-        if n_odd < 0 or n_odd > len(odds):
-            continue
-        for om in itertools.combinations(odds, n_odd):
-            for em in itertools.combinations_with_replacement(evens, n_even):
-                sign, mono = canonical_monomial(om + em)
-                if sign:
-                    out.append(mono)
-                if len(out) > cap:
-                    raise ValueError("primitive basis exceeds cap; exactness "
-                                     "detection is best-effort at this size")
-    return sorted(set(out))
-
-
-def is_d_exact(f: ScalarForm, cap: int = 200000) -> bool:
-    """Decide whether f = d(something) over the span of all lower-degree
-    monomials on f's symbol universe, by exact linear solving."""
-    if f.is_zero():
-        return True
-    degrees = f.degrees()
-    if len(degrees) != 1:
-        raise ValueError("exactness check expects a homogeneous form")
-    deg = degrees.pop()
-    # d of each primitive with a nonzero image is one column, keyed by monomial
-    image_rows: dict[Monomial, dict[int, Q2]] = {}
-    ncols = 0
-    for m in candidate_primitives(deg - 1, _symbol_universe(f), cap):
-        img = int_d(IntForm({(None, 0, 0): {m: 1}})).parts
-        if not img:
-            continue
-        for mono, n in img[(None, 0, 0)].items():
-            image_rows.setdefault(mono, {})[ncols] = Q2(n)
-        ncols += 1
-    # Solve per alpha/ell component over the rational field, the component
-    # as the right-hand-side column.
-    components: dict = {}
-    for mono, coeff in f.terms.items():
-        for key, q in coeff.terms.items():
-            components.setdefault(key, {})[mono] = q
-    for target in components.values():
-        system = {mono: dict(row) for mono, row in image_rows.items()}
-        for mono, q in target.items():
-            system.setdefault(mono, {})[ncols] = q
-        rows = list(system.values())
-        if any(rows[len(row_reduce(rows, ncols)):]):
-            return False
-    return True
+    The form algebra is free graded-commutative on the odd 1-form symbols x
+    and their even d-images dx: Lambda[x] (x) S[dx], with d x = dx and
+    d dx = 0.  Over a field of characteristic 0 its d-cohomology is the
+    constants alone (the Poincare lemma of this Koszul complex), so a form
+    is exact iff it has no degree-0 part and d f = 0.  The subalgebra on
+    f's own symbols is of the same kind, so a primitive may be sought among
+    them and nothing changes.  The criterion holds degree by degree and for
+    each alpha/ell/sqrt2 component, so an inhomogeneous form gets a verdict
+    too."""
+    g = IntForm.of(f)
+    return not any(() in part for part in g.parts.values()) and int_d(g).is_zero()
 
 
 # -- comparisons -----------------------------------------------------------------
@@ -283,8 +232,6 @@ def dual_mc_check(n: int, L: LieAlgebra) -> DualMCReport:
         identification is consistent), and
       - whether rescaling all generators by 2 witnesses the isomorphism.
     """
-    from .expansion import h_reduce
-
     if n < 1:
         raise ValueError("n must be >= 1")
     s = make_cyclic(2 * n)

@@ -8,7 +8,6 @@ construction and check_axioms is really a Jacobi verification.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,23 +131,23 @@ class LieAlgebra:
             "constants": triples,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
-
     @staticmethod
     def from_json_dict(d: dict) -> "LieAlgebra":
         """The algebra a to_json_dict value describes.  Unlike the
         constructor, which adds up what it is given and drops what is zero, a
         file states each constant once and only on generators it has: a
         triple stated twice (in either orientation of A, B), an A, B or C
-        outside 0..dim-1 or with A == B (even with c = 0), or a dim other than
-        the number of labels raises LieAlgebraError; a c or c_sqrt2 that is
-        not an int or a string raises ValueError (`json_rational`)."""
+        outside 0..dim-1 or with A == B (even with c = 0), or a dim that is
+        not a JSON int or not the number of labels raises LieAlgebraError; a
+        c or c_sqrt2 that is not an int or a string raises ValueError
+        (`json_rational`)."""
         labels = [Label(l["base"], tuple(l["index"]), tuple(l.get("tags", ())))
                   for l in d["labels"]]
-        if "dim" in d and d["dim"] != len(labels):
-            raise LieAlgebraError(f"dim {d['dim']!r} does not match the "
-                                  f"{len(labels)} labels")
+        dim = d.get("dim", len(labels))
+        if type(dim) is not int:
+            raise LieAlgebraError(f"dim must be an integer, got {dim!r}")
+        if dim != len(labels):
+            raise LieAlgebraError(f"dim {dim} does not match the {len(labels)} labels")
         constants: PairTable = {}
         seen = set()
         for t in d["constants"]:
@@ -166,10 +165,6 @@ class LieAlgebra:
                        json_rational(t.get("c_sqrt2", 0), "c_sqrt2"))
             constants.setdefault((a, b), {})[c] = coeff
         return LieAlgebra(d["name"], labels, constants)
-
-    @staticmethod
-    def from_json(s: str) -> "LieAlgebra":
-        return LieAlgebra.from_json_dict(json.loads(s))
 
     def commutator_lines(self) -> list[str]:
         """Human-readable nonzero brackets, one line each."""

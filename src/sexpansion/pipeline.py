@@ -105,14 +105,18 @@ def semigroup_from_config(spec) -> Semigroup:
 def resonance_spec_from_config(cfg: dict, base: LieAlgebra, s: Semigroup,
                                where: str) -> ResonanceSpec:
     """The spec a resonance config describes; a malformed shape, a tag
-    outside s or a part no generator uses is a config error that names where
-    it is."""
+    outside s, a tag of s in no subset or a part no generator uses is a
+    config error that names where it is."""
     subsets = required(cfg, "subsets", where)
     if not _int_rows(subsets):
         raise ConfigError(f"{where}: 'subsets' must be a list of lists of int tags, "
                           f"got {subsets!r}")
-    if not set().union(*subsets) <= set(s.elements()):
+    cover, tags = set().union(*subsets), set(s.elements())
+    if not cover <= tags:
         raise ConfigError(f"{where}: 'subsets' must hold tags in 0..{s.order - 1} "
+                          f"of {s.name}, got {subsets!r}")
+    if cover != tags:
+        raise ConfigError(f"{where}: 'subsets' must cover every tag 0..{s.order - 1} "
                           f"of {s.name}, got {subsets!r}")
     if "partition" in cfg:
         partition = cfg["partition"]

@@ -190,9 +190,6 @@ class ScalarExpr:
     def of(x: "ScalarExpr | Coeff") -> "ScalarExpr":
         return x if isinstance(x, ScalarExpr) else ScalarExpr.const(x)
 
-    def copy(self) -> "ScalarExpr":
-        return ScalarExpr(dict(self.terms))
-
     def add_term(self, key: TermKey, val: Q2) -> None:
         """In place: self += val * key; only for an expression the caller built."""
         acc = self.terms.get(key)

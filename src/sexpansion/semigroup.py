@@ -8,7 +8,6 @@ and commutativity eagerly.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -76,9 +75,6 @@ class Semigroup:
             "table": [list(row) for row in self.table],
             "zero": self.zero_index,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
 
     @staticmethod
     def from_json_dict(d: dict) -> "Semigroup":

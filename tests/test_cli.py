@@ -26,7 +26,7 @@ def test_expand_pipeline_recovers_lorentz_algebra(tmp_path, capsys):
     })
     out = tmp_path / "out"
     assert main(["expand", "--config", cfg, "--out", str(out)]) == 0
-    dumped = LieAlgebra.from_json((out / "algebra.json").read_text())
+    dumped = LieAlgebra.from_json_dict(json.loads((out / "algebra.json").read_text()))
     assert dumped.constants_equal(make_named("so31"))
     table = (out / "commutators.txt").read_text()
     assert "[J(1)@0, J(2)@0] = 1 J(3)@0" in table
@@ -36,7 +36,7 @@ def test_expand_empty_pipeline_echoes(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"algebra": "so3", "steps": []})
     out = tmp_path / "out"
     assert main(["expand", "--config", cfg, "--out", str(out)]) == 0
-    dumped = LieAlgebra.from_json((out / "algebra.json").read_text())
+    dumped = LieAlgebra.from_json_dict(json.loads((out / "algebra.json").read_text()))
     assert dumped.constants_equal(make_named("so3"))
 
 
@@ -51,7 +51,7 @@ def test_expand_resonant_pipeline(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["expand", "--config", cfg, "--out", str(out)]) == 0
-    dumped = LieAlgebra.from_json((out / "algebra.json").read_text())
+    dumped = LieAlgebra.from_json_dict(json.loads((out / "algebra.json").read_text()))
     assert dumped.dim == 30
 
 
@@ -337,6 +337,15 @@ _PATH_FILES = {
     "C_SQRT2_FLOAT": (_so3_constant_file({"A": 0, "B": 1, "C": 2, "c": "1", "c_sqrt2": 2.0}),
                       "algebra file {path} is malformed: "
                       "c_sqrt2 must be an integer or a string, got 2.0"),
+    # a float that equals an integer is not one: read as one, rank 2.0
+    # fails the invariance check and index 0.0 is written into tensor.json
+    "RANK_FLOAT": (json.dumps({"rank": 2.0, "entries": []}),
+                   "tensor file {path} is malformed: rank must be an integer, got 2.0"),
+    "INDEX_FLOAT": (_tensor_file([((0.0, 0), 1), ((1, 1), 1), ((2, 2), 1)]),
+                    "tensor file {path} is malformed: "
+                    "entry indices must be integers, got [0.0, 0]"),
+    "DIM_FLOAT": (_so3_file([(0, 1, 2, 1)], dim=3.0),
+                  "algebra file {path} is malformed: dim must be an integer, got 3.0"),
 }
 
 
@@ -364,6 +373,9 @@ _PATH_FILES = {
     ("check", {"algebra": "so3", "tensor": {"path": "Q_SQRT2_BOOL"}}),
     ("check", {"algebra": {"path": "C_FLOAT"}}),
     ("check", {"algebra": {"path": "C_SQRT2_FLOAT"}}),
+    ("check", {"algebra": "so3", "tensor": {"path": "RANK_FLOAT"}}),
+    ("invariants", {"algebra": "so3", "tensor": {"path": "INDEX_FLOAT"}}),
+    ("expand", {"algebra": {"path": "DIM_FLOAT"}, "steps": []}),
 ])
 def test_missing_path_file_is_usage_error(tmp_path, capsys, command, payload):
     """A path file that is missing, not JSON, lacks a key, states a value
@@ -513,6 +525,11 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
         {"op": "s_expand", "semigroup": "Z2"},
         {"op": "resonant", "partition": [0, 0, 0], "subsets": [[0, 1, 7]]}]},
      "step 1: 'subsets' must hold tags in 0..1 of Z2, got [[0, 1, 7]]"),
+    # a tag of the semigroup that no subset holds
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 0], "subsets": [[0]]}]},
+     "step 1: 'subsets' must cover every tag 0..1 of Z2, got [[0]]"),
 ])
 def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -523,10 +540,11 @@ def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, messa
 
 
 def test_well_formed_family_out_of_resonance_is_a_verification_failure(tmp_path, capsys):
-    # both subsets hold tag 1, but the product of 1 and 1 in Z2 is 0
+    # the subsets cover Z2 and both hold tag 1, but [J1, J3] lands in part 0,
+    # whose subset {1} lacks the product of 1 and 1 in Z2, which is 0
     cfg = write_config(tmp_path, "cfg.json", {"algebra": "so3", "steps": [
         {"op": "s_expand", "semigroup": "Z2"},
-        {"op": "resonant", "partition": [0, 0, 0], "subsets": [[1]]}]})
+        {"op": "resonant", "partition": [0, 0, 1], "subsets": [[1], [0, 1]]}]})
     assert main(["expand", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failure: ") and "Traceback" not in err

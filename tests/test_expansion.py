@@ -109,6 +109,19 @@ def test_resonance_checker_reports_violations():
     assert err.value.element is not None
 
 
+@pytest.mark.parametrize("partition, subsets", [
+    ([0, 0, 0], [[0, 1], []]),  # part 1 has a subset but no generator
+    ([0, 0, 1], [[0, 1]]),      # part 1 has a generator but no subset
+    ([0, 2, 2], [[0], [1], [0, 1]]),
+])
+def test_resonance_checker_wants_one_part_per_subset(partition, subsets):
+    """The parts of the partition are exactly 0..len(subsets) - 1, or the
+    check raises ExpansionError before any bracket is looked at."""
+    with pytest.raises(ExpansionError, match="the partition must use the parts"):
+        check_resonance(make_cyclic(2), make_named("so3"),
+                        ResonanceSpec.make(partition, subsets))
+
+
 def test_trivial_resonance_returns_everything():
     g = make_named("so3")
     s = make_se(1)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -52,7 +53,8 @@ def hand_epsilon_tensor(d):
 
 def test_epsilon_tensor_matches_hand_written_branches():
     for d in (3, 5):
-        assert epsilon_tensor(d).to_json() == hand_epsilon_tensor(d).to_json()
+        assert json.dumps(epsilon_tensor(d).to_json_dict()) == \
+            json.dumps(hand_epsilon_tensor(d).to_json_dict())
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -249,14 +251,15 @@ def test_sqrt2_absorption_keeps_entries_rational():
 
 def test_json_round_trip():
     t = c_tensor_rotated(3)
-    again = InvariantTensor.from_json(t.to_json())
+    text = json.dumps(t.to_json_dict())
+    again = InvariantTensor.from_json_dict(json.loads(text))
     assert again == t
-    assert again.to_json() == t.to_json()
+    assert json.dumps(again.to_json_dict()) == text
     # a sqrt2 part, a negative ell power and an alpha-free term
     mixed = InvariantTensor(2, {
         (0, 3): ScalarExpr.alpha(2, Q2(Fraction(1, 3), 2), -2) + ScalarExpr.const(-1),
         (1, 1): ScalarExpr.const(Q2(0, -1), 4)})
-    again = InvariantTensor.from_json(mixed.to_json())
+    again = InvariantTensor.from_json_dict(json.loads(json.dumps(mixed.to_json_dict())))
     assert again == mixed
     assert mixed.to_json_dict()["entries"][0]["coeff"] == [
         {"alpha": None, "ell_pow": 0, "q": "-1"},

@@ -10,13 +10,12 @@ import pytest
 from sexpansion.fixtures import (b5_tensor, build_connection, c_tensor_rotated,
                                  connection_chain, make_b5,
                                  make_c_algebra_rotated)
-from sexpansion.forms import (LieValuedForm, ScalarForm, canonical_monomial,
-                              contract, exterior_d, monomial_name,
-                              scalar_form_to_json_dict, sym)
+from sexpansion.forms import (FormSymbol, LieValuedForm, ScalarForm,
+                              canonical_monomial, contract, exterior_d,
+                              monomial_name, scalar_form_to_json_dict, sym)
 from sexpansion.goldens import load_golden
 from sexpansion.invariant_tensor import InvariantTensor
-from sexpansion.lagrangian import (ComparisonReport, TermDiff, _symbol_universe,
-                                   candidate_primitives, chern_simons,
+from sexpansion.lagrangian import (ComparisonReport, TermDiff, chern_simons,
                                    compare_forms, dual_mc_check,
                                    homotopy_curvature, is_d_exact,
                                    subspace_separation, transgression)
@@ -107,18 +106,20 @@ def test_zero_connection_gives_zero():
     assert chern_simons(LieValuedForm.zero(), c_tensor_rotated(3), 3, c3r).is_zero()
 
 
-def test_separation_drops_an_exact_form():
-    """With an ad-invariant tensor the direct and separated forms differ by
-    d(something); with the non-invariant general-alpha tensor they do not."""
-    c3r = make_c_algebra_rotated(3)
-    chain = connection_chain(c3r)
-    T = shift_compatible(c_tensor_rotated(3))
-    diff = chern_simons(chain[0], T, 3, c3r) - subspace_separation(chain, T, 3, c3r)
+@pytest.mark.parametrize("d", [3, 5])
+def test_separation_drops_an_exact_form(d):
+    """With an ad-invariant tensor (the alpha_{a+2} = -alpha_a family) the
+    direct and separated forms differ by d(something); with the
+    non-invariant general-alpha tensor they do not."""
+    cr = make_c_algebra_rotated(d)
+    chain = connection_chain(cr)
+    T = shift_compatible(c_tensor_rotated(d))
+    diff = chern_simons(chain[0], T, d, cr) - subspace_separation(chain, T, d, cr)
     assert not diff.is_zero()
     assert is_d_exact(diff)
-    Tg = c_tensor_rotated(3)
-    diff_general = chern_simons(chain[0], Tg, 3, c3r) \
-        - subspace_separation(chain, Tg, 3, c3r)
+    Tg = c_tensor_rotated(d)
+    diff_general = chern_simons(chain[0], Tg, d, cr) \
+        - subspace_separation(chain, Tg, d, cr)
     assert not is_d_exact(diff_general)
 
 
@@ -131,6 +132,27 @@ def test_d_exactness_detector_oracles():
     assert is_d_exact(exterior_d(candidate))
     sign3, mono3 = canonical_monomial((sym("e", 0), sym("e", 1), sym("e", 2)))
     assert not is_d_exact(ScalarForm({mono3: ScalarExpr.const(sign3)}))
+    # a constant is closed but not exact; zero is exact
+    assert not is_d_exact(ScalarForm({(): ScalarExpr.const(1)}))
+    assert is_d_exact(ScalarForm())
+
+
+def test_exactness_needs_no_primitive_basis():
+    """d of six 5-monomials on 30 distinct odd symbols: the candidate
+    primitives on those symbols and their d-images are 278,256 monomials,
+    and the d-check lists none."""
+    odd = ([sym("e", i) for i in range(10)] + [sym("h", i) for i in range(10)]
+           + [sym("w", 0, j) for j in range(1, 10)] + [sym("w", 1, 2)])
+    g = ScalarForm()
+    for i in range(6):
+        sign, mono = canonical_monomial(odd[5 * i:5 * i + 5])
+        g.add_term(mono, ScalarExpr.const(sign * (i + 1)))
+    f = exterior_d(g)
+    assert len(f.terms) == 30
+    assert is_d_exact(f)
+    sign, mono = canonical_monomial(odd[:6])
+    f.add_term(mono, ScalarExpr.const(sign))
+    assert not is_d_exact(f)
 
 
 def dense_solvable(matrix, ncols):
@@ -163,8 +185,37 @@ def dense_solvable(matrix, ncols):
     return True
 
 
+def _symbol_universe(f):
+    """Every symbol of f, and the odd partner or d-image of each."""
+    syms = set()
+    for m in f.terms:
+        for s in m:
+            syms.add(FormSymbol(s.field, s.indices, False))
+            syms.add(FormSymbol(s.field, s.indices, True))
+    return sorted(syms)
+
+
+def candidate_primitives(degree, universe):
+    """Every canonical monomial of the given degree over the universe."""
+    odds = [s for s in universe if s.degree == 1]
+    evens = [s for s in universe if s.degree == 2]
+    out = set()
+    for n_even in range(degree // 2 + 1):
+        n_odd = degree - 2 * n_even
+        if n_odd < 0 or n_odd > len(odds):
+            continue
+        for om in itertools.combinations(odds, n_odd):
+            for em in itertools.combinations_with_replacement(evens, n_even):
+                sign, mono = canonical_monomial(om + em)
+                if sign:
+                    out.add(mono)
+    return sorted(out)
+
+
 def dense_is_d_exact(f):
-    """Reference: is_d_exact with one dense matrix per alpha/ell component."""
+    """Reference: f = d g solved for g over the span of every monomial of
+    one degree lower on f's symbols, one dense matrix per alpha/ell
+    component."""
     if f.is_zero():
         return True
     deg, = f.degrees()
@@ -216,33 +267,36 @@ def random_monomial(rng, degree):
             return sign, mono
 
 
-def random_3form(rng):
-    """d of a random 2-form most of the time, then up to two random 3-form
-    terms, which may push it out of the exact span."""
+def random_form(rng, degree):
+    """d of a random (degree - 1)-form most of the time, then up to two
+    random degree-form terms, which may push it out of the exact span."""
     f = ScalarForm()
     if rng.random() < 0.7:
         primitive = ScalarForm()
         for _ in range(rng.randint(1, 4)):
-            sign, mono = random_monomial(rng, 2)
+            sign, mono = random_monomial(rng, degree - 1)
             primitive.add_term(mono, random_coefficient(rng).scaled(sign))
         f.add_form(exterior_d(primitive))
     for _ in range(rng.choice([0, 0, 1, 2])):
-        sign, mono = random_monomial(rng, 3)
+        sign, mono = random_monomial(rng, degree)
         f.add_term(mono, random_coefficient(rng).scaled(sign))
     return f
 
 
-def test_sparse_exactness_matches_dense():
-    """The sparse consistency test of is_d_exact against the dense
-    elimination it replaced, on seeded exact and non-exact 3-forms."""
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_sparse_exactness_matches_dense(degree):
+    """is_d_exact, decided by d, against the dense solve for a primitive,
+    on seeded exact and non-exact forms.  A nonzero 1-form is never exact:
+    its primitive would be a constant."""
     verdicts = []
     for seed in range(40):
-        f = random_3form(random.Random(seed))
+        f = random_form(random.Random(seed), degree)
         verdict = is_d_exact(f)
         assert verdict == dense_is_d_exact(f), seed
         if not f.is_zero():
             verdicts.append(verdict)
-    assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+    assert verdicts.count(False) >= 5
+    assert verdicts.count(True) >= (5 if degree > 1 else 0)
 
 
 def test_compare_forms_reports_diffs():

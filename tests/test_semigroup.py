@@ -162,9 +162,9 @@ def test_constructed_semigroups_validate():
 
 def test_json_round_trip_is_canonical():
     s = make_se(2)
-    text = s.to_json()
+    text = json.dumps(s.to_json_dict())
     again = semigroup_from_config(json.loads(text))
     assert again == s
-    assert again.to_json() == text
+    assert json.dumps(again.to_json_dict()) == text
     assert json.loads(text)["zero"] == 3
     assert list(json.loads(text)) == ["name", "order", "table", "zero"]
