@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -147,6 +150,74 @@ def _name_list(config: dict, key: str, default: list[str]) -> list[str]:
     return names
 
 
+# A list of at most _SHORT items is rendered to one string, kept for the
+# list object at its depth; longer lists and dicts go out item by item, and
+# the pending text is written once it holds _CHUNK pieces.
+_SHORT = 64
+_CHUNK = 4096
+
+
+def write_json(value, write) -> None:
+    """Write json.dumps(value, indent=1) through `write`, in chunks.
+
+    Takes str, int, bool, None, list and dict with str keys, and raises
+    TypeError on anything else.  A list object that comes back at the same
+    depth, such as a `coeff` list that monomials share, is rendered once."""
+    lists: dict[tuple[int, int], str] = {}
+    top: list[str] = []
+
+    def put(v, depth: int, out: list[str]) -> None:
+        if isinstance(v, str):
+            out.append(encode_basestring_ascii(v))
+        elif v is None:
+            out.append("null")
+        elif v is True:
+            out.append("true")
+        elif v is False:
+            out.append("false")
+        elif isinstance(v, int):
+            out.append(int.__repr__(v))
+        elif isinstance(v, (dict, list)) and not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+        elif isinstance(v, dict):
+            items(v, depth, out)
+        elif isinstance(v, list):
+            key = (id(v), depth)
+            text = lists.get(key)
+            if text is None:
+                if len(v) > _SHORT:
+                    items(v, depth, out)
+                    return
+                piece: list[str] = []
+                items(v, depth, piece)
+                text = lists[key] = "".join(piece)
+            out.append(text)
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    def items(v, depth: int, out: list[str]) -> None:
+        """A nonempty dict or list, one item a line at depth + 1."""
+        is_dict = isinstance(v, dict)
+        inner = "\n" + " " * (depth + 1)
+        sep = ("{" if is_dict else "[") + inner
+        for item in v.items() if is_dict else v:
+            out.append(sep)
+            sep = "," + inner
+            if is_dict:
+                k, item = item
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                out.append(encode_basestring_ascii(k) + ": ")
+            put(item, depth + 1, out)
+            if out is top and len(top) >= _CHUNK:
+                write("".join(top))
+                top.clear()
+        out.append("\n" + " " * depth + ("}" if is_dict else "]"))
+
+    put(value, 0, top)
+    write("".join(top))
+
+
 class Output:
     def __init__(self, out_dir: Optional[str], fmt: str):
         self.dir = Path(out_dir) if out_dir else None
@@ -155,20 +226,26 @@ class Output:
             self.dir.mkdir(parents=True, exist_ok=True)
 
     def emit_json(self, name: str, payload: dict) -> None:
-        text = json.dumps(payload, indent=1) + "\n"
-        self._write(name + ".json", text)
+        with self._open(name + ".json") as fh:
+            write_json(payload, fh.write)
+            fh.write("\n")
 
     def emit_text(self, name: str, text: str, ext: str = ".txt") -> None:
-        self._write(name + ext, text if text.endswith("\n") else text + "\n")
+        with self._open(name + ext) as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
 
     def emit_latex(self, name: str, text: str) -> None:
         self.emit_text(name, text, ".tex")
 
-    def _write(self, filename: str, text: str) -> None:
+    @contextmanager
+    def _open(self, filename: str):
+        """The file under --out, or stdout after a `--- filename ---` header."""
         if self.dir:
-            (self.dir / filename).write_text(text)
+            with open(self.dir / filename, "w") as fh:
+                yield fh
         else:
-            sys.stdout.write(f"--- {filename} ---\n{text}")
+            sys.stdout.write(f"--- {filename} ---\n")
+            yield sys.stdout
 
 
 def cmd_expand(config: dict, out: Output) -> None:
@@ -379,10 +456,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             cmd_semigroup(config, out)
         elif args.command == "check":
             cmd_check(config, out)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
     except (VerificationFailure, ExpansionError, SemigroupError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:  # a config error, whatever raised it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an unwritable --out, an unreadable config, a closed stdout
+        if isinstance(exc, BrokenPipeError):
+            # what stdout still buffers goes nowhere, so the flush at
+            # interpreter shutdown cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

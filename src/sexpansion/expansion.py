@@ -104,7 +104,7 @@ class ResonanceViolation(ExpansionError):
         self.p, self.q, self.element = p, q, element
         super().__init__(
             f"subset resonance fails: product of subsets {p} and {q} "
-            f"contains element {element} outside the allowed union")
+            f"contains element {element} outside the allowed intersection")
 
 
 def bracket_part_map(L: LieAlgebra, partition: Sequence[int]) -> dict[tuple[int, int], set[int]]:
@@ -123,7 +123,9 @@ def bracket_part_map(L: LieAlgebra, partition: Sequence[int]) -> dict[tuple[int,
 
 def check_resonance(s: Semigroup, L: LieAlgebra, spec: ResonanceSpec) -> None:
     """Raise ResonanceViolation if the subset family is not in resonance with
-    the subspace decomposition."""
+    the subspace decomposition: S_p * S_q must lie in the intersection of the
+    S_r over the parts r that [V_p, V_q] reaches, which holds trivially when
+    the bracket is zero (arXiv:hep-th/0606215)."""
     if len(spec.partition) != L.dim:
         raise ExpansionError("partition length must equal the base dimension")
     if set(spec.partition) != set(range(len(spec.subsets))):
@@ -136,9 +138,9 @@ def check_resonance(s: Semigroup, L: LieAlgebra, spec: ResonanceSpec) -> None:
     nparts = len(spec.subsets)
     for p in range(nparts):
         for q in range(nparts):
-            allowed: set[int] = set()
+            allowed = set(s.elements())
             for r in parts[(p, q)]:
-                allowed |= spec.subsets[r]
+                allowed &= spec.subsets[r]
             for x in spec.subsets[p]:
                 for y in spec.subsets[q]:
                     prod = s.table[x][y]

@@ -225,7 +225,7 @@ class ScalarForm:
 
 
 def monomial_name(m: Monomial) -> str:
-    return "^".join(str(s) for s in m) if m else "1"
+    return "^".join([s._name for s in m]) if m else "1"
 
 
 def parse_symbol(text: str) -> FormSymbol:
@@ -235,10 +235,26 @@ def parse_symbol(text: str) -> FormSymbol:
     return FormSymbol(field, tuple(int(ch) for ch in digits), d)
 
 
+def _coefficient_key(c: ScalarExpr) -> tuple:
+    """A key under which equal coefficients meet: the terms' keys and the
+    identity of their Q2 values.  `IntForm.into_scalar_form` shares one Q2
+    per distinct rational, so this finds the distinct coefficients of a
+    kernel result without hashing a Fraction; two equal coefficients under
+    different keys are only rendered twice."""
+    return tuple([(k, id(q)) for k, q in c.terms.items()])
+
+
 def scalar_form_to_json_dict(f: ScalarForm) -> dict:
+    """{"monomials": [{"monomial": name, "coeff": list}, ...]} in sorted
+    monomial order; monomials with one coefficient share its `coeff` list."""
+    coeffs: dict[tuple, list] = {}
     monomials = []
     for m, c in f.sorted_items():
-        monomials.append({"monomial": monomial_name(m), "coeff": c.to_json_list()})
+        key = _coefficient_key(c)
+        coeff = coeffs.get(key)
+        if coeff is None:
+            coeff = coeffs[key] = c.to_json_list()
+        monomials.append({"monomial": monomial_name(m), "coeff": coeff})
     return {"monomials": monomials}
 
 
@@ -251,19 +267,35 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
     return out
 
 
+_FIELD_TEX = {"w": r"\omega", "e": "e", "k": "k", "h": "h"}
+
+
+def _symbol_tex(s: FormSymbol) -> str:
+    core = _FIELD_TEX[s.field] + "^{" + "".join(map(str, s.indices)) + "}"
+    return (r"\mathrm{d}" + core) if s.differentiated else core
+
+
 def scalar_form_latex(f: ScalarForm) -> str:
-    """Flat monomial listing; the JSON monomial map stays the tested truth."""
+    """Flat monomial listing; the JSON monomial map stays the tested truth.
+    Each symbol's TeX and each distinct coefficient's `latex()` is rendered
+    once."""
     if f.is_zero():
         return "0"
-    def sym_tex(s: FormSymbol) -> str:
-        field = {"w": r"\omega", "e": "e", "k": "k", "h": "h"}[s.field]
-        idx = "".join(map(str, s.indices))
-        core = field + "^{" + idx + "}"
-        return (r"\mathrm{d}" + core) if s.differentiated else core
+    symbols: dict[FormSymbol, str] = {}
+    coeffs: dict[tuple, str] = {}
     lines = []
     for m, c in f.sorted_items():
-        mono = r" \wedge ".join(sym_tex(s) for s in m) if m else "1"
-        lines.append(f"({c.latex()})\\, {mono}")
+        tex = []
+        for s in m:
+            t = symbols.get(s)
+            if t is None:
+                t = symbols[s] = _symbol_tex(s)
+            tex.append(t)
+        key = _coefficient_key(c)
+        head = coeffs.get(key)
+        if head is None:
+            head = coeffs[key] = f"({c.latex()})\\, "
+        lines.append(head + (r" \wedge ".join(tex) if m else "1"))
     return "\n  + ".join(lines)
 
 

@@ -310,12 +310,15 @@ class ScalarExpr:
     def __repr__(self) -> str:
         return f"ScalarExpr({self})"
 
+    # A value with both a rational and a sqrt2 part is bracketed when an
+    # alpha or ell factor follows it, so the factor multiplies the whole value.
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
         for (a, e), v in self.sorted_terms():
-            part = str(v)
+            part = f"({v})" if v.a and v.b and (a is not None or e) else str(v)
             if a is not None:
                 part += f"*a{a}"
             if e:
@@ -328,7 +331,12 @@ class ScalarExpr:
             return "0"
         bits = []
         for (a, e), v in self.sorted_terms():
-            part = str(v) if not v.is_rational or abs(v.a) != 1 or a is None else ("-" if v.a < 0 else "")
+            if a is not None and v.is_rational and abs(v.a) == 1:
+                part = "-" if v.a < 0 else ""
+            elif v.a and v.b and (a is not None or e):
+                part = rf"\left({_q2_latex(v)}\right)"
+            else:
+                part = _q2_latex(v)
             if a is not None:
                 part += rf"\alpha_{{{a}}}"
             if e:
@@ -338,3 +346,16 @@ class ScalarExpr:
         for b in bits[1:]:
             out += b if b.startswith("-") else "+" + b
         return out
+
+
+def _q2_latex(v: Q2) -> str:
+    """v in TeX: the rational part as str writes it, the sqrt2 part as
+    \\sqrt{2} after its multiplier, a \\frac when that is not an integer."""
+    if not v.b:
+        return str(v.a)
+    b = abs(v.b)
+    root = ("" if b == 1 else str(b) if b.denominator == 1
+            else rf"\frac{{{b.numerator}}}{{{b.denominator}}}") + r"\sqrt{2}"
+    if not v.a:
+        return root if v.b > 0 else "-" + root
+    return f"{v.a}{'+' if v.b > 0 else '-'}{root}"

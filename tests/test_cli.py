@@ -1,16 +1,25 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sexpansion import cli
-from sexpansion.cli import main
+from sexpansion.cli import main, write_json
+from sexpansion.fixtures import c_tensor_rotated, connection_chain, make_c_algebra_rotated
+from sexpansion.forms import (FormSymbol, IntForm, ScalarForm, canonical_monomial,
+                              scalar_form_latex, scalar_form_to_json_dict, sym)
 from sexpansion.goldens import Golden, load_golden
+from sexpansion.invariant_tensor import epsilon_tensor
+from sexpansion.lagrangian import subspace_separation
 from sexpansion.lie_algebra import LieAlgebra, make_named
+from sexpansion.scalars import Q2, ScalarExpr
 
 
 def write_config(tmp_path, name, payload):
@@ -778,3 +787,226 @@ def test_lagrangian_output_does_not_depend_on_the_hash_seed(tmp_path):
         written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert set(written[0]) == {"comparison.txt", "lagrangian.json", "lagrangian.tex"}
     assert written[0] == written[1]
+
+
+# -- the writers ----------------------------------------------------------------
+#
+# The bodies the CLI's writers had before they rendered each distinct
+# coefficient once and wrote JSON in chunks; the writers must keep their bytes.
+
+def reference_scalar_form_to_json_dict(f: ScalarForm) -> dict:
+    monomials = []
+    for m, c in f.sorted_items():
+        name = "^".join(str(s) for s in m) if m else "1"
+        monomials.append({"monomial": name, "coeff": c.to_json_list()})
+    return {"monomials": monomials}
+
+
+def reference_scalar_form_latex(f: ScalarForm) -> str:
+    if f.is_zero():
+        return "0"
+    def sym_tex(s: FormSymbol) -> str:
+        field = {"w": r"\omega", "e": "e", "k": "k", "h": "h"}[s.field]
+        idx = "".join(map(str, s.indices))
+        core = field + "^{" + idx + "}"
+        return (r"\mathrm{d}" + core) if s.differentiated else core
+    lines = []
+    for m, c in f.sorted_items():
+        mono = r" \wedge ".join(sym_tex(s) for s in m) if m else "1"
+        lines.append(f"({c.latex()})\\, {mono}")
+    return "\n  + ".join(lines)
+
+
+def reference_json_text(payload) -> str:
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def written_json(payload) -> str:
+    chunks = []
+    write_json(payload, chunks.append)
+    return "".join(chunks) + "\n"
+
+
+_SYMBOLS = [sym("w", 0, 1), sym("w", 1, 2), sym("e", 0), sym("e", 2), sym("k", 0, 2),
+            sym("h", 1), sym("w", 0, 1, d=True), sym("e", 1, d=True), sym("h", 0, d=True)]
+
+
+def _random_coefficient(rng: random.Random) -> ScalarExpr:
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    out = ScalarExpr()
+    for _ in range(rng.randint(1, 4)):
+        out.add_term((rng.choice([None, 0, 1, 2, 3]), rng.randint(-3, 1)),
+                     Q2(rational(), rng.choice([0, 0, rational()])))
+    return out
+
+
+def random_scalar_form(rng: random.Random) -> ScalarForm:
+    """Up to 40 monomials, the monomial 1 among them at times, on a pool of
+    six coefficients (sqrt2 parts, alpha and ell terms), so that many
+    monomials repeat one coefficient, some under one ScalarExpr object."""
+    pool = [_random_coefficient(rng) for _ in range(6)]
+    f = ScalarForm()
+    for _ in range(rng.randint(0, 40)):
+        sign, mono = canonical_monomial(rng.sample(_SYMBOLS, rng.randint(0, 4)))
+        if sign:
+            c = rng.choice(pool)
+            f.add_term(mono, c if rng.random() < 0.5 else c.scaled(Q2(1)))
+    return f
+
+
+def test_writers_keep_the_reference_bytes_on_random_forms():
+    """On seeded random forms, and on the same forms through the integer
+    kernel (whose coefficients share their Q2 values), the dict, its JSON
+    text and the LaTeX equal the reference bodies and json.dumps."""
+    rng = random.Random(1605)
+    forms = [ScalarForm(), ScalarForm({(): ScalarExpr.const(Q2(1, -2), -1)})]
+    forms += [random_scalar_form(rng) for _ in range(60)]
+    forms += [IntForm.of(f).into_scalar_form() for f in forms]
+    assert any(() in f.terms for f in forms) and any(len(f.terms) > 20 for f in forms)
+    for f in forms:
+        d = scalar_form_to_json_dict(f)
+        assert d == reference_scalar_form_to_json_dict(f)
+        assert json.dumps(d, sort_keys=True) == \
+            json.dumps(reference_scalar_form_to_json_dict(f), sort_keys=True)
+        payload = {"form": d, "lovelock": cli.lovelock_json()}
+        assert written_json(payload) == reference_json_text(payload)
+        assert scalar_form_latex(f) == reference_scalar_form_latex(f)
+
+
+def test_equal_coefficients_share_one_list():
+    c = ScalarExpr.alpha(0, Q2(1, 1), -1)
+    f = ScalarForm({(sym("e", 0),): c, (sym("e", 1),): c, (sym("e", 2),): -c})
+    first, second, third = scalar_form_to_json_dict(f)["monomials"]
+    assert first["coeff"] is second["coeff"] and third["coeff"] is not first["coeff"]
+
+
+@pytest.mark.parametrize("value", [
+    {"a": [], "b": {}, "c": [[]], "d": [{}], "e": "", "f": [None, True, False, 0, -7]},
+    {"text": "café → \"\\\n\t\x00", "é": ["😀"]},
+    [1, [2, [3, [4]]]],
+    "top",
+    None,
+    list(range(200)),
+    [{"n": i, "row": list(range(i % 5))} for i in range(3000)],
+])
+def test_write_json_matches_json_dumps(value):
+    assert written_json(value) == reference_json_text(value)
+
+
+def test_write_json_renders_a_shared_list_at_each_depth():
+    shared = [{"q": "1"}, 2]
+    value = {"a": shared, "b": [shared, {"c": shared}], "d": shared, "e": [shared] * 70}
+    assert written_json(value) == reference_json_text(value)
+
+
+def test_write_json_hands_over_chunks():
+    value = [{"monomial": f"e{i % 10}", "coeff": [{"alpha": None}]} for i in range(5000)]
+    chunks = []
+    write_json(value, chunks.append)
+    assert len(chunks) > 2 and max(map(len, chunks)) < len("".join(chunks)) // 2
+    assert "".join(chunks) + "\n" == reference_json_text(value)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": {2}}, [Fraction(1, 2)],
+                                   {"a": [b"x"]}])
+def test_write_json_refuses_what_it_does_not_know(value):
+    with pytest.raises(TypeError):
+        write_json(value, lambda text: None)
+
+
+def test_every_cli_payload_is_written_as_json_dumps_writes_it(tmp_path, monkeypatch):
+    """Each emitted payload kind (algebra, tensor, semigroup, isomorphism,
+    and a lagrangian with its lovelock dictionary) reaches the file as
+    json.dumps(payload, indent=1) plus a newline."""
+    emitted = []
+    emit_json = cli.Output.emit_json
+
+    def recording(self, name, payload):
+        emitted.append((self.dir / f"{name}.json", payload))
+        emit_json(self, name, payload)
+
+    monkeypatch.setattr(cli.Output, "emit_json", recording)
+    runs = [
+        (["expand"], _B5_EXPAND, 0),
+        (["invariants"], {"algebra": "b5", "tensor": "b5"}, 0),
+        (["semigroup"], {"semigroup": "SE3"}, 0),
+        (["semigroup"], {"action": "isomorphism", "first": "Z4", "second": "Z4"}, 0),
+        (["semigroup"], {"action": "isomorphism", "first": "D4", "second": "Z4"}, 1),
+        (["lagrangian"], dict(_C5, fields=["w", "e"]), 0),
+    ]
+    for i, (argv, payload, code) in enumerate(runs):
+        cfg = write_config(tmp_path, f"cfg{i}.json", payload)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / f"out{i}")]) == code
+    assert [path.name for path, _ in emitted] == [
+        "algebra.json", "tensor.json", "semigroup.json", "isomorphism.json",
+        "isomorphism.json", "lagrangian.json"]
+    assert "lovelock" in emitted[-1][1] and emitted[3][1]["bijection"]
+    for path, payload in emitted:
+        assert path.read_text() == reference_json_text(payload)
+
+
+def test_c5_general_lagrangian_json_is_emitted_in_little_memory(tmp_path):
+    """Writing the general-alpha c5 `lagrangian.json` (6,247 monomials, 116
+    distinct coefficients) peaks below 8 MB under tracemalloc; json.dumps
+    of the unshared dict took 18.7 MB."""
+    L = make_c_algebra_rotated(5)
+    lagrangian = subspace_separation(connection_chain(L, ("w", "e", "k", "h")),
+                                     c_tensor_rotated(5), 5, L)
+    out = cli.Output(str(tmp_path), "json")
+    tracemalloc.start()
+    try:
+        out.emit_json("lagrangian", {"form": scalar_form_to_json_dict(lagrangian),
+                                     "lovelock": cli.lovelock_json()})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lagrangian.terms) == 6247
+    assert peak < 8_000_000, peak
+
+
+def test_lagrangian_latex_brackets_a_sqrt2_coefficient(tmp_path):
+    """The epsilon tensor at (1 + 3 sqrt2)/2 on ads3 gives coefficients like
+    (1 + 3 sqrt2) l^-1: TeX writes \\left(1+3\\sqrt{2}\\right)\\ell^{-1}."""
+    tensor = epsilon_tensor(3).scaled(ScalarExpr.const(Q2(Fraction(1, 2), Fraction(3, 2))))
+    (tmp_path / "t.json").write_text(json.dumps(tensor.to_json_dict()))
+    cfg = write_config(tmp_path, "cfg.json", {
+        "dimension": 3, "algebra": "ads3", "tensor": {"path": str(tmp_path / "t.json")},
+        "fields": ["w", "e"]})
+    out = tmp_path / "out"
+    assert main(["lagrangian", "--config", cfg, "--out", str(out), "--format", "latex"]) == 0
+    tex = (out / "lagrangian.tex").read_text()
+    assert tex.startswith(r"(\left(1+3\sqrt{2}\right)\ell^{-1})\, \omega^{01} \wedge")
+    assert "sqrt2" not in tex
+
+
+@pytest.mark.parametrize("where", ["out", "config"])
+def test_an_io_error_is_a_usage_error(tmp_path, capsys, where):
+    """An --out under a plain file, or a directory as --config, exits 2 with
+    one error line."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, "cfg.json", {"semigroup": "Z2"})
+    argv = ["semigroup", "--config", cfg, "--out", str(blocker / "out")] if where == "out" \
+        else ["semigroup", "--config", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback(tmp_path):
+    """A child whose stdout pipe has no reader (as under `| head`) exits 2
+    with one error line, and nothing more at interpreter shutdown."""
+    cfg = write_config(tmp_path, "cfg.json", {"semigroup": "SE3"})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sexpansion.cli", "semigroup",
+                               "--config", cfg], stdout=write_end, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"

@@ -109,6 +109,24 @@ def test_resonance_checker_reports_violations():
     assert err.value.element is not None
 
 
+def test_resonance_allows_anything_where_the_bracket_is_zero():
+    """[J2, J2] = 0 reaches no part, so S_1 * S_1 is unconstrained: the full
+    expansion, every subset all of Z2, is resonant."""
+    check_resonance(make_cyclic(2), make_named("so3"),
+                    ResonanceSpec.make([0, 0, 1], [[0, 1], [0, 1]]))
+
+
+def test_resonance_wants_the_intersection_of_the_reached_subsets():
+    """[V_0, V_0] reaches parts 0 and 1 of ads3 (P2 alone in part 1), so
+    S_0 * S_0 must lie in S_0 & S_1 = {2, 3}; SE2's 0 * 0 = 0 does not.  The
+    union {0, 1, 2, 3} would let the family through to a closure failure."""
+    ads3, se2 = make_named("ads3"), make_se(2)
+    spec = ResonanceSpec.make([0, 0, 0, 0, 0, 1], [[0, 1, 2, 3], [2, 3]])
+    with pytest.raises(ResonanceViolation, match="outside the allowed intersection") as err:
+        resonant_subalgebra(s_expand(se2, ads3), se2, ads3, spec)
+    assert (err.value.p, err.value.q, err.value.element) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("partition, subsets", [
     ([0, 0, 0], [[0, 1], []]),  # part 1 has a subset but no generator
     ([0, 0, 1], [[0, 1]]),      # part 1 has a generator but no subset

@@ -84,6 +84,25 @@ def test_string_forms():
     assert str(Q2(1, Fraction(1, 2))) == "1+1/2*sqrt2"
 
 
+@pytest.mark.parametrize("expr, text, tex", [
+    (ScalarExpr.const(Q2(1, 3), -1), "(1+3*sqrt2)*l^-1", r"\left(1+3\sqrt{2}\right)\ell^{-1}"),
+    (ScalarExpr.const(Q2(1, 3)), "1+3*sqrt2", r"1+3\sqrt{2}"),
+    (ScalarExpr.alpha(0, Q2(-1, Fraction(-1, 2))), "(-1-1/2*sqrt2)*a0",
+     r"\left(-1-\frac{1}{2}\sqrt{2}\right)\alpha_{0}"),
+    (ScalarExpr.alpha(1, SQRT2, 2), "1*sqrt2*a1*l^2", r"\sqrt{2}\alpha_{1}\ell^{2}"),
+    (ScalarExpr.const(Q2(0, -2), 1), "-2*sqrt2*l", r"-2\sqrt{2}\ell^{1}"),
+    (ScalarExpr.const(1) + ScalarExpr.const(Q2(2, -1), 1),
+     "1 + (2-1*sqrt2)*l", r"1+\left(2-\sqrt{2}\right)\ell^{1}"),
+    (ScalarExpr.alpha(2, -1, -3) + ScalarExpr.const(Fraction(1, 2)),
+     "1/2 + -1*a2*l^-3", r"1/2-\alpha_{2}\ell^{-3}"),
+])
+def test_sqrt2_values_print_with_their_factors(expr, text, tex):
+    """A two-part value is bracketed when an alpha or ell factor follows it;
+    TeX writes sqrt2 as \\sqrt{2}, and rational coefficients as before."""
+    assert str(expr) == text
+    assert expr.latex() == tex
+
+
 def test_q2_rational_fast_path_agrees_with_general_formula():
     rng = random.Random(1605)
 
