@@ -995,17 +995,22 @@ def test_an_io_error_is_a_usage_error(tmp_path, capsys, where):
     assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
 
-def test_a_closed_stdout_is_a_usage_error_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback(tmp_path, unbuffered):
     """A child whose stdout pipe has no reader (as under `| head`) exits 2
-    with one error line, and nothing more at interpreter shutdown."""
+    with one error line, and nothing more at interpreter shutdown, whether
+    its stdout fails on a write or, buffered, on the flush."""
     cfg = write_config(tmp_path, "cfg.json", {"semigroup": "SE3"})
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         proc = subprocess.run([sys.executable, "-m", "sexpansion.cli", "semigroup",
                                "--config", cfg], stdout=write_end, stderr=subprocess.PIPE,
-                              env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120)
+                              env=env, text=True, timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
