@@ -20,11 +20,11 @@ from typing import Optional
 
 from .expansion import ExpansionError
 from .fixtures import algebra_by_name, build_connection, connection_chain, tensor_by_name
-from .forms import scalar_form_latex, scalar_form_to_json_dict
+from .forms import LieValuedForm, scalar_form_latex, scalar_form_to_json_dict
 from .goldens import compare_golden, load_golden
 from .invariant_tensor import (InvariantTensor, TensorError, latex_family_table,
                                lift_0s, lift_h, require_fit, verify_invariance)
-from .lagrangian import chern_simons, subspace_separation
+from .lagrangian import int_separation
 from .lie_algebra import LieAlgebra, check_axioms
 from .pipeline import (ConfigError, by_name, read_json_path, required, required_int,
                        run_pipeline, semigroup_from_config)
@@ -222,8 +222,6 @@ class Output:
     def __init__(self, out_dir: Optional[str], fmt: str):
         self.dir = Path(out_dir) if out_dir else None
         self.fmt = fmt
-        if self.dir:
-            self.dir.mkdir(parents=True, exist_ok=True)
 
     def emit_json(self, name: str, payload: dict) -> None:
         with self._open(name + ".json") as fh:
@@ -239,8 +237,11 @@ class Output:
 
     @contextmanager
     def _open(self, filename: str):
-        """The file under --out, or stdout after a `--- filename ---` header."""
+        """The file under --out, or stdout after a `--- filename ---` header.
+        The --out directory is made here, at the first write, so a run that
+        fails before it writes leaves none behind."""
         if self.dir:
+            self.dir.mkdir(parents=True, exist_ok=True)
             with open(self.dir / filename, "w") as fh:
                 yield fh
         else:
@@ -328,13 +329,11 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
         raise ConfigError("method must be 'separated' or 'direct'")
     try:  # an algebra with a generator that no field attaches to
         chain = connection_chain(algebra, fields) if method == "separated" \
-            else [build_connection(algebra, fields)]
+            else [build_connection(algebra, fields), LieValuedForm.zero()]
     except ValueError as exc:
         raise ConfigError(f"connection: {exc}")
-    if method == "separated":
-        lagrangian = subspace_separation(chain, tensor, dimension, algebra)
-    else:
-        lagrangian = chern_simons(chain[0], tensor, dimension, algebra)
+    # the kernel form goes to the writers and comparisons as it is
+    lagrangian = int_separation(chain, tensor, dimension, algebra)
 
     payload = {
         "dimension": dimension,

@@ -145,10 +145,6 @@ class ScalarForm:
     def zero() -> "ScalarForm":
         return ScalarForm()
 
-    @staticmethod
-    def of_symbol(s: FormSymbol, coeff: ScalarExpr | Q2 | int = 1) -> "ScalarForm":
-        return ScalarForm({(s,): ScalarExpr.of(coeff)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -202,15 +198,6 @@ class ScalarForm:
     def degrees(self) -> set[int]:
         return {monomial_degree(m) for m in self.terms}
 
-    def recanonicalized(self) -> "ScalarForm":
-        """Rebuild every monomial from scratch; must be the identity."""
-        out = ScalarForm()
-        for m, c in self.terms.items():
-            sign, mono = canonical_monomial(m)
-            if sign:
-                out.add_term(mono, c if sign > 0 else -c)
-        return out
-
     def sorted_items(self) -> list[tuple[Monomial, ScalarExpr]]:
         return sorted(self.terms.items())
 
@@ -235,35 +222,59 @@ def parse_symbol(text: str) -> FormSymbol:
     return FormSymbol(field, tuple(int(ch) for ch in digits), d)
 
 
-def _coefficient_key(c: ScalarExpr) -> tuple:
-    """A key under which equal coefficients meet: the terms' keys and the
-    identity of their Q2 values.  `IntForm.into_scalar_form` shares one Q2
-    per distinct rational, so this finds the distinct coefficients of a
-    kernel result without hashing a Fraction; two equal coefficients under
-    different keys are only rendered twice."""
-    return tuple([(k, id(q)) for k, q in c.terms.items()])
+def sorted_coefficients(f: ScalarForm | IntForm, render=None):
+    """Yield (monomial, coefficient) of f in sorted monomial order, the
+    coefficient through `render` when one is given.  Each distinct
+    coefficient is built as one ScalarExpr, and rendered once, from its
+    `IntForm.rows` row, and shared by every monomial that carries it.  A
+    ScalarForm is read through its `IntForm.of`; f itself is unchanged."""
+    k = f if isinstance(f, IntForm) else IntForm.of(f)
+    done: dict[tuple, object] = {}
+    for m, row in k.rows():
+        c = done.get(row)
+        if c is None:
+            c = k.row_scalar(row)
+            c = done[row] = c if render is None else render(c)
+        yield m, c
 
 
-def scalar_form_to_json_dict(f: ScalarForm) -> dict:
+def scalar_form_to_json_dict(f: ScalarForm | IntForm) -> dict:
     """{"monomials": [{"monomial": name, "coeff": list}, ...]} in sorted
     monomial order; monomials with one coefficient share its `coeff` list."""
-    coeffs: dict[tuple, list] = {}
-    monomials = []
-    for m, c in f.sorted_items():
-        key = _coefficient_key(c)
-        coeff = coeffs.get(key)
-        if coeff is None:
-            coeff = coeffs[key] = c.to_json_list()
-        monomials.append({"monomial": monomial_name(m), "coeff": coeff})
-    return {"monomials": monomials}
+    return {"monomials": [{"monomial": monomial_name(m), "coeff": coeff}
+                          for m, coeff in sorted_coefficients(f, ScalarExpr.to_json_list)]}
 
 
 def scalar_form_from_json_dict(d: dict) -> ScalarForm:
+    """The form a `scalar_form_to_json_dict` value describes.  Each distinct
+    symbol name is parsed once, and each distinct `coeff` list is read once
+    by `ScalarExpr.from_json_list`, whose ScalarExpr the monomials carrying
+    that list share.  The memo key holds each value's type beside it, so
+    values that Python calls equal but the JSON rules tell apart (1, 1.0
+    and true) never meet; a list it cannot key is read on its own."""
+    symbols: dict[str, FormSymbol] = {}
+    exprs: dict[tuple, ScalarExpr] = {}
     out = ScalarForm()
     for item in d["monomials"]:
         name = item["monomial"]
-        mono = () if name == "1" else tuple(parse_symbol(t) for t in name.split("^"))
-        out.add_term(mono, ScalarExpr.from_json_list(item["coeff"]))
+        mono = []
+        if name != "1":
+            for t in name.split("^"):
+                s = symbols.get(t)
+                if s is None:
+                    s = symbols[t] = parse_symbol(t)
+                mono.append(s)
+        coeff = item["coeff"]
+        try:
+            key = tuple([(*c.items(), *map(type, c.values())) for c in coeff])
+            expr = exprs.get(key)
+        except (AttributeError, TypeError):  # not a list of dicts of hashables
+            key = expr = None
+        if expr is None:
+            expr = ScalarExpr.from_json_list(coeff)
+            if key is not None:
+                exprs[key] = expr
+        out.add_term(tuple(mono), expr)
     return out
 
 
@@ -275,26 +286,21 @@ def _symbol_tex(s: FormSymbol) -> str:
     return (r"\mathrm{d}" + core) if s.differentiated else core
 
 
-def scalar_form_latex(f: ScalarForm) -> str:
+def scalar_form_latex(f: ScalarForm | IntForm) -> str:
     """Flat monomial listing; the JSON monomial map stays the tested truth.
     Each symbol's TeX and each distinct coefficient's `latex()` is rendered
     once."""
     if f.is_zero():
         return "0"
     symbols: dict[FormSymbol, str] = {}
-    coeffs: dict[tuple, str] = {}
     lines = []
-    for m, c in f.sorted_items():
+    for m, head in sorted_coefficients(f, lambda c: f"({c.latex()})\\, "):
         tex = []
         for s in m:
             t = symbols.get(s)
             if t is None:
                 t = symbols[s] = _symbol_tex(s)
             tex.append(t)
-        key = _coefficient_key(c)
-        head = coeffs.get(key)
-        if head is None:
-            head = coeffs[key] = f"({c.latex()})\\, "
         lines.append(head + (r" \wedge ".join(tex) if m else "1"))
     return "\n  + ".join(lines)
 
@@ -358,6 +364,33 @@ class IntForm:
                 coeff.terms[(a, e)] = q
         return out
 
+    def rows(self) -> list[tuple[Monomial, tuple]]:
+        """(monomial, row) in sorted monomial order, where a row is the
+        monomial's key, int, key, int, ... over its parts in `_key_order`:
+        two monomials of this form have one row iff their coefficients are
+        equal."""
+        rows: dict[Monomial, list] = {}
+        for key in sorted(self.parts, key=_key_order):
+            for m, c in self.parts[key].items():
+                row = rows.get(m)
+                if row is None:
+                    rows[m] = [key, c]
+                else:
+                    row += key, c
+        return [(m, tuple(rows[m])) for m in sorted(rows)]
+
+    def row_scalar(self, row: tuple) -> ScalarExpr:
+        """The coefficient that a `rows` row of this form stands for."""
+        terms: dict[tuple[Optional[int], int], Q2] = {}
+        for i in range(0, len(row), 2):
+            (a, e, r), x = row[i], Fraction(row[i + 1], self.den)
+            if r:  # (a, e, 1) comes after (a, e, 0) in _key_order
+                old = terms.get((a, e))
+                terms[(a, e)] = Q2(old.a if old else _ZERO, x)
+            else:
+                terms[(a, e)] = Q2(x)
+        return ScalarExpr(terms)
+
     def is_zero(self) -> bool:
         return not any(self.parts.values())
 
@@ -396,6 +429,13 @@ HALF = IntForm({(None, 0, 0): {(): 1}}, 2)
 MINUS_ONE = IntForm({(None, 0, 0): {(): -1}})
 
 IntLieForm = dict[int, IntForm]
+
+
+def _key_order(key: KernelKey) -> tuple:
+    """alpha-free keys first, then by alpha, ell power and sqrt2 power, the
+    order of `ScalarExpr.sorted_terms`."""
+    a, e, r = key
+    return a is not None, a or 0, e, r
 
 
 def _key_product(k1: KernelKey, k2: KernelKey) -> tuple[KernelKey, int]:

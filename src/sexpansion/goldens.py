@@ -7,7 +7,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .forms import IntForm, Monomial, ScalarForm
+from .forms import IntForm, Monomial, ScalarForm, sorted_coefficients
 from .lagrangian import ComparisonReport, compare_int_forms
 from .lie_algebra import row_reduce
 from .pipeline import registry
@@ -96,16 +96,17 @@ def per_term_report(computed: ScalarForm, golden: Golden,
     return solve_families(computed, _families(golden, terms), scale)
 
 
-def compare_golden(computed: ScalarForm, golden: Golden,
+def compare_golden(computed: ScalarForm | IntForm, golden: Golden,
                    up_to_scale: bool) -> tuple[ComparisonReport, FamilyReport]:
     """`compare_forms` against the whole golden and `per_term_report` at the
     solved scale, from one expansion of the golden, compared as kernel forms."""
     terms = expand_terms(golden.text, golden.dimension)
-    rep = compare_int_forms(IntForm.of(computed), sum_terms(terms), up_to_scale)
+    kernel = computed if isinstance(computed, IntForm) else IntForm.of(computed)
+    rep = compare_int_forms(kernel, sum_terms(terms), up_to_scale)
     return rep, solve_families(computed, _families(golden, terms), rep.scale)
 
 
-def solve_families(computed: ScalarForm, families: list[Family],
+def solve_families(computed: ScalarForm | IntForm, families: list[Family],
                    scale: Optional[tuple[Q2, int]] = None) -> FamilyReport:
     """Solve the computed form exactly onto the term families.
 
@@ -116,14 +117,18 @@ def solve_families(computed: ScalarForm, families: list[Family],
     without a coefficient, and so are vanishing ones, which never agree.
     """
     # one row per monomial, filled family by family; one right-hand-side
-    # column per (alpha, ell) key of the computed form
+    # column per (alpha, ell) key of the computed form.  A ScalarForm's
+    # coefficients are read as they are, a kernel form's are built once per
+    # distinct coefficient (converting a ScalarForm would cost more)
     ncols = len(families)
     table: dict[Monomial, dict] = {}
     for j, (_, _, shape) in enumerate(families):
         for m, q in shape.items():
             table.setdefault(m, {})[j] = q
     rhs_cols: dict = {}
-    for m, coeff in computed.terms.items():
+    coeffs = computed.terms.items() if isinstance(computed, ScalarForm) \
+        else sorted_coefficients(computed)
+    for m, coeff in coeffs:
         row = table.setdefault(m, {})
         for key, q in coeff.terms.items():
             row[rhs_cols.setdefault(key, ncols + len(rhs_cols))] = q

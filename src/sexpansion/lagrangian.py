@@ -86,7 +86,7 @@ def chern_simons(A: LieValuedForm, T: InvariantTensor, dimension: int,
                  L: LieAlgebra) -> ScalarForm:
     """Q(A, 0), the one-link chain [A, 0]; the overall kappa prefactor is left
     symbolic (reported alongside, never mixed into the coefficients)."""
-    return subspace_separation([A, LieValuedForm.zero()], T, dimension, L)
+    return int_separation([A, LieValuedForm.zero()], T, dimension, L).into_scalar_form()
 
 
 def subspace_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
@@ -94,6 +94,13 @@ def subspace_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
     """Sum of transgressions along a chain A = A_m > ... > A_0; equals the
     Chern-Simons form of the chain head up to an exact form, which is
     deliberately dropped.  The dimension must be 2 * T.rank - 1."""
+    return int_separation(chain, T, dimension, L).into_scalar_form()
+
+
+def int_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
+                   dimension: int, L: LieAlgebra) -> IntForm:
+    """`subspace_separation` as a kernel form, for callers that read it
+    there (the CLI's writers and comparisons)."""
     if dimension != 2 * T.rank - 1:
         raise ValueError(f"dimension {dimension} is not 2 * rank - 1 for a rank-{T.rank} tensor")
     entries = int_entries(T)
@@ -101,7 +108,7 @@ def subspace_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
     out = IntForm()
     for big, small in zip(links, links[1:]):
         out.add(_transgression(big, small, entries, T.rank - 1, L))
-    return out.into_scalar_form()
+    return out
 
 
 # -- exactness detection -------------------------------------------------------

@@ -14,7 +14,8 @@ from sexpansion import cli
 from sexpansion.cli import main, write_json
 from sexpansion.fixtures import c_tensor_rotated, connection_chain, make_c_algebra_rotated
 from sexpansion.forms import (FormSymbol, IntForm, ScalarForm, canonical_monomial,
-                              scalar_form_latex, scalar_form_to_json_dict, sym)
+                              scalar_form_from_json_dict, scalar_form_latex,
+                              scalar_form_to_json_dict, sym)
 from sexpansion.goldens import Golden, load_golden
 from sexpansion.invariant_tensor import epsilon_tensor
 from sexpansion.lagrangian import subspace_separation
@@ -569,7 +570,7 @@ def test_bad_compare_exits_before_the_lagrangian_is_built(tmp_path, capsys, monk
     def refuse(*args, **kwargs):
         raise AssertionError("the Lagrangian was built before compare was checked")
 
-    monkeypatch.setattr(cli, "subspace_separation", refuse)
+    monkeypatch.setattr(cli, "int_separation", refuse)
     cfg = write_config(tmp_path, "cfg.json", dict(_C5, compare=compare))
     out = tmp_path / "o"
     assert main(["lagrangian", "--config", cfg, "--out", str(out)] + argv) == 2
@@ -875,6 +876,17 @@ def test_writers_keep_the_reference_bytes_on_random_forms():
         assert scalar_form_latex(f) == reference_scalar_form_latex(f)
 
 
+def test_writers_read_a_kernel_form_as_its_scalar_form():
+    """The CLI hands the writers the separation's IntForm: they write the
+    bytes of its ScalarForm and leave the kernel form as it was."""
+    rng = random.Random(25)
+    for f in [random_scalar_form(rng) for _ in range(40)]:
+        k = IntForm.of(f)
+        assert scalar_form_to_json_dict(k) == reference_scalar_form_to_json_dict(f)
+        assert scalar_form_latex(k) == reference_scalar_form_latex(f)
+        assert k.parts == IntForm.of(f).parts
+
+
 def test_equal_coefficients_share_one_list():
     c = ScalarExpr.alpha(0, Q2(1, 1), -1)
     f = ScalarForm({(sym("e", 0),): c, (sym("e", 1),): c, (sym("e", 2),): -c})
@@ -1015,3 +1027,72 @@ def test_a_closed_stdout_is_a_usage_error_without_a_traceback(tmp_path, unbuffer
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("expand", {"algebra": "so3", "bogus": 1}),
+    ("lagrangian", dict(_C5, dimension=3)),
+    ("invariants", {"algebra": "b5", "tensor": "nosuch"}),
+])
+def test_a_config_error_leaves_no_out_directory(tmp_path, capsys, command, payload):
+    """--out is made at the first write, so an exit-2 config error leaves no
+    directory behind; a run that succeeds still writes its files there."""
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "leftover"
+    assert main([command, "--config", cfg, "--out", str(out / "nested")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    cfg = write_config(tmp_path, "cfg.json", {"algebra": "so3"})
+    assert main(["expand", "--config", cfg, "--out", str(out / "nested")]) == 0
+    assert sorted(p.name for p in (out / "nested").iterdir()) == \
+        ["algebra.json", "commutators.txt"]
+
+
+def test_the_c5_general_lagrangian_stays_a_kernel_form(tmp_path, monkeypatch):
+    """The general-alpha c5 `lagrangian` command writes its JSON and TeX
+    from the separation's IntForm: no ScalarForm of the Lagrangian is made."""
+    def refuse(self):
+        raise AssertionError("IntForm.into_scalar_form was called")
+
+    monkeypatch.setattr(IntForm, "into_scalar_form", refuse)
+    cfg = write_config(tmp_path, "cfg.json", _C5)
+    out = tmp_path / "out"
+    assert main(["lagrangian", "--format", "both", "--config", cfg, "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == \
+        _PINNED_OUTPUTS[-1][3]
+
+
+def test_c5_general_lagrangian_json_is_read_back_in_little_memory(tmp_path):
+    """Reading the general-alpha c5 `lagrangian.json` back peaks below 2 MB
+    under tracemalloc (1.0 MB measured; 5.5 MB with one ScalarExpr per
+    monomial): its 6,247 monomials share 116 coefficients."""
+    cfg = write_config(tmp_path, "cfg.json", _C5)
+    assert main(["lagrangian", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "lagrangian.json").read_text())
+    tracemalloc.start()
+    try:
+        form = scalar_form_from_json_dict(payload["form"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(form.terms) == 6247
+    assert len({id(c) for c in form.terms.values()}) == 116
+    assert peak < 2_000_000, peak
+    assert scalar_form_to_json_dict(form) == payload["form"]
+
+
+def test_a_traced_lagrangian_child_times_the_writers(tmp_path):
+    """Under the benchmark's span tracer (perfbench/cli_child.py) the CLI's
+    JSON and TeX writers are still the two `cli.emit` spans, with a nonzero
+    time."""
+    root = Path(cli.__file__).resolve().parents[2]
+    cfg = write_config(tmp_path, "cfg.json", dict(_C5, fields=["w", "e"]))
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "cli_child.py"),
+                           str(trace), "lagrangian", "--format", "both", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(trace.read_text())
+    assert layers["count"]["cli.emit"] == 2 and layers["self_s"]["cli.emit"] > 0

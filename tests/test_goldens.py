@@ -7,7 +7,7 @@ import pytest
 from sexpansion import goldens
 from sexpansion.fixtures import (b5_tensor, c_tensor_rotated, connection_chain,
                                  make_b5, make_c_algebra_rotated)
-from sexpansion.forms import ScalarForm, sym
+from sexpansion.forms import IntForm, ScalarForm, sym
 from sexpansion.goldens import (FamilyReport, Golden, TermAgreement, _families,
                                 compare_golden, golden_names, load_golden,
                                 per_term_report, solve_families)
@@ -281,6 +281,15 @@ def test_solve_families_equals_the_reference_on_random_families(seed):
     report = solve_families(computed, families, scale)
     assert report == reference_solve_families(computed, families, scale)
     assert len(report.agreements) == len(families)
+
+
+@pytest.mark.parametrize("seed", range(0, 45, 4))
+def test_solve_families_reads_a_kernel_form_as_its_scalar_form(seed):
+    rng = random.Random(5000 + seed)
+    computed, families = random_families(rng)
+    scale = SCALES[seed % 3]
+    assert solve_families(IntForm.of(computed), families, scale) == \
+        reference_solve_families(computed, families, scale)
 
 
 def test_random_families_cover_the_cases():
