@@ -331,10 +331,14 @@ class ScalarExpr:
             return "0"
         bits = []
         for (a, e), v in self.sorted_terms():
+            factor = a is not None or e
             if a is not None and v.is_rational and abs(v.a) == 1:
                 part = "-" if v.a < 0 else ""
-            elif v.a and v.b and (a is not None or e):
+            elif v.a and v.b and factor:
                 part = rf"\left({_q2_latex(v)}\right)"
+            elif factor and v.is_rational and v.a.denominator != 1:
+                # a \frac, so the factors stay out of the denominator
+                part = ("-" if v.a < 0 else "") + _frac_latex(abs(v.a))
             else:
                 part = _q2_latex(v)
             if a is not None:
@@ -354,8 +358,12 @@ def _q2_latex(v: Q2) -> str:
     if not v.b:
         return str(v.a)
     b = abs(v.b)
-    root = ("" if b == 1 else str(b) if b.denominator == 1
-            else rf"\frac{{{b.numerator}}}{{{b.denominator}}}") + r"\sqrt{2}"
+    root = ("" if b == 1 else str(b) if b.denominator == 1 else _frac_latex(b)) + r"\sqrt{2}"
     if not v.a:
         return root if v.b > 0 else "-" + root
     return f"{v.a}{'+' if v.b > 0 else '-'}{root}"
+
+
+def _frac_latex(x: Fraction) -> str:
+    """A positive non-integer rational as \\frac{p}{q}."""
+    return rf"\frac{{{x.numerator}}}{{{x.denominator}}}"

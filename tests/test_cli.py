@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -713,7 +714,9 @@ _B5_EXPAND = {"algebra": "ads5", "steps": [
 
 # sha256 of every file each README-style run writes under --out, recorded
 # before the S_H reduction, the tensor lift and the coefficient codec were
-# unified; any change to these bytes is a change to the CLI's output.
+# unified; any change to these bytes is a change to the CLI's output.  The
+# two lagrangian.tex hashes were recorded again when TeX began to write a
+# fractional multiplier of alpha or ell as \frac.
 _PINNED_OUTPUTS = [
     (["expand"], {"algebra": "so3", "steps": [{"op": "h_reduce", "n": 2}]}, 0, {
         "algebra.json": "f265db0f4fb957a2b99f7c33adf7ecdb375369a2ca34125d05c84940fc821f6a",
@@ -738,7 +741,7 @@ _PINNED_OUTPUTS = [
       "compare": ["c3_lagrangian"]}, 0, {
         "comparison.txt": "6039c5d8f6d3450fcb48e84874a3ac6c2d953648ed7f0dfaf6659f160a808dae",
         "lagrangian.json": "a2dca3e44fcd3d1bc9f7d3aae0da3d93bd1e74a9aee7dc70648abcc68b80803d",
-        "lagrangian.tex": "d4eba04106618c2bb19d641b5034c5010907461e952509d0dabe22d0b9d75ecb",
+        "lagrangian.tex": "7e7bc0a510e340187818506a2a1394ab097ad0d7b38d1735541361ea9ffb0b6c",
     }),
     (["check"], {"algebra": "c5", "tensor": "c5"}, 1, {
         "check.txt": "03a5b3853b7d8bd221b439d127d747c3380db3c32f6714d08dada3586c516ed1",
@@ -754,7 +757,7 @@ _PINNED_OUTPUTS = [
     }),
     (["lagrangian", "--format", "both"], _C5, 0, {
         "lagrangian.json": "88c07462b606befd94f105524039f423c33fae2aba8defce481cc77812ab030e",
-        "lagrangian.tex": "72c7b60e53fefdd7f49ed89b6f316df2d72d643261cb9f1a72af842d1d928290",
+        "lagrangian.tex": "4626af0b108664e19c2b82a1d6940a991012904de59cab2f34a9ff913a4cfc6b",
     }),
 ]
 
@@ -991,6 +994,19 @@ def test_lagrangian_latex_brackets_a_sqrt2_coefficient(tmp_path):
     tex = (out / "lagrangian.tex").read_text()
     assert tex.startswith(r"(\left(1+3\sqrt{2}\right)\ell^{-1})\, \omega^{01} \wedge")
     assert "sqrt2" not in tex
+
+
+def test_lagrangian_latex_writes_fractions_before_their_factors(tmp_path):
+    """The c3 Lagrangian's -2/3 alpha_0 l^-1 is written \\frac{2}{3}, never
+    2/3 right before the alpha, which would typeset as 2/(3 alpha_0 l)."""
+    cfg = write_config(tmp_path, "cfg.json", {"dimension": 3, "algebra": "c3_rotated",
+                                              "tensor": "c3_rotated"})
+    assert main(["lagrangian", "--config", cfg, "--out", str(tmp_path), "--format",
+                 "latex"]) == 0
+    tex = (tmp_path / "lagrangian.tex").read_text()
+    assert r"(-\frac{2}{3}\alpha_{0}\ell^{-1}+2\alpha_{1}\ell^{-1}+\frac{4}{3}\alpha_{2}" \
+        r"\ell^{-1})\, k^{01} \wedge k^{02} \wedge h^{0}" in tex
+    assert not re.search(r"\d/\d+\\(alpha|ell)", tex)
 
 
 @pytest.mark.parametrize("where", ["out", "config"])

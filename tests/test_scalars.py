@@ -103,6 +103,21 @@ def test_sqrt2_values_print_with_their_factors(expr, text, tex):
     assert expr.latex() == tex
 
 
+@pytest.mark.parametrize("expr, tex", [
+    (ScalarExpr.alpha(1, Fraction(3, 2), -1), r"\frac{3}{2}\alpha_{1}\ell^{-1}"),
+    (ScalarExpr.const(Fraction(-3, 2), -1), r"-\frac{3}{2}\ell^{-1}"),
+    (ScalarExpr.alpha(0, Fraction(-2, 3), -1) + ScalarExpr.alpha(2, Fraction(4, 3), -1),
+     r"-\frac{2}{3}\alpha_{0}\ell^{-1}+\frac{4}{3}\alpha_{2}\ell^{-1}"),
+    (ScalarExpr.alpha(1, 2, -1) + ScalarExpr.alpha(2, -1), r"2\alpha_{1}\ell^{-1}-\alpha_{2}"),
+    (ScalarExpr.const(Fraction(-1, 2)), "-1/2"),
+])
+def test_tex_writes_a_fraction_before_its_factors_as_frac(expr, tex):
+    """A fractional multiplier of an alpha or ell factor is a \\frac, so the
+    factor stays out of its denominator; str and a bare constant keep p/q."""
+    assert expr.latex() == tex
+    assert "frac" not in str(expr)
+
+
 def test_q2_rational_fast_path_agrees_with_general_formula():
     rng = random.Random(1605)
 
