@@ -366,11 +366,11 @@ class IntForm:
 
     def rows(self) -> list[tuple[Monomial, tuple]]:
         """(monomial, row) in sorted monomial order, where a row is the
-        monomial's key, int, key, int, ... over its parts in `_key_order`:
-        two monomials of this form have one row iff their coefficients are
-        equal."""
+        monomial's key, int, key, int, ... over its parts in one fixed key
+        order: two monomials of this form have one row iff their
+        coefficients are equal."""
         rows: dict[Monomial, list] = {}
-        for key in sorted(self.parts, key=_key_order):
+        for key in sorted(self.parts, key=lambda k: (k[0] is not None, k[0] or 0, k[1:])):
             for m, c in self.parts[key].items():
                 row = rows.get(m)
                 if row is None:
@@ -384,7 +384,7 @@ class IntForm:
         terms: dict[tuple[Optional[int], int], Q2] = {}
         for i in range(0, len(row), 2):
             (a, e, r), x = row[i], Fraction(row[i + 1], self.den)
-            if r:  # (a, e, 1) comes after (a, e, 0) in _key_order
+            if r:  # (a, e, 1) comes after (a, e, 0) in a row
                 old = terms.get((a, e))
                 terms[(a, e)] = Q2(old.a if old else _ZERO, x)
             else:
@@ -429,13 +429,6 @@ HALF = IntForm({(None, 0, 0): {(): 1}}, 2)
 MINUS_ONE = IntForm({(None, 0, 0): {(): -1}})
 
 IntLieForm = dict[int, IntForm]
-
-
-def _key_order(key: KernelKey) -> tuple:
-    """alpha-free keys first, then by alpha, ell power and sqrt2 power, the
-    order of `ScalarExpr.sorted_terms`."""
-    a, e, r = key
-    return a is not None, a or 0, e, r
 
 
 def _key_product(k1: KernelKey, k2: KernelKey) -> tuple[KernelKey, int]:

@@ -107,7 +107,11 @@ def int_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
     links = [int_lie_form(A) for A in chain]
     out = IntForm()
     for big, small in zip(links, links[1:]):
-        out.add(_transgression(big, small, entries, T.rank - 1, L))
+        link = _transgression(big, small, entries, T.rank - 1, L)
+        if out.parts:
+            out.add(link)
+        else:  # the first link is the sum so far: no copy of it
+            out = link
     return out
 
 
