@@ -39,7 +39,7 @@ def s_expand(s: Semigroup, L: LieAlgebra, name: Optional[str] = None) -> LieAlge
                 # every stored key has a < b, so each (i, j) is met once
                 key, row = ((i, j), targets) if i < j else ((j, i), negated)
                 constants[key] = {shift + c: v for c, v in row.items()}
-    return LieAlgebra(name or f"{s.name}x{L.name}", labels, constants)
+    return LieAlgebra._adopt(name or f"{s.name}x{L.name}", labels, constants)
 
 
 def _quotient(G: LieAlgebra, keep: Sequence[int],
@@ -68,7 +68,7 @@ def _quotient(G: LieAlgebra, keep: Sequence[int],
         if row:
             # keep is ascending, so remap[a] < remap[b]
             constants[(remap[a], remap[b])] = row
-    return LieAlgebra(name, [G.labels[i] for i in keep], constants)
+    return LieAlgebra._adopt(name, [G.labels[i] for i in keep], constants)
 
 
 def zero_reduce(G: LieAlgebra, s: Semigroup, name: Optional[str] = None) -> LieAlgebra:

@@ -36,7 +36,7 @@ def make_c_algebra(d: int) -> LieAlgebra:
     """Halved Z4 expansion of the AdS-type algebra: generators J, Z (pairs)
     and P, Z (vectors)."""
     L = h_reduce(2, make_ads(d), name=f"c{d}")
-    return LieAlgebra(f"c{d}", _relabel_c(L), L.constants)
+    return LieAlgebra._adopt(f"c{d}", _relabel_c(L), L.constants)
 
 
 def mixing_rotation(d: int) -> list[list[Q2]]:
@@ -101,7 +101,7 @@ def make_b5() -> LieAlgebra:
         base = {("J", 0): "J", ("J", 2): "Z", ("P", 1): "P", ("P", 3): "Z"}[
             (lab.base, lab.tags[0])]
         labels.append(Label(base, lab.index, lab.tags))
-    return LieAlgebra("b5", labels, out.constants)
+    return LieAlgebra._adopt("b5", labels, out.constants)
 
 
 def b5_tensor() -> InvariantTensor:

@@ -9,7 +9,9 @@ algebra, never in the tensor).
 from __future__ import annotations
 
 import itertools
+import math
 import string
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -52,8 +54,18 @@ class InvariantTensor:
             and self.entries == other.entries
 
     def scaled(self, c) -> "InvariantTensor":
-        return InvariantTensor(self.rank,
-                               {k: v * ScalarExpr.of(c) for k, v in self.entries.items()})
+        """The tensor times c.  Entries that share one value object share
+        its product too; the values stay alive in self meanwhile, so no two
+        of them share an id."""
+        c = ScalarExpr.of(c)
+        products: dict[int, ScalarExpr] = {}
+        out = InvariantTensor(self.rank)
+        for k, v in self.entries.items():
+            w = products.get(id(v))
+            if w is None:
+                w = products[id(v)] = v * c
+            out.set_entry(k, w)
+        return out
 
     # -- serialization -------------------------------------------------------
 
@@ -90,17 +102,34 @@ class InvariantTensor:
 def epsilon_tensor(d: int) -> InvariantTensor:
     """The epsilon invariant of ads_d, odd d >= 3: rank (d+1)/2, the entry on
     J_{p0 p1} ... J_{p(d-3) p(d-2)} P_{p(d-1)} being the sign of the permutation
-    p.  The customary normalization (1/4 for d = 3, 1/8 for d = 5) is absorbed."""
+    p.  The customary normalization (1/4 for d = 3, 1/8 for d = 5) is absorbed.
+
+    Each entry is one vector index and a matching of the other d - 1 indices
+    into ascending pairs; the entries go in in the lexicographic order of
+    their permutations p with the pairs ordered by their first index."""
     if d < 3 or d % 2 == 0:
         raise TensorError(f"epsilon tensor needs an odd d >= 3, got {d}")
     pidx = {p: i for i, p in enumerate(pair_basis(d))}
+    perms = []
+    for v in range(d):
+        for pairs in _matchings(tuple(x for x in range(d) if x != v)):
+            perms.append((sum(pairs, ()) + (v,), [pidx[p] for p in pairs] + [len(pidx) + v]))
     t = InvariantTensor((d + 1) // 2)
-    for perm in itertools.permutations(range(d)):
-        pairs = list(zip(perm[:-1:2], perm[1::2]))
-        if all(a < b for a, b in pairs):
-            t.set_entry([pidx[p] for p in pairs] + [len(pidx) + perm[-1]],
-                        ScalarExpr.const(perm_sign(perm)))
+    for perm, key in sorted(perms):
+        t.set_entry(key, ScalarExpr.const(perm_sign(perm)))
     return t
+
+
+def _matchings(rest: tuple[int, ...]):
+    """Every split of the ascending tuple rest into ascending pairs, each
+    split as its pairs ordered by their first element."""
+    if not rest:
+        yield ()
+        return
+    a = rest[0]
+    for j in range(1, len(rest)):
+        for tail in _matchings(rest[1:j] + rest[j + 1:]):
+            yield ((a, rest[j]),) + tail
 
 
 # -- lifting -------------------------------------------------------------------
@@ -116,26 +145,41 @@ def lift_0s(s: Semigroup, target: LieAlgebra, base_dim: int,
     zero-reduced expansion, a resonant subalgebra of one, or a
     sign-identification quotient); tags are read from its labels.  Target
     generator i has base generator i % base_dim, so a base tensor index at or
-    above base_dim means the lift does not fit the target and raises.
+    above base_dim means the lift does not fit the target and raises, as does
+    a negative one.  Each base entry feeds the sorted tuples of target
+    generators over its base indices; the entries go in in sorted key order.
     """
-    top = max((key[-1] for key in base_tensor.entries), default=-1)
+    keys = base_tensor.entries
+    top = max((key[-1] for key in keys), default=-1)
     if top >= base_dim:
         raise TensorError(f"base tensor index {top} is not below base_dim {base_dim}")
+    bottom = min((key[0] for key in keys), default=0)
+    if bottom < 0:
+        raise TensorError(f"base tensor index {bottom} is negative")
     tags = []
     for lab in target.labels:
         if not lab.tags or not 0 <= lab.tags[0] < s.order:
             raise TensorError(f"target generator {lab} carries no tag of {s.name}")
         tags.append(lab.tags[0])
+    over = [range(b, target.dim, base_dim) for b in range(base_dim)]
+    # a sorted target tuple has exactly one sorted tuple of base indices, so
+    # the base entries feed disjoint sets of targets
+    lifted = []
+    for key, val in keys.items():
+        values: dict[int, ScalarExpr] = {}  # gamma -> alpha_gamma * val, shared
+        for combo in {tuple(sorted(choice))
+                      for choice in itertools.product(*(over[b] for b in key))}:
+            gamma = s.product([tags[i] for i in combo])
+            if gamma == s.zero_index:  # never true when s has no zero
+                continue
+            value = values.get(gamma)
+            if value is None:
+                value = values[gamma] = ScalarExpr.alpha(gamma) * val
+            lifted.append((combo, value))
+    lifted.sort(key=lambda item: item[0])
     out = InvariantTensor(base_tensor.rank)
-    for combo in itertools.combinations_with_replacement(range(target.dim), base_tensor.rank):
-        bases = [i % base_dim for i in combo]
-        val = base_tensor.get(bases)
-        if val.is_zero():
-            continue
-        gamma = s.product([tags[i] for i in combo])
-        if gamma == s.zero_index:  # never true when s has no zero
-            continue
-        out.set_entry(combo, ScalarExpr.alpha(gamma) * val)
+    for combo, value in lifted:
+        out.set_entry(combo, value)
     return out
 
 
@@ -173,17 +217,20 @@ def require_fit(L: LieAlgebra, T: InvariantTensor) -> None:
 
 def _integer_entries(T: InvariantTensor) -> tuple[int, list]:
     """(D_T, view): D_T is the lcm of the denominators of all entry
-    coefficients, and view lists every entry as (slots, terms, irr).  slots
-    holds (b, K - b) for each distinct slot value b of the entry's key K,
-    terms holds (term key, p, q) with p + q*sqrt2 = D_T * coefficient, and
-    irr tells whether some q is nonzero."""
+    coefficients, and view lists every entry as (key, terms, irr).  terms
+    holds (term key, p, q) with p + q*sqrt2 = D_T * coefficient, and irr
+    tells whether some q is nonzero; entries that share one value object
+    share these.  The values stay alive in T meanwhile, so no two of them
+    share an id."""
     den = common_denominator(v for val in T.entries.values() for v in val.terms.values())
+    parts: dict[int, tuple] = {}
     view = []
     for key, val in T.entries.items():
-        terms = tuple((term, *int_parts(v, den)) for term, v in val.terms.items())
-        slots = tuple((b, key[:i] + key[i + 1:]) for i, b in enumerate(key)
-                      if not (i and key[i - 1] == b))
-        view.append((slots, terms, any(q for _, _, q in terms)))
+        part = parts.get(id(val))
+        if part is None:
+            terms = tuple((term, *int_parts(v, den)) for term, v in val.terms.items())
+            part = parts[id(val)] = (terms, any(q for _, _, q in terms))
+        view.append((key, *part))
     return den, view
 
 
@@ -210,7 +257,11 @@ def verify_invariance(L: LieAlgebra, T: InvariantTensor) -> InvarianceReport:
         for b, p, q in row:
             images[x].setdefault(b, []).append((y, p, q))
             images[y].setdefault(b, []).append((x, -p, -q))
-    den_t, view = _integer_entries(T)
+    den_t, entries = _integer_entries(T)
+    # per entry, (b, K - b) for each distinct slot value b of its key K
+    view = [(tuple((b, key[:i] + key[i + 1:]) for i, b in enumerate(key)
+                   if not (i and key[i - 1] == b)), terms, t_irr)
+            for key, terms, t_irr in entries]
     for a0 in range(L.dim):
         ad = images[a0]
         if not ad:
@@ -250,26 +301,67 @@ def verify_invariance(L: LieAlgebra, T: InvariantTensor) -> InvarianceReport:
 
 
 def rotate_tensor(T: InvariantTensor, m: list[list[Q2]]) -> InvariantTensor:
-    """Pull the tensor back along the basis change T'_i = sum_A m[A][i] T_A."""
+    """Pull the tensor back along the basis change T'_i = sum_A m[A][i] T_A.
+
+    The sum over every ordering of an entry's key K is walked in K's own slot
+    order only: each choice of one target per slot lands on its sorted tuple
+    I, and weighting it by orderings(K) / orderings(I) makes up for the
+    orderings skipped.  The arithmetic is on integers, over the common
+    denominators of the entries and of m; at the end one ScalarExpr is built
+    per distinct coefficient, shared by the targets that carry it, and the
+    targets go in in sorted order.  An index below 0 or beyond m raises
+    TensorError.
+    """
     n = len(m)
-    rows = [[(i, m[a][i]) for i in range(n) if m[a][i]] for a in range(n)]
-    acc: dict[tuple[int, ...], ScalarExpr] = {}
-    for key, val in T.entries.items():
-        if any(a >= n for a in key):
-            raise TensorError("basis matrix too small for tensor indices")
-        for perm in set(itertools.permutations(key)):
-            for choice in itertools.product(*(rows[a] for a in perm)):
-                tgt = tuple(i for i, _ in choice)
-                if any(tgt[p] > tgt[p + 1] for p in range(len(tgt) - 1)):
-                    continue  # only accumulate the sorted representative
-                coeff = Q2(1)
-                for _, c in choice:
-                    coeff = coeff * c
-                prev = acc.get(tgt, ScalarExpr.zero())
-                acc[tgt] = prev + val.scaled(coeff)
-    out = InvariantTensor(T.rank)
-    for key, val in acc.items():
-        out.set_entry(key, val)
+    for key in T.entries:
+        if key[0] < 0 or key[-1] >= n:
+            raise TensorError(f"tensor entry {list(key)} has an index outside "
+                              f"the {n} rows of the basis matrix")
+    m = [[Q2.of(x) for x in row[:n]] for row in m]
+    den_m = common_denominator(x for row in m for x in row)
+    # a -> ((i, p, q), ...) with p + q*sqrt2 = den_m * m[a][i]
+    rows = [tuple((i, *int_parts(x, den_m)) for i, x in enumerate(row) if x) for row in m]
+    den_t, entries = _integer_entries(T)
+    rank = T.rank
+    fact = [math.factorial(k) for k in range(rank + 1)]
+    # rational and sqrt2 parts of each target's terms, keyed by (target, term)
+    # and scaled by rank! * den_t * den_m^rank
+    rat: dict[tuple, int] = {}
+    irr: dict[tuple, int] = {}
+    for key, terms, t_irr in entries:
+        # the number of distinct orderings of key
+        weight = fact[rank]
+        if len(set(key)) < rank:
+            for count in Counter(key).values():
+                weight //= fact[count]
+        for choice in itertools.product(*(rows[a] for a in key)):
+            p, q = weight, 0
+            for _, x, y in choice:
+                p, q = p * x + 2 * q * y, p * y + q * x
+            tgt = tuple(sorted(i for i, _, _ in choice))
+            if len(set(tgt)) < rank:
+                for count in Counter(tgt).values():
+                    p, q = p * fact[count], q * fact[count]
+            for term, tp, tq in terms:
+                k = (tgt, term)
+                rat[k] = rat.get(k, 0) + p * tp + 2 * q * tq
+                if q or t_irr:
+                    irr[k] = irr.get(k, 0) + p * tq + q * tp
+    acc: dict[tuple[int, ...], list] = {}
+    for k, p in rat.items():
+        q = irr.get(k, 0)
+        if p or q:
+            acc.setdefault(k[0], []).append((k[1], p, q))
+    scale = fact[rank] * den_t * den_m ** rank
+    values: dict[tuple, ScalarExpr] = {}
+    out = InvariantTensor(rank)
+    for tgt in sorted(acc):
+        parts = tuple(acc[tgt])
+        value = values.get(parts)
+        if value is None:
+            value = values[parts] = ScalarExpr(
+                {term: Q2(Fraction(p, scale), Fraction(q, scale)) for term, p, q in parts})
+        out.entries[tgt] = value
     return out
 
 

@@ -78,6 +78,21 @@ class LieAlgebra:
             if min(row) < 0 or max(row) >= self.dim:
                 raise LieAlgebraError("constant target out of range")
 
+    @classmethod
+    def _adopt(cls, name: str, labels: Sequence[Label],
+               constants: PairTable) -> "LieAlgebra":
+        """The algebra on a table that is canonical by construction, taken
+        over as it is, with nothing checked or copied.  The caller owns the
+        table and guarantees what the constructor would make of it: every
+        key (a, b) has 0 <= a < b < len(labels), and every row is a nonempty
+        map from targets in 0..len(labels)-1 to nonzero Q2 values."""
+        self = cls.__new__(cls)
+        self.name = name
+        self.labels = list(labels)
+        self.dim = len(self.labels)
+        self.constants = constants
+        return self
+
     # -- bracket ------------------------------------------------------------
 
     def pair(self, a: int, b: int) -> dict[int, Q2]:
@@ -489,48 +504,80 @@ def killing_profile(L: LieAlgebra) -> KillingProfile:
     return KillingProfile((sig[0], sig[1], sig[2]), derived, center)
 
 
+def _int_matrix(m: list[list[Q2]]) -> tuple[int, list[list[tuple[int, int, int]]]]:
+    """(D, cols): D is the lcm of the denominators of m's entries, and
+    cols[i] lists the nonzero entries of column i as (row, p, q), ascending
+    in row, with p + q*sqrt2 = D * m[row][i]."""
+    den = common_denominator(x for row in m for x in row)
+    n = len(m)
+    cols = [[(a, *int_parts(m[a][i], den)) for a in range(n) if m[a][i]] for i in range(n)]
+    return den, cols
+
+
 def change_basis(L: LieAlgebra, m: list[list[Q2]],
                  name: Optional[str] = None,
                  labels: Optional[Sequence[Label]] = None) -> LieAlgebra:
-    """Transform to the basis T'_i = sum_A m[A][i] T_A."""
+    """Transform to the basis T'_i = sum_A m[A][i] T_A.
+
+    The constants C'_ij^k = sum m[a][i] m[b][j] C_ab^c minv[k][c] are summed
+    on integers, over the common denominators of the constants, of m and of
+    its inverse, and divided back once per distinct value, whose Q2 the rows
+    share.  A sum that cancels to zero is dropped where it cancels, so the
+    rows keep the key order of a running sum."""
     n = L.dim
     if len(m) != n or any(len(row) != n for row in m):
         raise LieAlgebraError("basis matrix shape mismatch")
     m = [[Q2.of(x) for x in row] for row in m]
-    minv = mat_inverse(m)
-    minv_cols = [[(k, minv[k][c]) for k in range(n) if minv[k][c]] for c in range(n)]
-    sparse_cols = [[(a, m[a][i]) for a in range(n) if m[a][i]] for i in range(n)]
+    den_m, cols = _int_matrix(m)
+    den_inv, inv_cols = _int_matrix(mat_inverse(m))
+    den_l, rows = integer_constants(L)
+    # (a, b) -> ((c, p, q), ...) with p + q*sqrt2 = den_l * C_ab^c, both orders
+    pairs: dict[tuple[int, int], tuple] = {}
+    for a, b, row in rows:
+        pairs[(a, b)] = row
+        pairs[(b, a)] = tuple((c, -p, -q) for c, p, q in row)
+    scale = den_l * den_m * den_m * den_inv
+    values: dict[tuple[int, int], Q2] = {}  # one Q2 per distinct constant
     constants: PairTable = {}
     for i in range(n):
         for j in range(i + 1, n):
-            acc: dict[int, Q2] = {}
-            for a, ma in sparse_cols[i]:
-                for b, mb in sparse_cols[j]:
-                    row = L.pair(a, b)
+            acc: dict[int, tuple[int, int]] = {}
+            for a, x1, y1 in cols[i]:
+                for b, x2, y2 in cols[j]:
+                    row = pairs.get((a, b))
                     if not row:
                         continue
-                    f = ma * mb
-                    for c, v in row.items():
-                        w = acc.get(c, Q2(0)) + f * v
-                        if w:
-                            acc[c] = w
-                        elif c in acc:
-                            del acc[c]
+                    fx, fy = x1 * x2 + 2 * y1 * y2, x1 * y2 + y1 * x2
+                    for c, p, q in row:
+                        _accumulate(acc, c, fx * p + 2 * fy * q, fx * q + fy * p)
             if not acc:
                 continue
-            out: dict[int, Q2] = {}
-            for c, v in acc.items():
-                for k, mk in minv_cols[c]:
-                    w = out.get(k, Q2(0)) + mk * v
-                    if w:
-                        out[k] = w
-                    elif k in out:
-                        del out[k]
-            if out:
-                constants[(i, j)] = out
-    return LieAlgebra(name or f"{L.name}'",
-                      list(labels) if labels is not None else list(L.labels),
-                      constants)
+            out: dict[int, tuple[int, int]] = {}
+            for c, (p, q) in acc.items():
+                for k, x, y in inv_cols[c]:
+                    _accumulate(out, k, x * p + 2 * y * q, x * q + y * p)
+            if not out:
+                continue
+            constants[(i, j)] = new_row = {}
+            for k, (p, q) in out.items():
+                v = values.get((p, q))
+                if v is None:
+                    v = values[(p, q)] = Q2(Fraction(p, scale), Fraction(q, scale))
+                new_row[k] = v
+    return LieAlgebra._adopt(name or f"{L.name}'",
+                             list(labels) if labels is not None else list(L.labels),
+                             constants)
+
+
+def _accumulate(acc: dict[int, tuple[int, int]], k: int, p: int, q: int) -> None:
+    """acc[k] += (p, q), deleting the key where the sum is zero."""
+    old = acc.get(k)
+    if old is not None:
+        p, q = old[0] + p, old[1] + q
+    if p or q:
+        acc[k] = (p, q)
+    elif old is not None:
+        del acc[k]
 
 
 # -- named algebras -----------------------------------------------------------

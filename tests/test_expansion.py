@@ -8,7 +8,8 @@ from sexpansion.expansion import (ExpansionError, PairingError, ResonanceSpec,
                                   impose_sign_identification,
                                   resonant_subalgebra, s_expand, zero_reduce)
 from sexpansion.fixtures import (b5_resonance_spec, make_b5, make_c_algebra,
-                                 random_nilpotent, random_solvable_4d)
+                                 make_c_algebra_rotated, random_nilpotent,
+                                 random_solvable_4d)
 from sexpansion.lie_algebra import (LieAlgebra, check_axioms, killing_profile, make_ads,
                                    make_named)
 from sexpansion.scalars import Q2
@@ -439,3 +440,33 @@ def test_expansion_by_a_product_semigroup_keeps_jacobi(seed):
     s = direct_product(make_cyclic(rng.randint(2, 4)), make_se(rng.randint(0, 2)))
     for L in (make_named("so3"), random_nilpotent(3, seed)):
         assert check_axioms(s_expand(s, L)).ok
+
+
+def _adopted_algebras():
+    """Algebras whose tables are taken over without the constructor's
+    checks: the 20 halved reductions of the algebra-verify benchmark, the
+    c algebras plain and rotated, b5 with its expansion and resonant steps,
+    and the two random-basis algebras."""
+    seed = 20160409
+    bases = [make_named(name) for name in ("so3", "ads3", "ads5")]
+    bases += [random_nilpotent(4, seed=seed), random_solvable_4d(seed=seed)]
+    out = [h_reduce(n, L) for L in bases for n in (1, 2, 3, 4)]
+    out += [make_c_algebra(d) for d in (3, 5, 7)]
+    out += [make_c_algebra_rotated(d) for d in (3, 5, 7)]
+    s, ads5 = make_se(3), make_ads(5)
+    expanded = s_expand(s, ads5)
+    resonant = resonant_subalgebra(expanded, s, ads5, b5_resonance_spec())
+    out += [expanded, resonant, zero_reduce(resonant, s), make_b5()]
+    out += bases[3:]
+    return out
+
+
+def test_adopted_tables_are_canonical():
+    """The validating constructor gives each adopted table back unchanged:
+    the same constants, in the same key and target order."""
+    algebras = _adopted_algebras()
+    assert len(algebras) == 32
+    for L in algebras:
+        again = LieAlgebra(L.name, L.labels, L.constants)
+        assert [(k, list(row.items())) for k, row in again.constants.items()] == \
+            [(k, list(row.items())) for k, row in L.constants.items()], L.name

@@ -18,7 +18,7 @@ from sexpansion.invariant_tensor import (InvarianceReport, InvariantTensor,
 from sexpansion.lie_algebra import (change_basis, killing_matrix, make_ads,
                                     make_named, mat_identity, mat_inverse, pair_basis)
 from sexpansion.scalars import Q2, SQRT2, ScalarExpr
-from sexpansion.semigroup import make_se
+from sexpansion.semigroup import make_cyclic, make_se
 
 
 def test_epsilon_tensor_base_invariance():
@@ -51,10 +51,30 @@ def hand_epsilon_tensor(d):
     return t
 
 
+def reference_epsilon_tensor(d):
+    """Reference: the loop over all d! permutations that the pair matchings
+    replaced."""
+    pidx = {p: i for i, p in enumerate(pair_basis(d))}
+    t = InvariantTensor((d + 1) // 2)
+    for perm in itertools.permutations(range(d)):
+        pairs = list(zip(perm[:-1:2], perm[1::2]))
+        if all(a < b for a, b in pairs):
+            t.set_entry([pidx[p] for p in pairs] + [len(pidx) + perm[-1]],
+                        ScalarExpr.const(perm_sign(perm)))
+    return t
+
+
 def test_epsilon_tensor_matches_hand_written_branches():
     for d in (3, 5):
         assert json.dumps(epsilon_tensor(d).to_json_dict()) == \
             json.dumps(hand_epsilon_tensor(d).to_json_dict())
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_epsilon_tensor_matches_the_permutation_loop(d):
+    """Same entries, in the same order, as the walk over all d! permutations."""
+    t, ref = epsilon_tensor(d), reference_epsilon_tensor(d)
+    assert list(t.entries.items()) == list(ref.entries.items())
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -284,6 +304,18 @@ def test_rank_guard():
         InvariantTensor(1)
 
 
+def test_negative_tensor_indices_raise():
+    """A negative index names no generator: rotating or lifting a tensor
+    that has one raises instead of wrapping to the last generator or
+    dropping the entry."""
+    t = InvariantTensor.from_json_dict(
+        {"rank": 2, "entries": [{"indices": [-1, 0], "coeff": ScalarExpr.const(1).to_json_list()}]})
+    with pytest.raises(TensorError, match=r"entry \[-1, 0\] has an index outside"):
+        rotate_tensor(t, mat_identity(3))
+    with pytest.raises(TensorError, match="base tensor index -1 is negative"):
+        lift_h(1, h_reduce(1, make_named("ads3")), t)
+
+
 def test_lift_rejects_base_indices_beyond_base_dim():
     # c5 is the halved Z4 expansion, so n = 3 reads base_dim 10 < 15
     with pytest.raises(TensorError, match="not below base_dim 10"):
@@ -393,3 +425,118 @@ def test_rotating_back_by_the_inverse_gives_the_tensor(seed):
     rotated = rotate_tensor(t, m)
     assert rotated != t
     assert rotate_tensor(rotated, mat_inverse(m)) == t
+
+
+def dense_lift_0s(s, target, base_dim, base_tensor):
+    """Reference: the lift that walks every sorted index tuple of the target
+    and reads the base entry on its base indices."""
+    top = max((key[-1] for key in base_tensor.entries), default=-1)
+    if top >= base_dim:
+        raise TensorError(f"base tensor index {top} is not below base_dim {base_dim}")
+    tags = [lab.tags[0] for lab in target.labels]
+    out = InvariantTensor(base_tensor.rank)
+    for combo in itertools.combinations_with_replacement(range(target.dim), base_tensor.rank):
+        val = base_tensor.get([i % base_dim for i in combo])
+        if val.is_zero():
+            continue
+        gamma = s.product([tags[i] for i in combo])
+        if gamma == s.zero_index:
+            continue
+        out.set_entry(combo, ScalarExpr.alpha(gamma) * val)
+    return out
+
+
+def reference_rotate_tensor(T, m):
+    """Reference: every distinct ordering of every entry's key, every row
+    choice, accumulated in Q2 and ScalarExpr on the sorted targets."""
+    n = len(m)
+    rows = [[(i, m[a][i]) for i in range(n) if m[a][i]] for a in range(n)]
+    acc = {}
+    for key, val in T.entries.items():
+        if any(a >= n for a in key):
+            raise TensorError("basis matrix too small for tensor indices")
+        for perm in set(itertools.permutations(key)):
+            for choice in itertools.product(*(rows[a] for a in perm)):
+                tgt = tuple(i for i, _ in choice)
+                if any(tgt[p] > tgt[p + 1] for p in range(len(tgt) - 1)):
+                    continue
+                coeff = Q2(1)
+                for _, c in choice:
+                    coeff = coeff * c
+                prev = acc.get(tgt, ScalarExpr.zero())
+                acc[tgt] = prev + val.scaled(coeff)
+    out = InvariantTensor(T.rank)
+    for key, val in acc.items():
+        out.set_entry(key, val)
+    return out
+
+
+def _lift_cases():
+    """(name, semigroup, target, base_dim, base tensor): c3, c5, c7, b5 and
+    the Z_6 halvings, each as lift_h or b5_tensor would call lift_0s."""
+    cases = []
+    for d, n in [(3, 2), (5, 2), (7, 2), (3, 1), (3, 3), (3, 4), (5, 1), (5, 3)]:
+        target = h_reduce(n, make_ads(d))
+        cases.append((f"d{d}_n{n}", make_cyclic(2 * n), target, target.dim // n,
+                      epsilon_tensor(d)))
+    cases.append(("b5", make_se(3), make_b5(), len(pair_basis(5)) + 5, epsilon_tensor(5)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _lift_cases(), ids=lambda case: case[0])
+def test_lift_matches_the_dense_lift(case):
+    """Same entries, values and insertion order as the dense walk."""
+    _, s, target, base_dim, base = case
+    lifted = lift_0s(s, target, base_dim, base)
+    assert list(lifted.entries.items()) == \
+        list(dense_lift_0s(s, target, base_dim, base).entries.items())
+
+
+def _sparse_invertible(dim, rng, extra):
+    """A seeded invertible Q(sqrt2) matrix: random nonzero diagonal and
+    `extra` random entries above it."""
+    def value():
+        while True:
+            v = Q2(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
+            if v:
+                return v
+    m = [[value() if i == j else Q2(0) for j in range(dim)] for i in range(dim)]
+    for _ in range(extra):
+        i, j = sorted(rng.sample(range(dim), 2))
+        m[i][j] = value()
+    return m
+
+
+def _rotation_cases():
+    """(name, tensor, matrix): the c3, c5 and c7 lifts by their mixing
+    rotations; every lift case by a seeded sparse invertible matrix; and
+    seeded dense ones on a tensor with repeated indices, sqrt2 parts, ell
+    powers and several terms per entry."""
+    rng = random.Random(20160409)
+    cases = [(f"c{d}_mixing", c_tensor(d), mixing_rotation(d)) for d in (3, 5, 7)]
+    for name, s, target, base_dim, base in _lift_cases():
+        cases.append((name + "_sparse", lift_0s(s, target, base_dim, base),
+                      _sparse_invertible(target.dim, rng, target.dim // 2)))
+    mixed = InvariantTensor(3, {
+        (0, 0, 0): ScalarExpr.alpha(1, Q2(Fraction(1, 3), 2), -2) + ScalarExpr.const(-1),
+        (0, 0, 4): ScalarExpr.const(Q2(0, Fraction(-5, 2)), 1),
+        (1, 2, 2): ScalarExpr.alpha(0, 2) + ScalarExpr.alpha(3, Q2(1, 1)),
+        (2, 3, 5): ScalarExpr.alpha(2, Fraction(7, 4)),
+        (4, 4, 5): ScalarExpr.const(3)})
+    for k in range(3):
+        cases.append((f"dense_{k}", mixed,
+                      [[Q2(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-1, 1))
+                        for _ in range(6)] for _ in range(6)]))
+    cases.append(("eps3_dense", epsilon_tensor(3), cases[-1][2]))
+    return cases
+
+
+@pytest.mark.parametrize("case", _rotation_cases(), ids=lambda case: case[0])
+def test_rotation_matches_the_reference(case):
+    """Same entries and values as the walk over every ordering; the entries
+    go in in sorted key order."""
+    _, t, m = case
+    rotated = rotate_tensor(t, m)
+    assert rotated == reference_rotate_tensor(t, m)
+    assert list(rotated.entries) == sorted(rotated.entries)
+    assert rotated.entries

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sexpansion.expansion import h_reduce
-from sexpansion.fixtures import (make_c_algebra_rotated, random_nilpotent,
+from sexpansion.fixtures import (make_b5, make_c_algebra, make_c_algebra_rotated,
+                                 mixing_rotation, random_nilpotent,
                                  random_solvable_4d)
 from sexpansion.lie_algebra import (AxiomReport, Label, LieAlgebra,
                                     LieAlgebraError, change_basis, check_axioms,
@@ -295,3 +296,83 @@ def test_sparse_jacobi_matches_dense():
         assert sparse == dense, L.name
         verdicts.add(sparse.ok)
     assert verdicts == {True, False}
+
+
+def reference_change_basis(L, m, name=None, labels=None):
+    """Reference: the constants summed in Q2, through L.pair and the
+    validating constructor."""
+    n = L.dim
+    m = [[Q2.of(x) for x in row] for row in m]
+    minv = mat_inverse(m)
+    minv_cols = [[(k, minv[k][c]) for k in range(n) if minv[k][c]] for c in range(n)]
+    sparse_cols = [[(a, m[a][i]) for a in range(n) if m[a][i]] for i in range(n)]
+    constants = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = {}
+            for a, ma in sparse_cols[i]:
+                for b, mb in sparse_cols[j]:
+                    row = L.pair(a, b)
+                    if not row:
+                        continue
+                    f = ma * mb
+                    for c, v in row.items():
+                        w = acc.get(c, Q2(0)) + f * v
+                        if w:
+                            acc[c] = w
+                        elif c in acc:
+                            del acc[c]
+            if not acc:
+                continue
+            out = {}
+            for c, v in acc.items():
+                for k, mk in minv_cols[c]:
+                    w = out.get(k, Q2(0)) + mk * v
+                    if w:
+                        out[k] = w
+                    elif k in out:
+                        del out[k]
+            if out:
+                constants[(i, j)] = out
+    return LieAlgebra(name or f"{L.name}'",
+                      list(labels) if labels is not None else list(L.labels),
+                      constants)
+
+
+def _table(L):
+    """The constant table with its key order and each row's target order."""
+    return [(key, list(row.items())) for key, row in L.constants.items()]
+
+
+def _change_basis_cases():
+    """(algebra, matrix): c3, c5 and c7 by their mixing rotations; b5, the
+    Z_6 halvings and the seeded random algebras by seeded invertible Q(sqrt2)
+    matrices, sparse above the diagonal or dense."""
+    rng = random.Random(20160409)
+    cases = [(make_c_algebra(d), mixing_rotation(d)) for d in (3, 5, 7)]
+
+    def sparse(dim):
+        m = [[_random_q2(rng, nonzero=True) if i == j else Q2(0) for j in range(dim)]
+             for i in range(dim)]
+        for _ in range(dim):
+            i, j = sorted(rng.sample(range(dim), 2))
+            m[i][j] = _random_q2(rng, nonzero=True)
+        return m
+
+    algebras = [make_b5()] + [h_reduce(n, make_ads(3)) for n in (1, 2, 3, 4)] \
+        + [h_reduce(n, make_ads(5)) for n in (1, 2, 3)]
+    cases += [(L, sparse(L.dim)) for L in algebras]
+    for L in (random_nilpotent(4, 20160409), random_solvable_4d(20160409), make_named("ads3")):
+        cases += [(L, _random_invertible(L.dim, rng)), (L, sparse(L.dim))]
+    return cases
+
+
+def test_change_basis_matches_the_reference():
+    """Same name, labels and constants, in the same key and target order,
+    as the sum in Q2; and some case has a sqrt2 part in its constants."""
+    irrational = False
+    for L, m in _change_basis_cases():
+        new, ref = change_basis(L, m, name="x"), reference_change_basis(L, m, name="x")
+        assert (new.name, new.labels, _table(new)) == (ref.name, ref.labels, _table(ref)), L.name
+        irrational |= any(v.b for row in new.constants.values() for v in row.values())
+    assert irrational
