@@ -149,11 +149,11 @@ def lift_0s(s: Semigroup, target: LieAlgebra, base_dim: int,
     a negative one.  Each base entry feeds the sorted tuples of target
     generators over its base indices; the entries go in in sorted key order.
     """
-    keys = base_tensor.entries
-    top = max((key[-1] for key in keys), default=-1)
+    entries = base_tensor.entries
+    top = max((key[-1] for key in entries), default=-1)
     if top >= base_dim:
         raise TensorError(f"base tensor index {top} is not below base_dim {base_dim}")
-    bottom = min((key[0] for key in keys), default=0)
+    bottom = min((key[0] for key in entries), default=0)
     if bottom < 0:
         raise TensorError(f"base tensor index {bottom} is negative")
     tags = []
@@ -165,7 +165,7 @@ def lift_0s(s: Semigroup, target: LieAlgebra, base_dim: int,
     # a sorted target tuple has exactly one sorted tuple of base indices, so
     # the base entries feed disjoint sets of targets
     lifted = []
-    for key, val in keys.items():
+    for key, val in entries.items():
         values: dict[int, ScalarExpr] = {}  # gamma -> alpha_gamma * val, shared
         for combo in {tuple(sorted(choice))
                       for choice in itertools.product(*(over[b] for b in key))}:
