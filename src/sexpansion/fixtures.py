@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .expansion import ResonanceSpec, h_reduce, resonant_subalgebra, s_expand, zero_reduce
-from .forms import LieValuedForm, ScalarForm, pair_symbol, sym
+from .forms import IntForm, LieValuedForm, pair_symbol, sym
 from .invariant_tensor import (InvariantTensor, epsilon_tensor, lift_0s, lift_h,
                                rotate_tensor)
 from .lie_algebra import (Label, LieAlgebra, LieAlgebraError, change_basis,
@@ -129,7 +129,7 @@ def build_connection(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h")
     generators named Z carry k, vector P carries e, vector Z carries h.
     """
     wanted = set(fields)
-    A = LieValuedForm()
+    components = {}
     for i, lab in enumerate(L.labels):
         key = (lab.base, len(lab.index))
         if key not in FIELD_BLOCKS:
@@ -139,12 +139,11 @@ def build_connection(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h")
             continue
         if len(lab.index) == 2:
             s, symbol = pair_symbol(fieldname, *lab.index)
-            comp = ScalarForm({(symbol,): ScalarExpr.const(Q2(s), ellpow)})
         else:
-            comp = ScalarForm({(sym(fieldname, lab.index[0]),):
-                               ScalarExpr.const(Q2(1), ellpow)})
-        A.add_component(i, comp)
-    return A
+            s, symbol = 1, sym(fieldname, lab.index[0])
+        if s:
+            components[i] = IntForm({(None, ellpow, 0): {(symbol,): s}})
+    return LieValuedForm(components)
 
 
 def connection_chain(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h"),

@@ -5,6 +5,11 @@ connection w^ab, and the extra fields k^ab, h^a) together with their exterior
 derivatives, which are 2-form symbols.  Odd symbols anticommute, even symbols
 commute, and every monomial is kept in a canonical sorted order with the
 Koszul sign applied at construction time.
+
+Inside the library there is one form type, the integer kernel's `IntForm`,
+and a `LieValuedForm` holds one `IntForm` per generator.  `ScalarForm`, with
+`ScalarExpr` coefficients, is the boundary type: what the public functions
+return, what the JSON reader builds, and what comparisons read.
 """
 
 from __future__ import annotations
@@ -126,10 +131,9 @@ def monomial_degree(m: Monomial) -> int:
 
 
 class ScalarForm:
-    """Finite sum of canonical monomials with ScalarExpr coefficients.
-
-    `f + g` copies f and returns a new form; `f.add_form(g, c)` accumulates
-    c*g into f in place, for accumulators the caller created itself.
+    """Finite sum of canonical monomials with ScalarExpr coefficients: a
+    public result, a form read from JSON, or a side of a comparison.  Form
+    arithmetic runs on `IntForm`.
     """
 
     __slots__ = ("terms",)
@@ -162,41 +166,13 @@ class ScalarForm:
         else:
             self.terms[m] = acc
 
-    def add_form(self, other: "ScalarForm",
-                 c: ScalarExpr | Q2 | int | None = None) -> None:
-        """In place: self += c * other (c = 1 when omitted); other is unchanged."""
-        items = list(other.terms.items()) if other is self else other.terms.items()
-        if c is None:
-            for m, v in items:
-                self.add_term(m, v)
-        else:
-            c = ScalarExpr.of(c)
-            for m, v in items:
-                self.add_term(m, v * c)
-
     def __add__(self, other: "ScalarForm") -> "ScalarForm":
+        """A new form; the library never adds two ScalarForms, but
+        `perfbench/tracer.py` counts the calls of this method."""
         out = ScalarForm(dict(self.terms))
         for m, c in other.terms.items():
             out.add_term(m, c)
         return out
-
-    def __sub__(self, other: "ScalarForm") -> "ScalarForm":
-        return self + other.scaled(Q2(-1))
-
-    def __neg__(self) -> "ScalarForm":
-        return self.scaled(Q2(-1))
-
-    def scaled(self, c: ScalarExpr | Q2 | int) -> "ScalarForm":
-        c = ScalarExpr.of(c)
-        if c.is_zero():
-            return ScalarForm()
-        out = ScalarForm()
-        for m, v in self.terms.items():
-            out.add_term(m, v * c)
-        return out
-
-    def degrees(self) -> set[int]:
-        return {monomial_degree(m) for m in self.terms}
 
     def sorted_items(self) -> list[tuple[Monomial, ScalarExpr]]:
         return sorted(self.terms.items())
@@ -311,7 +287,8 @@ def scalar_form_latex(f: ScalarForm | IntForm) -> str:
 # alpha_a * ell^k * sqrt2^r, keyed (a or None, k, r) with r in {0, 1}, a map
 # monomial -> int, all over one positive int denominator.  A scalar is the
 # IntForm of a 0-form, whose only monomial is ().  ScalarExpr, Q2 and Fraction
-# appear only in `IntForm.of` and `IntForm.into_scalar_form`, the edges.
+# appear only at the edges: `IntForm.of`, `IntForm.scalar`, `into_scalar_form`
+# and `row_scalar`.
 
 KernelKey = tuple[Optional[int], int, int]
 
@@ -328,26 +305,18 @@ class IntForm:
 
     @staticmethod
     def of(f: ScalarForm) -> "IntForm":
-        den = common_denominator(q for c in f.terms.values() for q in c.terms.values())
-        parts: dict[KernelKey, dict[Monomial, int]] = {}
-        for m, c in f.terms.items():
-            for (a, e), q in c.terms.items():
-                for r, x in enumerate(int_parts(q, den)):
-                    if x:
-                        parts.setdefault((a, e, r), {})[m] = x
-        return IntForm(parts, den)
+        return _int_form(f.terms)
 
     @staticmethod
     def scalar(c: ScalarExpr | Q2 | Fraction | int) -> "IntForm":
-        return IntForm.of(ScalarForm({(): ScalarExpr.of(c)}))
+        """The 0-form c."""
+        return _int_form({(): ScalarExpr.of(c)})
 
     def into_scalar_form(self) -> ScalarForm:
-        """The ScalarForm of this kernel form, which it empties on the way:
-        each part is freed once it is converted."""
+        """The ScalarForm of this kernel form, which stays as it is."""
         out = ScalarForm()
         rationals: dict[int, Q2] = {}  # equal coefficients share one Q2
-        while self.parts:
-            (a, e, r), part = self.parts.popitem()
+        for (a, e, r), part in self.parts.items():
             for m, c in part.items():
                 coeff = out.terms.get(m)
                 if coeff is None:
@@ -363,6 +332,19 @@ class IntForm:
                         q = rationals[c] = Q2(Fraction(c, self.den))
                 coeff.terms[(a, e)] = q
         return out
+
+    @property
+    def terms(self) -> dict[Monomial, ScalarExpr]:
+        """The monomial -> ScalarExpr map of `into_scalar_form`, built on each
+        read; `perfbench/run.py` reads a connection component's coefficient
+        so."""
+        return self.into_scalar_form().terms
+
+    def __eq__(self, other) -> bool:
+        """Equal values, whatever the two denominators."""
+        if not isinstance(other, IntForm):
+            return NotImplemented
+        return _times(self, other.den) == _times(other, self.den)
 
     def rows(self) -> list[tuple[Monomial, tuple]]:
         """(monomial, row) in sorted monomial order, where a row is the
@@ -421,6 +403,24 @@ class IntForm:
                         acc[m] = v
                     else:
                         del acc[m]
+
+
+def _int_form(terms: dict[Monomial, ScalarExpr]) -> IntForm:
+    """The kernel form of a monomial -> ScalarExpr map, over the lcm of its
+    denominators."""
+    den = common_denominator(q for c in terms.values() for q in c.terms.values())
+    parts: dict[KernelKey, dict[Monomial, int]] = {}
+    for m, c in terms.items():
+        for (a, e), q in c.terms.items():
+            for r, x in enumerate(int_parts(q, den)):
+                if x:
+                    parts.setdefault((a, e, r), {})[m] = x
+    return IntForm(parts, den)
+
+
+def _times(f: IntForm, n: int) -> dict[KernelKey, dict[Monomial, int]]:
+    """f's ints times n, by key; empty keys left out."""
+    return {key: {m: c * n for m, c in part.items()} for key, part in f.parts.items() if part}
 
 
 _ZERO = Fraction(0)
@@ -514,14 +514,6 @@ def int_d(f: IntForm) -> IntForm:
     return IntForm(_nonzero(parts), f.den)
 
 
-def int_lie_form(f: "LieValuedForm") -> IntLieForm:
-    return {i: IntForm.of(sf) for i, sf in f.components.items()}
-
-
-def lie_valued_form(f: IntLieForm) -> "LieValuedForm":
-    return LieValuedForm({i: k.into_scalar_form() for i, k in f.items()})
-
-
 def int_lie_nonzero(f: IntLieForm) -> IntLieForm:
     return {i: k for i, k in f.items() if not k.is_zero()}
 
@@ -604,7 +596,7 @@ def int_entries(T) -> list[TensorEntry]:
             for key, val in T.entries.items()]
 
 
-# -- the public entry points: ScalarForm in, kernel, ScalarForm out --------------
+# -- the public entry points: kernel forms inside, ScalarForm results -----------
 
 
 def wedge(f: ScalarForm, g: ScalarForm) -> ScalarForm:
@@ -618,12 +610,13 @@ def exterior_d(f: ScalarForm) -> ScalarForm:
 
 
 class LieValuedForm:
-    """Map from generator index to ScalarForm component."""
+    """Map from generator index to its component, a kernel form: its
+    `components` is an `IntLieForm` that the kernel reads as it is."""
 
     __slots__ = ("components",)
 
-    def __init__(self, components: Optional[dict[int, ScalarForm]] = None):
-        self.components: dict[int, ScalarForm] = {}
+    def __init__(self, components: Optional[IntLieForm] = None):
+        self.components: IntLieForm = {}
         if components:
             for i, f in components.items():
                 if not f.is_zero():
@@ -639,35 +632,17 @@ class LieValuedForm:
     def __eq__(self, other) -> bool:
         return isinstance(other, LieValuedForm) and self.components == other.components
 
-    def add_component(self, i: int, f: ScalarForm) -> None:
-        acc = self.components.get(i)
-        acc = f if acc is None else acc + f
-        if acc.is_zero():
-            self.components.pop(i, None)
-        else:
-            self.components[i] = acc
-
-    def __add__(self, other: "LieValuedForm") -> "LieValuedForm":
-        out = LieValuedForm({i: f for i, f in self.components.items()})
-        for i, f in other.components.items():
-            out.add_component(i, f)
-        return out
-
-    def d(self) -> "LieValuedForm":
-        return LieValuedForm({i: exterior_d(f) for i, f in self.components.items()})
-
 
 def lie_bracket_form(f: LieValuedForm, g: LieValuedForm, L: LieAlgebra) -> LieValuedForm:
     """[f, g]^C = C_{AB}^C f^A wedge g^B over all ordered generator pairs."""
-    kf = int_lie_form(f)
     out: IntLieForm = {}
-    int_bracket_into(out, kf, kf if g is f else int_lie_form(g), L)
-    return lie_valued_form(out)
+    int_bracket_into(out, f.components, g.components, L)
+    return LieValuedForm(out)
 
 
 def curvature(A: LieValuedForm, L: LieAlgebra) -> LieValuedForm:
     """F = dA + (1/2)[A, A]."""
-    return lie_valued_form(int_curvature(int_lie_form(A), L))
+    return LieValuedForm(int_curvature(A.components, L))
 
 
 def contract(T, forms: Sequence[LieValuedForm]) -> ScalarForm:
@@ -683,13 +658,10 @@ def contract(T, forms: Sequence[LieValuedForm]) -> ScalarForm:
     the entry times the number of orderings it stands for.  A form with any
     odd monomial is never grouped: its factors anticommute, so orderings
     inside the group differ in sign and must be wedged one by one; that is
-    how <w w w> = 0 comes out of the wedge signs.  Each distinct form object
-    enters the kernel once, so the grouping survives the conversion.
+    how <w w w> = 0 comes out of the wedge signs.  Each form's components
+    go to the kernel as they are, with no conversion, so one form object in
+    several slots is one object there too.
     """
     if len(forms) != T.rank:
         raise ValueError("number of forms must equal the tensor rank")
-    kernel: dict[int, IntLieForm] = {}
-    for f in forms:
-        if id(f) not in kernel:
-            kernel[id(f)] = int_lie_form(f)
-    return int_contract(int_entries(T), [kernel[id(f)] for f in forms]).into_scalar_form()
+    return int_contract(int_entries(T), [f.components for f in forms]).into_scalar_form()

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 from .expansion import h_reduce
 from .forms import (HALF, MINUS_ONE, IntForm, IntLieForm, LieValuedForm,
                     Monomial, ScalarForm, TensorEntry, int_bracket_into,
-                    int_contract, int_d, int_entries, int_lie_form,
-                    int_lie_nonzero, lie_valued_form, monomial_name)
+                    int_contract, int_d, int_entries, int_lie_nonzero,
+                    monomial_name)
 from .invariant_tensor import InvariantTensor
 from .lie_algebra import LieAlgebra, change_basis
 from .scalars import Q2, ScalarExpr
@@ -47,9 +47,8 @@ def _difference(A: IntLieForm, Abar: IntLieForm) -> IntLieForm:
 def homotopy_curvature(A: LieValuedForm, Abar: LieValuedForm,
                        L: LieAlgebra) -> dict[int, LieValuedForm]:
     """F_t = d A_t + (1/2)[A_t, A_t] with A_t = Abar + t (A - Abar)."""
-    kbar = int_lie_form(Abar)
-    ft = _homotopy_curvature(kbar, _difference(int_lie_form(A), kbar), L)
-    return {m: lie_valued_form(f) for m, f in ft.items()}
+    ft = _homotopy_curvature(Abar.components, _difference(A.components, Abar.components), L)
+    return {m: LieValuedForm(f) for m, f in ft.items()}
 
 
 def _transgression(A: IntLieForm, Abar: IntLieForm,
@@ -78,7 +77,7 @@ def transgression(A: LieValuedForm, Abar: LieValuedForm,
     """Q^(2k+1)(A, Abar) = (k+1) * integral_0^1 <(A - Abar) F_t^k> dt."""
     if T.rank != k + 1:
         raise ValueError(f"rank-{T.rank} tensor cannot build a 2k+1 = {2*k+1} form")
-    return _transgression(int_lie_form(A), int_lie_form(Abar), int_entries(T),
+    return _transgression(A.components, Abar.components, int_entries(T),
                           k, L).into_scalar_form()
 
 
@@ -104,7 +103,7 @@ def int_separation(chain: Sequence[LieValuedForm], T: InvariantTensor,
     if dimension != 2 * T.rank - 1:
         raise ValueError(f"dimension {dimension} is not 2 * rank - 1 for a rank-{T.rank} tensor")
     entries = int_entries(T)
-    links = [int_lie_form(A) for A in chain]
+    links = [A.components for A in chain]
     out = IntForm()
     for big, small in zip(links, links[1:]):
         link = _transgression(big, small, entries, T.rank - 1, L)
@@ -175,9 +174,7 @@ def compare_int_forms(lhs: IntForm, rhs: IntForm,
         if anchor is None:
             if lhs.is_zero() and rhs.is_zero():
                 return ComparisonReport(True, scale)
-            # into_scalar_form empties its form: convert shallow copies
-            computed, expected = (str(IntForm(dict(f.parts), f.den).into_scalar_form())
-                                  for f in (lhs, rhs))
+            computed, expected = (str(f.into_scalar_form()) for f in (lhs, rhs))
             return ComparisonReport(False, None, [TermDiff("<none shared>", computed, expected)])
         # c and k from the computed first term and the lowest ell power of
         # its alpha in the expected coefficient; c must be alpha-free

@@ -690,14 +690,15 @@ def make_ads(d: int) -> LieAlgebra:
     constants: PairTable = {}
     for i, ab in enumerate(pairs):
         for j in range(i + 1, npairs):
+            # [J_ab, J_cd] is zero unless the pairs share exactly one index,
+            # and then it lies on J of the other two
             cd = pairs[j]
-            row = {}
-            for k, ef in enumerate(pairs):
+            rest = set(ab) ^ set(cd)
+            if len(rest) == 2:
+                ef = tuple(sorted(rest))
                 v = rotation_coeff(eta, ab, cd, ef)
                 if v:
-                    row[k] = v
-            if row:
-                constants[(i, j)] = row
+                    constants[(i, j)] = {pidx[ef]: v}
     for i, ab in enumerate(pairs):
         for c in range(d):
             row = {}

@@ -48,3 +48,17 @@ def test_traced_layers_resolve():
     for module, name in layers:
         assert callable(getattr(importlib.import_module(f"sexpansion.{module}"), name, None)), \
             f"tracer.LAYERS names sexpansion.{module}.{name}"
+
+
+def test_attributes_the_benchmark_reads_resolve():
+    """Beyond imported names: the tracer counts `ScalarForm.__add__`, and
+    the scalar-ring timings read a coefficient of a connection component
+    through its `terms`."""
+    from sexpansion.fixtures import build_connection, make_c_algebra_rotated
+    from sexpansion.forms import ScalarForm
+    from sexpansion.scalars import ScalarExpr
+
+    assert "__add__" in vars(ScalarForm)
+    vector = max(build_connection(make_c_algebra_rotated(5)).components.items())[1]
+    assert isinstance(next(iter(vector.terms.values())), ScalarExpr)
+    assert vector.terms == vector.into_scalar_form().terms

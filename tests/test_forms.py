@@ -13,7 +13,7 @@ from sexpansion.fixtures import (build_connection, c_tensor_rotated,
 from sexpansion.forms import (FormSymbol, IntForm, LieValuedForm, ScalarForm,
                               _odd_bits, canonical_monomial, contract, curvature,
                               exterior_d, int_d, int_wedge, lie_bracket_form,
-                              parse_symbol,
+                              monomial_degree, parse_symbol,
                               scalar_form_from_json_dict,
                               scalar_form_to_json_dict, sym, wedge)
 from sexpansion.invariant_tensor import InvariantTensor, epsilon_tensor
@@ -25,6 +25,94 @@ def S(*symbols) -> ScalarForm:
     return ScalarForm({mono: ScalarExpr.const(sign)}) if sign else ScalarForm.zero()
 
 
+# -- reference arithmetic on ScalarExpr coefficients ------------------------------
+#
+# The ScalarForm and LieValuedForm methods that only the tests called, moved
+# here when the library's forms became kernel forms.  The references below
+# compute with them.
+
+
+def add_form(f: ScalarForm, g: ScalarForm, c=None) -> None:
+    """In place: f += c * g (c = 1 when omitted); g is unchanged."""
+    items = list(g.terms.items()) if g is f else g.terms.items()
+    if c is None:
+        for m, v in items:
+            f.add_term(m, v)
+    else:
+        c = ScalarExpr.of(c)
+        for m, v in items:
+            f.add_term(m, v * c)
+
+
+def scaled(f: ScalarForm, c) -> ScalarForm:
+    c = ScalarExpr.of(c)
+    out = ScalarForm()
+    if not c.is_zero():
+        for m, v in f.terms.items():
+            out.add_term(m, v * c)
+    return out
+
+
+def difference(f: ScalarForm, g: ScalarForm) -> ScalarForm:
+    return f + scaled(g, Q2(-1))
+
+
+def degrees(f) -> set[int]:
+    return {monomial_degree(m) for m in f.terms}
+
+
+class ScalarLieForm:
+    """The Lie-valued form of ScalarForm components that the kernel one
+    replaced: generator index -> ScalarForm."""
+
+    def __init__(self, components=None):
+        self.components = {}
+        if components:
+            for i, f in components.items():
+                if not f.is_zero():
+                    self.components[i] = f
+
+    @staticmethod
+    def of(f: LieValuedForm) -> "ScalarLieForm":
+        return ScalarLieForm({i: k.into_scalar_form() for i, k in f.components.items()})
+
+    def kernel(self) -> LieValuedForm:
+        return LieValuedForm({i: IntForm.of(sf) for i, sf in self.components.items()})
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ScalarLieForm) and self.components == other.components
+
+    def add_component(self, i: int, f: ScalarForm) -> None:
+        acc = self.components.get(i)
+        acc = f if acc is None else acc + f
+        if acc.is_zero():
+            self.components.pop(i, None)
+        else:
+            self.components[i] = acc
+
+    def __add__(self, other: "ScalarLieForm") -> "ScalarLieForm":
+        out = ScalarLieForm(dict(self.components))
+        for i, f in other.components.items():
+            out.add_component(i, f)
+        return out
+
+    def d(self) -> "ScalarLieForm":
+        return ScalarLieForm({i: exterior_d(f) for i, f in self.components.items()})
+
+
+def converted(forms, convert):
+    """convert(f) for each of forms, one result per distinct object, so that
+    a contraction groups the same slots on either side."""
+    done = {}
+    for f in forms:
+        if id(f) not in done:
+            done[id(f)] = convert(f)
+    return [done[id(f)] for f in forms]
+
+
 def test_odd_square_vanishes():
     e1 = S(sym("e", 1))
     assert wedge(e1, e1).is_zero()
@@ -32,7 +120,7 @@ def test_odd_square_vanishes():
 
 def test_odd_odd_anticommute():
     e1, e2 = S(sym("e", 1)), S(sym("e", 2))
-    assert wedge(e1, e2) == wedge(e2, e1).scaled(Q2(-1))
+    assert wedge(e1, e2) == scaled(wedge(e2, e1), Q2(-1))
 
 
 def test_even_commutes_with_anything():
@@ -62,7 +150,7 @@ def test_graded_commutativity_random():
         d1 = sum(s.degree for s in m1)
         d2 = sum(s.degree for s in m2)
         sign = Q2(-1 if (d1 * d2) % 2 else 1)
-        assert wedge(f, g) == wedge(g, f).scaled(sign)
+        assert wedge(f, g) == scaled(wedge(g, f), sign)
 
 
 def test_wedge_associativity_random():
@@ -86,8 +174,8 @@ def test_wedge_associativity_random():
 def test_leibniz_on_degree_one():
     e1, e2 = sym("e", 1), sym("e", 2)
     got = exterior_d(S(e1, e2))
-    expected = wedge(S(sym("e", 1, d=True)), S(e2)) \
-        - wedge(S(e1), S(sym("e", 2, d=True)))
+    expected = difference(wedge(S(sym("e", 1, d=True)), S(e2)),
+                          wedge(S(e1), S(sym("e", 2, d=True))))
     assert got == expected
 
 
@@ -121,20 +209,20 @@ def test_recanonicalization_is_identity():
     A = build_connection(c5r)
     F = curvature(A, c5r)
     for comp in F.components.values():
-        assert reference_recanonicalized(comp) == comp
+        sf = comp.into_scalar_form()
+        assert reference_recanonicalized(sf) == sf
 
 
 def test_curvature_components_are_homogeneous():
     c5r = make_c_algebra_rotated(5)
     A = build_connection(c5r)
-    F = curvature(A, c5r)
+    F = ScalarLieForm.of(curvature(A, c5r))
     for comp in F.components.values():
-        assert comp.degrees() == {2}
+        assert degrees(comp) == {2}
     # dA part of the curvature is exactly the d-image of the connection
-    dA = A.d()
+    dA = ScalarLieForm.of(A).d()
     for i, comp in dA.components.items():
-        for mono in comp.terms:
-            assert mono in F.components[i].terms
+        assert set(comp.terms) <= set(F.components[i].terms)
 
 
 def test_translation_bracket_lands_on_pair_block():
@@ -157,7 +245,7 @@ def test_torsion_shape():
     c5r = make_c_algebra_rotated(5)
     w = build_connection(c5r, ("w",))
     e = build_connection(c5r, ("e",))
-    torsion = e.d() + lie_bracket_form(w, e, c5r)
+    torsion = ScalarLieForm.of(e).d() + ScalarLieForm.of(lie_bracket_form(w, e, c5r))
     for i in torsion.components:
         assert c5r.labels[i].base == "P"
 
@@ -167,7 +255,8 @@ def test_bianchi_identity():
         L = make_c_algebra_rotated(d)
         A = build_connection(L)
         F = curvature(A, L)
-        assert (F.d() + lie_bracket_form(A, F, L)).is_zero()
+        assert (ScalarLieForm.of(F).d()
+                + ScalarLieForm.of(lie_bracket_form(A, F, L))).is_zero()
 
 
 def test_contract_rejects_rank_mismatch():
@@ -198,7 +287,7 @@ def test_json_round_trip():
     F = curvature(A, c3r)
     comp = next(iter(F.components.values()))
     d = scalar_form_to_json_dict(comp)
-    assert scalar_form_from_json_dict(d) == comp
+    assert scalar_form_from_json_dict(d) == comp.into_scalar_form()
     # a sqrt2 part, a negative ell power and an alpha-free term
     mixed = ScalarForm({(sym("w", 1, 2), sym("e", 0)): ScalarExpr.alpha(1, Q2(3, -1), -2)
                         + ScalarExpr.const(Fraction(-2, 5)),
@@ -266,7 +355,7 @@ def test_changing_one_read_monomial_leaves_the_monomials_sharing_its_coefficient
     assert len({id(v) for v in f.terms.values()}) == 1
     f.add_term(monos[0], ScalarExpr.const(1))
     f.add_term(monos[1], -c)
-    f.add_form(ScalarForm({monos[2]: c}), 2)
+    add_form(f, ScalarForm({monos[2]: c}), 2)
     assert f == ScalarForm({monos[0]: c + ScalarExpr.const(1), monos[2]: c.scaled(3),
                             monos[3]: c})
 
@@ -310,12 +399,12 @@ def test_add_form_equals_copying_add():
         f = _random_form(rng, symbols, alpha=True)
         g = _random_form(rng, symbols, alpha=True)
         c = rng.choice([None, 0, -1, 2, Q2(1, -1), _random_scalar(rng, alpha=False)])
-        expected = f + (g if c is None else g.scaled(c))
+        expected = f + (g if c is None else scaled(g, c))
         g_before = scalar_form_to_json_dict(g)
-        f.add_form(g, c)
+        add_form(f, g, c)
         assert f == expected
         assert list(f.terms) == list(expected.terms)  # same insertion order
-        f.add_form(g, c)  # accumulating again must not reach back into g
+        add_form(f, g, c)  # accumulating again must not reach back into g
         assert scalar_form_to_json_dict(g) == g_before
 
 
@@ -324,10 +413,10 @@ def test_add_form_onto_itself_and_cancellation():
     symbols = [sym("e", i) for i in range(4)] + [sym("k", 1, 2)]
     for _ in range(50):
         f = _random_form(rng, symbols, alpha=True)
-        expected = f + f.scaled(3)
-        f.add_form(f, 3)
+        expected = f + scaled(f, 3)
+        add_form(f, f, 3)
         assert f == expected
-        f.add_form(f, -1)
+        add_form(f, f, -1)
         assert f.is_zero()
 
 
@@ -362,7 +451,7 @@ def dense_contract(T, forms):
             if prod.is_zero():
                 break
         else:
-            out.add_form(prod, val)
+            add_form(out, prod, val)
     return out
 
 
@@ -397,9 +486,9 @@ def reference_exterior_d(f):
 
 
 def reference_lie_scaled(f, c):
-    out = LieValuedForm()
+    out = ScalarLieForm()
     for i, sf in f.components.items():
-        out.add_component(i, sf.scaled(c))
+        out.add_component(i, scaled(sf, c))
     return out
 
 
@@ -408,14 +497,14 @@ def reference_lie_sub(f, g):
 
 
 def reference_lie_d(f):
-    out = LieValuedForm()
+    out = ScalarLieForm()
     for i, sf in f.components.items():
         out.add_component(i, reference_exterior_d(sf))
     return out
 
 
 def reference_lie_bracket_form(f, g, L):
-    out = LieValuedForm()
+    out = ScalarLieForm()
     for a, fa in f.components.items():
         for b, gb in g.components.items():
             row = L.pair(a, b)
@@ -425,7 +514,7 @@ def reference_lie_bracket_form(f, g, L):
             if prod.is_zero():
                 continue
             for c, coeff in row.items():
-                out.add_component(c, prod.scaled(coeff))
+                out.add_component(c, scaled(prod, coeff))
     return out
 
 
@@ -465,7 +554,7 @@ def reference_contract(T, forms):
                 if prod.is_zero():
                     break
             else:
-                out.add_form(prod, val if n == 1 else val.scaled(n))
+                add_form(out, prod, val if n == 1 else val.scaled(n))
     return out
 
 
@@ -476,7 +565,7 @@ _EVEN = [s.d() for s in _ODD]
 def _random_lie_form(rng, generators, degrees, size=4):
     """Components on up to size of the generators; each monomial has a degree
     drawn from degrees, so (1, 2) gives components of mixed degree."""
-    out = LieValuedForm()
+    out = ScalarLieForm()
     for i in rng.sample(generators, rng.randint(1, min(size, len(generators)))):
         f = ScalarForm()
         for _ in range(rng.randint(1, 3)):
@@ -499,7 +588,7 @@ def _random_symmetric_tensor(rng, rank, dim):
 
 def _twin(f):
     """Equal to f but not the same object, so contract cannot group it with f."""
-    return LieValuedForm({i: ScalarForm(dict(sf.terms)) for i, sf in f.components.items()})
+    return ScalarLieForm({i: ScalarForm(dict(sf.terms)) for i, sf in f.components.items()})
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -514,7 +603,7 @@ def test_contract_equals_dense_contract_on_random_slots(rank):
                 for degrees in ((2,), (2, 4), (1,), (3,), (1, 2))]
         pool.append(_twin(rng.choice(pool)))
         forms = [rng.choice(pool) for _ in range(rank)]
-        assert contract(T, forms) == dense_contract(T, forms)
+        assert contract(T, converted(forms, ScalarLieForm.kernel)) == dense_contract(T, forms)
 
 
 def test_contract_equals_dense_contract_on_repeated_objects():
@@ -526,7 +615,8 @@ def test_contract_equals_dense_contract_on_repeated_objects():
         M = _random_lie_form(rng, range(4), (1, 2))
         for forms in ([A, F, F], [F, A, F], [F, F, F], [A, A, A], [M, M, M],
                       [F, _twin(F), F], [A, _twin(A), A]):
-            assert contract(T, forms) == dense_contract(T, forms)
+            assert contract(T, converted(forms, ScalarLieForm.kernel)) == \
+                dense_contract(T, forms)
 
 
 def test_contract_equals_dense_contract_on_eps7():
@@ -541,7 +631,8 @@ def test_contract_equals_dense_contract_on_eps7():
         A = _random_lie_form(rng, generators, (1,), size=8)
         for forms in ([A, F, F, F], [F, F, F, F], [A, A, F, F],
                       [F, A, _twin(F), F]):
-            assert contract(T, forms) == dense_contract(T, forms)
+            assert contract(T, converted(forms, ScalarLieForm.kernel)) == \
+                dense_contract(T, forms)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -551,7 +642,7 @@ def test_contract_equals_dense_contract_on_curvatures(d):
     A = build_connection(L, ("w", "e"))
     F = curvature(A, L)
     for forms in ([A] + [F] * (T.rank - 1), [F] * T.rank):
-        assert contract(T, forms) == dense_contract(T, forms)
+        assert contract(T, forms) == dense_contract(T, converted(forms, ScalarLieForm.of))
 
 
 # -- the interned symbol kernel against the dataclass one it replaced ------------
@@ -684,8 +775,8 @@ def test_kernel_wedge_and_d_equal_the_reference_on_seeded_forms():
         f = _random_form(rng, _KERNEL_SYMBOLS, alpha=True)
         g = _random_form(rng, _KERNEL_SYMBOLS, alpha=rng.random() < 0.3)
         if rng.random() < 0.5:
-            f.add_form(u, _random_scalar(rng, alpha=False))
-            g.add_form(u, _random_scalar(rng, alpha=False))
+            add_form(f, u, _random_scalar(rng, alpha=False))
+            add_form(g, u, _random_scalar(rng, alpha=False))
         got = _outcome(wedge, f, g)
         assert got == _outcome(reference_wedge, f, g)
         assert exterior_d(f) == reference_exterior_d(f)
@@ -712,7 +803,7 @@ def test_kernel_contract_equals_the_reference_contract():
                 sf.terms[m] = sf.terms[m] + ScalarExpr.alpha(rng.randint(0, 3))
         pool.append(alpha_form)
         forms = [rng.choice(pool) for _ in range(rank)]
-        got = _outcome(contract, T, forms)
+        got = _outcome(contract, T, converted(forms, ScalarLieForm.kernel))
         assert got == _outcome(reference_contract, T, forms)
         raised += got is AlphaLinearityError
     assert raised > 5
@@ -723,9 +814,10 @@ def test_kernel_curvature_and_bracket_equal_the_reference():
         L = make_c_algebra_rotated(d)
         A = build_connection(L)
         w, e = build_connection(L, ("w",)), build_connection(L, ("e",))
-        assert curvature(A, L) == reference_curvature(A, L)
-        assert lie_bracket_form(w, e, L) == reference_lie_bracket_form(w, e, L)
-        assert A.d() == reference_lie_d(A)
+        ref = ScalarLieForm.of
+        assert ref(curvature(A, L)) == reference_curvature(ref(A), L)
+        assert ref(lie_bracket_form(w, e, L)) == reference_lie_bracket_form(ref(w), ref(e), L)
+        assert ref(A).d() == reference_lie_d(ref(A))
 
 
 def _kernel_value(k: IntForm) -> dict:
@@ -740,7 +832,7 @@ def test_kernel_conversions_round_trip():
         k = IntForm.of(f)
         assert all(type(c) is int and c for part in k.parts.values() for c in part.values())
         assert k.into_scalar_form() == f
-        assert not k.parts  # the conversion out empties its kernel form
+        assert k == IntForm.of(f)  # the conversion out leaves its kernel form
     for _ in range(200):
         parts = {}
         for _ in range(rng.randint(0, 6)):
@@ -753,6 +845,58 @@ def test_kernel_conversions_round_trip():
         assert _kernel_value(IntForm.of(k.into_scalar_form())) == value
 
 
+def _copy(k: IntForm) -> IntForm:
+    return IntForm({key: dict(part) for key, part in k.parts.items()}, k.den)
+
+
+def test_into_scalar_form_leaves_its_form_as_it_was():
+    """Reading a form out, or a component of a connection or a curvature,
+    leaves it equal to what it was, ints and denominator alike."""
+    rng = random.Random(73)
+    for _ in range(100):
+        k = IntForm.of(_random_form(rng, _KERNEL_SYMBOLS, alpha=True))
+        before = _copy(k)
+        k.into_scalar_form()
+        assert (k.parts, k.den) == (before.parts, before.den)
+    L = make_c_algebra_rotated(3)
+    A = build_connection(L)
+    F = curvature(A, L)
+    for comp in list(A.components.values()) + list(F.components.values()):
+        before = _copy(comp)
+        assert not comp.into_scalar_form().is_zero()
+        assert (comp.parts, comp.den) == (before.parts, before.den)
+    assert A == build_connection(L) and F == curvature(build_connection(L), L)
+
+
+def test_equality_reads_through_the_denominator():
+    """A form over 2 with doubled ints equals the form over 1; empty parts
+    do not count, and a changed int or denominator does."""
+    rng = random.Random(74)
+    seen = 0
+    for _ in range(100):
+        k = IntForm.of(_random_form(rng, _KERNEL_SYMBOLS, alpha=True))
+        doubled = IntForm({key: {m: 2 * c for m, c in part.items()}
+                           for key, part in k.parts.items()}, 2 * k.den)
+        doubled.parts[(None, 7, 0)] = {}
+        assert doubled == k and k == doubled
+        assert LieValuedForm({0: doubled, 3: k}) == LieValuedForm({0: k, 3: doubled})
+        if k.is_zero():
+            continue
+        seen += 1
+        assert IntForm(k.parts, 2 * k.den) != k
+        key, part = next(iter(k.parts.items()))
+        m = next(iter(part))
+        changed = _copy(k)
+        changed.parts[key][m] += 1
+        assert changed != k
+        assert LieValuedForm({0: changed}) != LieValuedForm({0: k})
+    assert seen > 50
+    one = IntForm({(None, 0, 0): {(sym("e", 0),): 1}})
+    assert IntForm({(None, 0, 0): {(sym("e", 0),): 2}}, 2) == one
+    assert LieValuedForm({0: IntForm({(None, 0, 0): {(sym("e", 0),): 2}}, 2)}) == \
+        LieValuedForm({0: one})
+
+
 def test_alpha_product_raises_only_when_a_nonzero_product_forms():
     e0, e1 = sym("e", 0), sym("e", 1)
     a0 = ScalarForm({(e0,): ScalarExpr.alpha(0)})
@@ -762,11 +906,13 @@ def test_alpha_product_raises_only_when_a_nonzero_product_forms():
     assert wedge(a0, a0).is_zero()  # e0 e0 = 0: no product is formed
     assert wedge(a0 + S(e1), a0) == ScalarForm({(e0, e1): ScalarExpr.alpha(0, -1)})
     T = InvariantTensor(2, {(0, 0): ScalarExpr.alpha(2), (0, 1): ScalarExpr.const(3)})
-    assert contract(T, [LieValuedForm({0: a0}), LieValuedForm({0: a0})]).is_zero()
-    A = LieValuedForm({0: S(e0), 1: a1})
+    k0 = IntForm.of(a0)
+    assert contract(T, [LieValuedForm({0: k0}), LieValuedForm({0: k0})]).is_zero()
+    a = ScalarLieForm({0: S(e0), 1: a1})
+    A = a.kernel()
     with pytest.raises(AlphaLinearityError):
         contract(InvariantTensor(2, {(0, 1): ScalarExpr.alpha(0)}), [A, A])
-    assert contract(T, [A, A]) == reference_contract(T, [A, A])
+    assert contract(T, [A, A]) == reference_contract(T, [a, a])
 
 
 # -- the kernel's monomial product against canonical_monomial -------------------

@@ -16,6 +16,7 @@ from sexpansion.lagrangian import compare_forms, subspace_separation, transgress
 from sexpansion.lie_algebra import row_reduce
 from sexpansion.scalars import Q2, ScalarExpr
 from sexpansion.targets import expand_target, expand_terms
+from test_forms import add_form
 
 # 30 single-symbol monomials, in canonical order
 MONOS = sorted([(sym("w", a, b),) for a in range(5) for b in range(a + 1, 5)]
@@ -123,7 +124,7 @@ def test_per_term_report_matches_dense(monkeypatch, seed):
     computed = ScalarForm()
     for _, anchor, shape in families:
         family = ScalarForm({m: anchor.scaled(q) for m, q in shape.items()})
-        computed.add_form(family, rng.choice([Q2(1), Q2(-2), random_q2(rng)]))
+        add_form(computed, family, rng.choice([Q2(1), Q2(-2), random_q2(rng)]))
     if rng.random() < 0.5:
         computed.add_term(rng.choice(monos), random_expr(rng))
     scale = rng.choice([None, (Q2(-1), 0), (Q2(Fraction(1, 2)), 1)])
@@ -267,7 +268,7 @@ def random_families(rng):
     for _, anchor, shape in families:
         if anchor is not None and rng.random() < 0.8:
             family = ScalarForm({m: anchor.scaled(q) for m, q in shape.items()})
-            computed.add_form(family, rng.choice([Q2(1), Q2(-2), random_q2(rng)]))
+            add_form(computed, family, rng.choice([Q2(1), Q2(-2), random_q2(rng)]))
     for m in rng.sample(monos, rng.randint(0, 2)):  # the last two sit in no family
         computed.add_term(m, random_expr(rng))
     return computed, families

@@ -11,8 +11,10 @@ from sexpansion.fixtures import (make_b5, make_c_algebra, make_c_algebra_rotated
                                  random_solvable_4d)
 from sexpansion.lie_algebra import (AxiomReport, Label, LieAlgebra,
                                     LieAlgebraError, change_basis, check_axioms,
-                                    eps3, killing_profile, make_ads, make_named,
-                                    mat_identity, mat_inverse)
+                                    boost_coeff, eps3, killing_profile,
+                                    lorentz_eta, make_ads, make_named,
+                                    mat_identity, mat_inverse, pair_basis,
+                                    rotation_coeff)
 from sexpansion.scalars import Q2, SQRT2
 
 FIXTURES = ["so3", "so31", "so4", "ads3", "ads5"]
@@ -376,3 +378,45 @@ def test_change_basis_matches_the_reference():
         assert (new.name, new.labels, _table(new)) == (ref.name, ref.labels, _table(ref)), L.name
         irrational |= any(v.b for row in new.constants.values() for v in row.values())
     assert irrational
+
+
+def reference_make_ads(d):
+    """The old `make_ads` body: `rotation_coeff` on every (pair, pair, target
+    pair) triple."""
+    eta = lorentz_eta(d)
+    pairs = pair_basis(d)
+    npairs = len(pairs)
+    labels = [Label("J", p) for p in pairs] + [Label("P", (a,)) for a in range(d)]
+    pidx = {p: i for i, p in enumerate(pairs)}
+    constants = {}
+    for i, ab in enumerate(pairs):
+        for j in range(i + 1, npairs):
+            cd = pairs[j]
+            row = {}
+            for k, ef in enumerate(pairs):
+                v = rotation_coeff(eta, ab, cd, ef)
+                if v:
+                    row[k] = v
+            if row:
+                constants[(i, j)] = row
+    for i, ab in enumerate(pairs):
+        for c in range(d):
+            row = {}
+            for e in range(d):
+                v = boost_coeff(eta, ab, c, e)
+                if v:
+                    row[npairs + e] = v
+            if row:
+                constants[(i, npairs + c)] = row
+    for a in range(d):
+        for b in range(a + 1, d):
+            constants[(npairs + a, npairs + b)] = {pidx[(a, b)]: Q2(1)}
+    return LieAlgebra(f"ads{d}", labels, constants)
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_make_ads_matches_the_reference(d):
+    """The same name, labels and constants, in the same key and target
+    order, as the triple loop."""
+    new, ref = make_ads(d), reference_make_ads(d)
+    assert (new.name, new.labels, _table(new)) == (ref.name, ref.labels, _table(ref))

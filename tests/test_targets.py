@@ -13,6 +13,7 @@ from sexpansion.invariant_tensor import perm_sign
 from sexpansion.lie_algebra import lorentz_eta, pair_basis
 from sexpansion.scalars import Q2, ScalarExpr
 from sexpansion.targets import TargetParseError, expand_target, expand_terms
+from test_forms import ScalarLieForm, add_form, scaled
 
 
 def test_pure_epsilon_expansion():
@@ -60,7 +61,7 @@ def _engine_component_form(d, field_pair, bracket_of):
     L = make_c_algebra_rotated(d)
     w = build_connection(L, ("w",))
     other = build_connection(L, (bracket_of,))
-    return other.d() + lie_bracket_form(w, other, L)
+    return ScalarLieForm.of(other).d() + ScalarLieForm.of(lie_bracket_form(w, other, L))
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -69,7 +70,7 @@ def test_curvature_factor_matches_engine(d):
     connection carries 1/2 w^{ab} in the full-sum convention, i.e. one w^{ab}
     per ordered pair generator)."""
     L = make_c_algebra_rotated(d)
-    F = curvature(build_connection(L, ("w",)), L)
+    F = ScalarLieForm.of(curvature(build_connection(L, ("w",)), L))
     pairs = pair_basis(d)
     for i, (a, b) in enumerate(pairs):
         assert F.components.get(i, ScalarForm.zero()) == expand_target_factor(
@@ -90,8 +91,7 @@ def test_torsion_factor_matches_engine(d):
     for a in range(d):
         comp = torsion.components.get(npairs + a, ScalarForm.zero())
         # connection components carry 1/ell
-        assert comp == expand_target_factor("T", (a,), d).scaled(
-            ScalarExpr.const(1, -1))
+        assert comp == scaled(expand_target_factor("T", (a,), d), ScalarExpr.const(1, -1))
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -107,8 +107,7 @@ def test_covariant_derivative_conventions_match_engine(d):
     dh = _engine_component_form(d, None, "h")
     for a in range(d):
         comp = dh.components.get(2 * npairs + d + a, ScalarForm.zero())
-        assert comp == expand_target_factor("Dh", (a,), d).scaled(
-            ScalarExpr.const(1, -1))
+        assert comp == scaled(expand_target_factor("Dh", (a,), d), ScalarExpr.const(1, -1))
 
 
 def test_lowered_index_contraction_uses_metric():
@@ -157,7 +156,7 @@ def wedge_chain_expand(text, dimension):
                     concrete = tuple(assign[ch] for (_, ch) in f.indices)
                     prod = wedge(prod, expand_target_factor(f.name, concrete, dimension))
                 weight = perm_sign(values) * math.prod(eta[v] for v in dvals)
-                out.add_form(prod, term.coefficient().scaled(Q2(weight)))
+                add_form(out, prod, term.coefficient().scaled(Q2(weight)))
     return out
 
 
