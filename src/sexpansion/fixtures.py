@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .expansion import ResonanceSpec, h_reduce, resonant_subalgebra, s_expand, zero_reduce
-from .forms import IntForm, LieValuedForm, pair_symbol, sym
+from .forms import IntForm, LieValuedForm, component_symbol
 from .invariant_tensor import (InvariantTensor, epsilon_tensor, lift_0s, lift_h,
                                rotate_tensor)
 from .lie_algebra import (Label, LieAlgebra, LieAlgebraError, change_basis,
@@ -137,10 +137,7 @@ def build_connection(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h")
         fieldname, ellpow = FIELD_BLOCKS[key]
         if fieldname not in wanted:
             continue
-        if len(lab.index) == 2:
-            s, symbol = pair_symbol(fieldname, *lab.index)
-        else:
-            s, symbol = 1, sym(fieldname, lab.index[0])
+        s, symbol = component_symbol(fieldname, lab.index)
         if s:
             components[i] = IntForm({(None, ellpow, 0): {(symbol,): s}})
     return LieValuedForm(components)

@@ -96,8 +96,14 @@ def sym(field: str, *indices: int, d: bool = False) -> FormSymbol:
     return FormSymbol(field, indices, d)
 
 
-def pair_symbol(field: str, a: int, b: int, d: bool = False) -> tuple[int, Optional[FormSymbol]]:
-    """(sign, symbol) for an antisymmetric-pair component with free index order."""
+def component_symbol(field: str, indices: tuple[int, ...],
+                     d: bool = False) -> tuple[int, Optional[FormSymbol]]:
+    """(sign, symbol) of one field component (or its differential), with one
+    index or an antisymmetric pair in free order: a pair carries the sign of
+    its index order and vanishes on equal indices, with sign 0."""
+    if len(indices) == 1:
+        return 1, sym(field, indices[0], d=d)
+    a, b = indices
     if a == b:
         return 0, None
     if a < b:
@@ -194,7 +200,7 @@ def monomial_name(m: Monomial) -> str:
 def parse_symbol(text: str) -> FormSymbol:
     d = text.startswith("d")
     body = text[1:] if d else text
-    field, digits = body[0], body[1:]
+    field, digits = body[:1], body[1:]
     return FormSymbol(field, tuple(int(ch) for ch in digits), d)
 
 
@@ -227,10 +233,12 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
     by `ScalarExpr.from_json_list`, whose ScalarExpr the monomials carrying
     that list share.  The memo key holds each value's type beside it, so
     values that Python calls equal but the JSON rules tell apart (1, 1.0
-    and true) never meet; a list it cannot key is read on its own."""
+    and true) never meet; a list it cannot key is read on its own.  A
+    monomial that is not canonical, or is stated twice, raises ValueError."""
     symbols: dict[str, FormSymbol] = {}
     exprs: dict[tuple, ScalarExpr] = {}
     out = ScalarForm()
+    zeros = set()  # the monomials stated with a zero coefficient
     for item in d["monomials"]:
         name = item["monomial"]
         mono = []
@@ -239,7 +247,13 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
                 s = symbols.get(t)
                 if s is None:
                     s = symbols[t] = parse_symbol(t)
+                # canonical: ascending, with no odd symbol repeated
+                if mono and (s < mono[-1] or s == mono[-1] and s.degree == 1):
+                    raise ValueError(f"monomial {name!r} is not canonical")
                 mono.append(s)
+        mono = tuple(mono)
+        if mono in out.terms or mono in zeros:
+            raise ValueError(f"monomial {name!r} is stated twice")
         coeff = item["coeff"]
         try:
             key = tuple([(*c.items(), *map(type, c.values())) for c in coeff])
@@ -250,7 +264,10 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
             expr = ScalarExpr.from_json_list(coeff)
             if key is not None:
                 exprs[key] = expr
-        out.add_term(tuple(mono), expr)
+        if expr.is_zero():
+            zeros.add(mono)
+        else:
+            out.terms[mono] = expr
     return out
 
 

@@ -12,7 +12,7 @@ from .lagrangian import ComparisonReport, compare_int_forms
 from .lie_algebra import row_reduce
 from .pipeline import registry
 from .scalars import Q2, ScalarExpr
-from .targets import expand_target, expand_terms, sum_terms
+from .targets import _parse_terms, expand_target, expand_terms, sum_terms
 
 
 def golden_names() -> list[str]:
@@ -26,13 +26,8 @@ class Golden:
     text: str
 
     def terms(self) -> list[str]:
-        """One signed term per line of the golden file."""
-        out = []
-        for line in self.text.splitlines():
-            line = line.strip()
-            if line:
-                out.append(line if line.startswith(("+", "-")) else "+ " + line)
-        return out
+        """Each term's signed text, as `targets._parse_terms` reads it."""
+        return [term.text for term in _parse_terms(self.text)]
 
     def form(self) -> ScalarForm:
         return expand_target(self.text, self.dimension)

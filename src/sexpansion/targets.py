@@ -8,7 +8,8 @@ Golden expressions are written in a small text grammar:
              one alpha group ('a0' or '(a0+a1)' or '(a1-a2)')
     factor:= NAME '[' indices ']' with NAME in
              {eps, R, T, e, k, h, w, Dk, Dh}
-    index := letter, or '_'letter for a lowered (metric-contracted) index
+    index := letter, or '_'letter for a lowered (metric-contracted) index;
+             commas and spaces between indices are ignored
 
 Every term carries exactly one eps[...] with D distinct letters; a letter
 either pairs an eps slot with one factor slot, or appears twice among factors
@@ -39,8 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .forms import (FormSymbol, IntForm, Monomial, ScalarForm, _odd_bits,
-                    canonical_monomial, pair_symbol, sym)
+from .forms import (IntForm, Monomial, ScalarForm, _odd_bits, canonical_monomial,
+                    component_symbol)
 from .lie_algebra import lorentz_eta, perm_sign
 from .scalars import Q2, ScalarExpr
 
@@ -52,44 +53,21 @@ class TargetParseError(ValueError):
         super().__init__(f"{message} at position {pos}: ...{snippet!r}...")
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:/\d+)?)
-  | (?P<ell>l(?:\^(?P<ellexp>-?\d+))?)
-  | (?P<alpha>a\d+)
-  | (?P<name>[A-Za-z]+)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<lbrack>\[)
-  | (?P<rbrack>\])
-  | (?P<plus>\+)
-  | (?P<minus>-)
-  | (?P<comma>,)
-  | (?P<under>_)
-""", re.VERBOSE)
-
 _FACTOR_ARITY = {"R": 2, "Dk": 2, "k": 2, "w": 2, "T": 1, "e": 1, "h": 1, "Dh": 1}
 
-
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise TargetParseError("unrecognized character", pos, text)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    return out
+# one atom of a term; a sign starts the next term.  The alternatives are
+# tried in order, so 'l' and 'a0' at the start of a word are never a name
+_ATOM_RE = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<sign>[+-])
+  | (?P<rational>\d+(?:/0*[1-9]\d*)?)                       # 3, 3/10; never n/0
+  | (?P<ell>l(?:\^-?\d+)?)                                  # l, l^2, l^-3
+  | (?P<alphas>a\d+|\(\s*[+-]?\s*a\d+(?:\s*[+-]\s*a\d+)*\s*\))  # a0, (a0+a1), (a1-a2)
+  | (?P<factor>(?P<name>[A-Za-z]+)(?:\s*\[(?P<indices>[\s,_A-Za-z]*)\])?)  # eps[abc], k[c _d]
+  | (?P<end>\Z)
+""", re.VERBOSE)
+_ALPHA_RE = re.compile(r"([+-]?)\s*a(\d+)")
+_INDEX_RE = re.compile(r"([\s,_]*)([A-Za-z])")  # a '_' before a letter lowers it
 
 
 @dataclass
@@ -101,15 +79,15 @@ class _Factor:
 
 @dataclass
 class _Term:
-    sign: int
-    rational: Fraction
+    rational: Fraction  # carries the term's sign
     ell: int
     alphas: Optional[list[tuple[int, int]]]  # [(sign, alpha index)], None = no alpha
     factors: list[_Factor]
     pos: int
+    text: str = ""  # the signed source text, each run of whitespace one space
 
     def coefficient(self) -> ScalarExpr:
-        base = Q2(self.rational * self.sign)
+        base = Q2(self.rational)
         if self.alphas is None:
             return ScalarExpr.const(base, self.ell)
         out = ScalarExpr.zero()
@@ -119,96 +97,51 @@ class _Term:
 
 
 def _parse_terms(text: str) -> list[_Term]:
-    tokens = _tokenize(text)
+    """The terms of the expression, read one `_ATOM_RE` atom at a time.  A
+    term's text runs from its sign ('+ ' when the first term has none) to
+    its last atom."""
     terms: list[_Term] = []
-    i = 0
-    n = len(tokens)
-    sign = 1
-    if i < n and tokens[i].kind in ("plus", "minus"):
-        sign = -1 if tokens[i].kind == "minus" else 1
-        i += 1
-    while i < n:
-        term = _Term(sign, Fraction(1), 0, None, [], tokens[i].pos)
-        got_anything = False
-        while i < n and tokens[i].kind not in ("plus", "minus"):
-            tok = tokens[i]
-            if tok.kind == "number":
-                term.rational *= Fraction(tok.value)
-                i += 1
-            elif tok.kind == "ell":
-                exp = tok.value.split("^")
-                term.ell += int(exp[1]) if len(exp) == 2 else 1
-                i += 1
-            elif tok.kind == "alpha":
-                if term.alphas is not None:
-                    raise TargetParseError("second alpha group in one term", tok.pos, text)
-                term.alphas = [(1, int(tok.value[1:]))]
-                i += 1
-            elif tok.kind == "lparen":
-                if term.alphas is not None:
-                    raise TargetParseError("second alpha group in one term", tok.pos, text)
-                i += 1
-                group: list[tuple[int, int]] = []
-                gsign = 1
-                while i < n and tokens[i].kind != "rparen":
-                    t = tokens[i]
-                    if t.kind == "plus":
-                        gsign = 1
-                    elif t.kind == "minus":
-                        gsign = -1
-                    elif t.kind == "alpha":
-                        group.append((gsign, int(t.value[1:])))
-                    else:
-                        raise TargetParseError("only alpha symbols allowed in groups",
-                                               t.pos, text)
-                    i += 1
-                if i == n:
-                    raise TargetParseError("unclosed alpha group", tok.pos, text)
-                i += 1  # skip rparen
-                if not group:
-                    raise TargetParseError("empty alpha group", tok.pos, text)
-                term.alphas = group
-            elif tok.kind == "name":
-                name = tok.value
-                if name != "eps" and name not in _FACTOR_ARITY:
-                    raise TargetParseError(f"unknown factor {name!r}", tok.pos, text)
-                i += 1
-                if i == n or tokens[i].kind != "lbrack":
-                    raise TargetParseError(f"{name} needs '[indices]'", tok.pos, text)
-                i += 1
-                idx: list[tuple[bool, str]] = []
-                lowered = False
-                while i < n and tokens[i].kind != "rbrack":
-                    t = tokens[i]
-                    if t.kind == "under":
-                        lowered = True
-                    elif t.kind == "comma":
-                        pass
-                    elif t.kind in ("name", "ell", "alpha"):
-                        for ch in t.value:
-                            if not ch.isalpha():
-                                raise TargetParseError("indices must be letters", t.pos, text)
-                            idx.append((lowered, ch))
-                            lowered = False
-                    else:
-                        raise TargetParseError("bad index token", t.pos, text)
-                    i += 1
-                if i == n:
-                    raise TargetParseError("unclosed index bracket", tok.pos, text)
-                i += 1  # skip rbrack
-                term.factors.append(_Factor(name, idx, tok.pos))
-            else:
-                raise TargetParseError(f"unexpected token {tok.value!r}", tok.pos, text)
-            got_anything = True
-        if not got_anything:
-            raise TargetParseError("empty term", tokens[i - 1].pos if i else 0, text)
-        terms.append(term)
-        if i < n:
-            sign = -1 if tokens[i].kind == "minus" else 1
-            i += 1
-            if i == n:
-                raise TargetParseError("dangling sign", tokens[i - 1].pos, text)
-    return terms
+    term = sign = None  # the term being read; the sign that opens the next one
+    pos = 0
+    while True:
+        m = _ATOM_RE.match(text, pos)
+        if m is None:
+            raise TargetParseError("unreadable input", pos, text)
+        kind, at, pos = m.lastgroup, m.start(), m.end()
+        if kind == "space":
+            continue
+        if kind in ("sign", "end"):
+            if term is not None:
+                term.text = prefix + " ".join(text[start:end].split())
+                terms.append(term)
+            elif sign is not None:
+                raise TargetParseError("dangling sign" if kind == "end" else "empty term",
+                                       at, text)
+            if kind == "end":
+                return terms
+            term, sign = None, m
+            continue
+        if term is None:
+            start, prefix = (sign.start(), "") if sign else (at, "+ ")
+            term = _Term(Fraction(-1 if sign and sign[0] == "-" else 1), 0, None, [], at)
+        end = pos
+        if kind == "rational":
+            term.rational *= Fraction(m[kind])
+        elif kind == "ell":
+            term.ell += int(m[kind][2:] or 1)
+        elif kind == "alphas":
+            if term.alphas is not None:
+                raise TargetParseError("second alpha group in one term", at, text)
+            term.alphas = [(-1 if s == "-" else 1, int(a))
+                           for s, a in _ALPHA_RE.findall(m[kind])]
+        else:
+            name, indices = m["name"], m["indices"]
+            if name != "eps" and name not in _FACTOR_ARITY:
+                raise TargetParseError(f"unknown factor {name!r}", at, text)
+            if indices is None:
+                raise TargetParseError(f"{name} needs '[index letters]'", at, text)
+            term.factors.append(_Factor(name, [("_" in lo, ch) for lo, ch
+                                               in _INDEX_RE.findall(indices)], at))
 
 
 def _validate_term(term: _Term, dimension: int, text: str) -> tuple[list[str], list[str]]:
@@ -249,16 +182,6 @@ def _validate_term(term: _Term, dimension: int, text: str) -> tuple[list[str], l
     return eps_letters, sorted(dummies)
 
 
-def _component(field: str, indices: tuple[int, ...],
-               d: bool = False) -> tuple[int, Optional[FormSymbol]]:
-    """(sign, symbol) of one field component (or its differential); a pair
-    component carries the sign of its index order and vanishes on equal
-    indices, with sign 0."""
-    if len(indices) == 1:
-        return 1, sym(field, indices[0], d=d)
-    return pair_symbol(field, indices[0], indices[1], d=d)
-
-
 # factor -> (field, rotated slots): D X = d X + eta_cc w^{i_p c} X^{..c..},
 # summed over c and the rotated slots p.  R rotates one slot only: rotating
 # both would count w^ac w^cb twice.
@@ -272,18 +195,18 @@ def _integer_factor(name: str, indices: tuple[int, ...],
     factor of the grammar expands with alpha-free, ell^0, integer (in fact
     +-1) coefficients, which the expansion multiplies as plain ints."""
     if name in ("e", "h", "k", "w"):
-        s, symbol = _component(name, indices)
+        s, symbol = component_symbol(name, indices)
         return (((symbol,), s),) if s else ()
     if name not in _COVARIANT:
         raise ValueError(f"no expansion for factor {name!r}")
     field, slots = _COVARIANT[name]
     eta = lorentz_eta(dimension)
-    s, symbol = _component(field, indices, d=True)
+    s, symbol = component_symbol(field, indices, d=True)
     out = {(symbol,): s} if s else {}
     for c in range(dimension):
         for p in slots:
-            s1, w = pair_symbol("w", indices[p], c)
-            s2, rotated = _component(field, indices[:p] + (c,) + indices[p + 1:])
+            s1, w = component_symbol("w", (indices[p], c))
+            s2, rotated = component_symbol(field, indices[:p] + (c,) + indices[p + 1:])
             if s1 and s2:
                 sign, mono = canonical_monomial((w, rotated))
                 if sign:

@@ -336,6 +336,37 @@ def test_a_repeated_term_in_a_read_coefficient_still_raises():
             _read(*coeffs)
 
 
+@pytest.mark.parametrize("name", ["", "d", "e0^^e1", "e1^e0", "e0^e0", "e0^dw01",
+                                  "dw01^e0^e0"])
+def test_the_form_reader_refuses_a_monomial_no_writer_writes(name):
+    """A name with an empty symbol, symbols out of canonical order or a
+    repeated odd symbol describes no monomial of a form."""
+    with pytest.raises(ValueError):
+        scalar_form_from_json_dict({"monomials": [{"monomial": name, "coeff": [_item()]}]})
+
+
+def test_the_form_reader_keeps_a_repeated_even_symbol():
+    f = scalar_form_from_json_dict({"monomials": [{"monomial": "dw01^dw01^e0",
+                                                  "coeff": [_item()]}]})
+    assert list(f.terms) == [(sym("w", 0, 1, d=True), sym("w", 0, 1, d=True), sym("e", 0))]
+
+
+def test_parse_symbol_refuses_an_empty_field():
+    for text in ("", "d"):
+        with pytest.raises(ValueError):
+            parse_symbol(text)
+
+
+@pytest.mark.parametrize("coeffs", [([_item()], [_item()]), ([_item()], [_item(q="1/2")]),
+                                    ([], [_item()]), ([_item()], []), ([], [])])
+def test_a_monomial_stated_twice_raises(coeffs):
+    """As a repeated term in a coefficient does: add_term would add the two
+    up, or drop a zero one."""
+    with pytest.raises(ValueError, match="'e0' is stated twice"):
+        scalar_form_from_json_dict({"monomials": [{"monomial": "e0", "coeff": c}
+                                                  for c in coeffs]})
+
+
 def test_a_coefficient_the_reader_cannot_key_is_read_on_its_own():
     """A list holding an unhashable extra value is read as before; a coeff
     that is not a list of dicts raises as `from_json_list` does."""

@@ -212,6 +212,38 @@ def test_compare_golden_equals_two_expansions(build, name):
     assert compare_golden(computed, golden, True) == (rep, fam)
 
 
+def _two_terms_a_line(text):
+    lines = text.splitlines()
+    return "\n".join(" ".join(lines[i:i + 2]) for i in range(0, len(lines), 2))
+
+
+def _each_term_over_two_lines(text):
+    return text.replace(" eps", "\n    eps")
+
+
+@pytest.mark.parametrize("relayout", [_two_terms_a_line, _each_term_over_two_lines])
+def test_a_golden_may_put_its_terms_on_any_lines(relayout):
+    """The report labels each family with the reader's own term, so a golden
+    laid out with two terms on a line, or with a term over two lines,
+    compares as the one-term-per-line file does."""
+    computed = _c3_lagrangian()
+    golden = load_golden("c3_lagrangian")
+    relaid = Golden(golden.name, golden.dimension, relayout(golden.text))
+    assert relaid.text.count("\n") != golden.text.count("\n")
+    rep, fam = compare_golden(computed, relaid, True)
+    assert rep.matched and fam.all_agree
+    assert (rep, fam) == compare_golden(computed, golden, True)
+    assert relaid.terms() == golden.terms()
+
+
+def test_golden_terms_are_the_signed_single_spaced_terms():
+    g = Golden("g", 3, "  (a0+a1)  eps[abc] R[ab]\n e[c] - 1/3 l^-2\teps[abc] e[a] e[b] e[c]\n"
+                       "+eps[abc] k[a _d] h[d] e[b] e[c]")
+    assert g.terms() == ["+ (a0+a1) eps[abc] R[ab] e[c]",
+                         "- 1/3 l^-2 eps[abc] e[a] e[b] e[c]",
+                         "+eps[abc] k[a _d] h[d] e[b] e[c]"]
+
+
 def reference_solve_families(computed, families, scale=None):
     """Reference: the whole system as Q2 rows built monomial by monomial,
     each scanning every family, solved by `row_reduce`."""

@@ -1,6 +1,10 @@
 import itertools
 import math
 import random
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -247,3 +251,277 @@ def test_expand_target_equals_the_reference_sum_on_every_golden(name):
     g = load_golden(name)
     assert expand_target(g.text, g.dimension) == reference_terms_form(
         expand_terms(g.text, g.dimension))
+
+
+# -- the token reader that `targets._parse_terms` replaced, kept as reference --
+
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<number>\d+(?:/\d+)?)
+  | (?P<ell>l(?:\^(?P<ellexp>-?\d+))?)
+  | (?P<alpha>a\d+)
+  | (?P<name>[A-Za-z]+)
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<lbrack>\[)
+  | (?P<rbrack>\])
+  | (?P<plus>\+)
+  | (?P<minus>-)
+  | (?P<comma>,)
+  | (?P<under>_)
+""", re.VERBOSE)
+
+
+@dataclass
+class ReferenceToken:
+    kind: str
+    value: str
+    pos: int
+
+
+def reference_tokenize(text):
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise TargetParseError("unrecognized character", pos, text)
+        kind = m.lastgroup
+        if kind != "ws":
+            out.append(ReferenceToken(kind, m.group(), pos))
+        pos = m.end()
+    return out
+
+
+@dataclass
+class ReferenceTerm:
+    sign: int
+    rational: Fraction
+    ell: int
+    alphas: Optional[list]
+    factors: list
+    pos: int
+
+    def coefficient(self):
+        base = Q2(self.rational * self.sign)
+        if self.alphas is None:
+            return ScalarExpr.const(base, self.ell)
+        out = ScalarExpr.zero()
+        for s, a in self.alphas:
+            out.add_term((a, self.ell), base * Q2(s))
+        return out
+
+
+def reference_parse_terms(text):
+    """Reference: the token list walked index by index."""
+    tokens = reference_tokenize(text)
+    terms = []
+    i = 0
+    n = len(tokens)
+    sign = 1
+    if i < n and tokens[i].kind in ("plus", "minus"):
+        sign = -1 if tokens[i].kind == "minus" else 1
+        i += 1
+    while i < n:
+        term = ReferenceTerm(sign, Fraction(1), 0, None, [], tokens[i].pos)
+        got_anything = False
+        while i < n and tokens[i].kind not in ("plus", "minus"):
+            tok = tokens[i]
+            if tok.kind == "number":
+                term.rational *= Fraction(tok.value)
+                i += 1
+            elif tok.kind == "ell":
+                exp = tok.value.split("^")
+                term.ell += int(exp[1]) if len(exp) == 2 else 1
+                i += 1
+            elif tok.kind == "alpha":
+                if term.alphas is not None:
+                    raise TargetParseError("second alpha group in one term", tok.pos, text)
+                term.alphas = [(1, int(tok.value[1:]))]
+                i += 1
+            elif tok.kind == "lparen":
+                if term.alphas is not None:
+                    raise TargetParseError("second alpha group in one term", tok.pos, text)
+                i += 1
+                group = []
+                gsign = 1
+                while i < n and tokens[i].kind != "rparen":
+                    t = tokens[i]
+                    if t.kind == "plus":
+                        gsign = 1
+                    elif t.kind == "minus":
+                        gsign = -1
+                    elif t.kind == "alpha":
+                        group.append((gsign, int(t.value[1:])))
+                    else:
+                        raise TargetParseError("only alpha symbols allowed in groups",
+                                               t.pos, text)
+                    i += 1
+                if i == n:
+                    raise TargetParseError("unclosed alpha group", tok.pos, text)
+                i += 1  # skip rparen
+                if not group:
+                    raise TargetParseError("empty alpha group", tok.pos, text)
+                term.alphas = group
+            elif tok.kind == "name":
+                name = tok.value
+                if name != "eps" and name not in targets._FACTOR_ARITY:
+                    raise TargetParseError(f"unknown factor {name!r}", tok.pos, text)
+                i += 1
+                if i == n or tokens[i].kind != "lbrack":
+                    raise TargetParseError(f"{name} needs '[indices]'", tok.pos, text)
+                i += 1
+                idx = []
+                lowered = False
+                while i < n and tokens[i].kind != "rbrack":
+                    t = tokens[i]
+                    if t.kind == "under":
+                        lowered = True
+                    elif t.kind == "comma":
+                        pass
+                    elif t.kind in ("name", "ell", "alpha"):
+                        for ch in t.value:
+                            if not ch.isalpha():
+                                raise TargetParseError("indices must be letters", t.pos, text)
+                            idx.append((lowered, ch))
+                            lowered = False
+                    else:
+                        raise TargetParseError("bad index token", t.pos, text)
+                    i += 1
+                if i == n:
+                    raise TargetParseError("unclosed index bracket", tok.pos, text)
+                i += 1  # skip rbrack
+                term.factors.append(targets._Factor(name, idx, tok.pos))
+            else:
+                raise TargetParseError(f"unexpected token {tok.value!r}", tok.pos, text)
+            got_anything = True
+        if not got_anything:
+            raise TargetParseError("empty term", tokens[i - 1].pos if i else 0, text)
+        terms.append(term)
+        if i < n:
+            sign = -1 if tokens[i].kind == "minus" else 1
+            i += 1
+            if i == n:
+                raise TargetParseError("dangling sign", tokens[i - 1].pos, text)
+    return terms
+
+
+def assert_same_terms(text):
+    new, ref = targets._parse_terms(text), reference_parse_terms(text)
+    assert [(t.coefficient(), t.factors, t.pos) for t in new] == \
+        [(t.coefficient(), t.factors, t.pos) for t in ref], text
+
+
+def test_the_reader_equals_the_reference_on_every_golden_and_term():
+    for name in golden_names():
+        g = load_golden(name)
+        assert_same_terms(g.text)
+        for term in g.terms():
+            assert_same_terms(term)
+
+
+def random_term(rng, dimension):
+    """A well-formed term in random layout: rationals, an ell power and an
+    alpha group in any order, then eps on `dimension` letters, each paired
+    with one factor slot, and at times a dummy x contracted as k[. x] h[x]."""
+    def space():
+        return rng.choice(["", " ", "  ", "\n", "\t "])
+
+    def bracket(indices):
+        sep = rng.choice(["", " ", ",", ", ", " , "])
+        return "[" + space() + sep.join(("_" + space() if lowered else "") + ch
+                                        for lowered, ch in indices) + space() + "]"
+
+    atoms = [rng.choice(["3", "1/2", "3/10", "2/3", "12"]) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        atoms.append(rng.choice(["l", "l^2", "l^-3", "l^0"]))
+    if rng.random() < 0.3:
+        atoms.append(f"a{rng.randint(0, 12)}")
+    elif rng.random() < 0.6:
+        alphas = [f"a{rng.randint(0, 3)}" for _ in range(rng.randint(1, 3))]
+        group = rng.choice(["", "-", "+"]) + space() + alphas[0] + "".join(
+            space() + rng.choice("+-") + space() + a for a in alphas[1:])
+        atoms.append("(" + space() + group + space() + ")")
+    rng.shuffle(atoms)
+    letters = list("abcdfgm"[:dimension])
+    free = rng.sample(letters, dimension)
+    factors = []
+    if rng.random() < 0.4:
+        low = rng.random() < 0.5  # which of the two x is lowered
+        factors += [("k", [(False, free.pop()), (low, "x")]), ("h", [(not low, "x")])]
+    while free:
+        if len(free) >= 2 and rng.random() < 0.5:
+            factors.append((rng.choice(["R", "Dk", "k", "w"]),
+                            [(False, free.pop()), (False, free.pop())]))
+        else:
+            factors.append((rng.choice(["T", "e", "h", "Dh"]), [(False, free.pop())]))
+    rng.shuffle(factors)
+    words = atoms + ["eps" + rng.choice(["", " "]) + bracket([(False, ch) for ch in letters])]
+    words += [name + bracket(indices) for name, indices in factors]
+    return "".join(w + rng.choice([" ", "  ", "\n", " \t"]) for w in words).strip()
+
+
+def test_the_reader_equals_the_reference_on_seeded_terms():
+    rng = random.Random(29)
+    for _ in range(300):
+        d = rng.choice([3, 5])
+        terms = [random_term(rng, d) for _ in range(rng.randint(1, 3))]
+        text = rng.choice(["", "- ", "+", "-\n"]) + "".join(
+            t + rng.choice([" + ", "\n- ", "+", "-", " -\n"]) for t in terms[:-1]) + terms[-1]
+        assert_same_terms(text)
+        for term in targets._parse_terms(text):
+            targets._validate_term(term, d, text)
+
+
+@pytest.mark.parametrize("text", [
+    "eps[abc] e[a] e[b] e[c] +",             # dangling sign
+    "+ - eps[abc] e[a] e[b] e[c]",           # empty term
+    "eps[abc] e[a] e[b] e[c] + + eps[abc] e[a] e[b] e[c]",
+    "a0 (a1+a2) eps[abc] e[a] e[b] e[c]",    # second alpha group
+    "(a0+a1) a2 eps[abc] e[a] e[b] e[c]",
+    "(a0+3) eps[abc] e[a] e[b] e[c]",        # a non-alpha in a group
+    "(a0 eps[abc] e[a] e[b] e[c])",
+    "eps[abc] e[a] e[b] e[c] (a0+a1",        # unclosed group
+    "() eps[abc] e[a] e[b] e[c]",            # empty group
+    "(+) eps[abc] e[a] e[b] e[c]",
+    "eps[abc] Q[a] e[b] e[c]",               # unknown factor
+    "eps[abc] e[a] e[b] ea[c]",
+    "eps[abc] e[a] e[b] e",                  # missing [...]
+    "eps[abc] e[a] e e[b] e[c]",
+    "eps[abc] e[a0] e[b] e[c]",              # non-letter index
+    "eps[abc] e[a] e[l^2] e[c]",
+    "eps[abc] e[a+b] e[c]",
+    "eps[abc] e[1] e[b] e[c]",
+    "eps[abc] e[a] e[b] e[c",                # unclosed bracket
+    "eps[abc e[a] e[b] e[c]",
+    "eps[abc] e[a] ] e[b] e[c]",             # unexpected token
+    "eps[abc] e[a], e[b] e[c]",
+    "eps[abc] _ e[a] e[b] e[c]",
+    "eps[abc] e[a] e[b] e[c] $",             # unrecognized character
+    "eps[abc] e[a] e[b] e[c] ^2",
+    "3/ eps[abc] e[a] e[b] e[c]",
+])
+def test_both_readers_reject_malformed_text(text):
+    with pytest.raises(TargetParseError):
+        reference_parse_terms(text)
+    with pytest.raises(TargetParseError):
+        targets._parse_terms(text)
+
+
+def test_a_zero_denominator_is_a_parse_error():
+    text = "1/0 eps[abc] e[a] e[b] e[c]"
+    with pytest.raises(ZeroDivisionError):
+        reference_parse_terms(text)
+    with pytest.raises(TargetParseError):
+        targets._parse_terms(text)
+
+
+def test_each_term_carries_its_signed_single_spaced_text():
+    text = ("1/2 (a0 + a1)  eps[abc]\n  R[ab] e[c] -eps[abc] e[a]\te[b] e[c]\n"
+            "+ 3 eps[abc] k[a _g] h[g]\n  e[b] e[c]")
+    assert [t.text for t in targets._parse_terms(text)] == [
+        "+ 1/2 (a0 + a1) eps[abc] R[ab] e[c]", "-eps[abc] e[a] e[b] e[c]",
+        "+ 3 eps[abc] k[a _g] h[g] e[b] e[c]"]
+    assert [t.text for t in targets._parse_terms("- a0 eps[abc] e[a] e[b] e[c]")] == [
+        "- a0 eps[abc] e[a] e[b] e[c]"]
+    assert targets._parse_terms(" \n ") == []
