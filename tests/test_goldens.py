@@ -242,6 +242,8 @@ def test_golden_terms_are_the_signed_single_spaced_terms():
     assert g.terms() == ["+ (a0+a1) eps[abc] R[ab] e[c]",
                          "- 1/3 l^-2 eps[abc] e[a] e[b] e[c]",
                          "+eps[abc] k[a _d] h[d] e[b] e[c]"]
+    assert Golden("g", 3, "- a0 eps[abc] e[a]\n e[b] e[c]").terms() == [
+        "- a0 eps[abc] e[a] e[b] e[c]"]
 
 
 def reference_solve_families(computed, families, scale=None):

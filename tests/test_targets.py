@@ -515,13 +515,3 @@ def test_a_zero_denominator_is_a_parse_error():
     with pytest.raises(TargetParseError):
         targets._parse_terms(text)
 
-
-def test_each_term_carries_its_signed_single_spaced_text():
-    text = ("1/2 (a0 + a1)  eps[abc]\n  R[ab] e[c] -eps[abc] e[a]\te[b] e[c]\n"
-            "+ 3 eps[abc] k[a _g] h[g]\n  e[b] e[c]")
-    assert [t.text for t in targets._parse_terms(text)] == [
-        "+ 1/2 (a0 + a1) eps[abc] R[ab] e[c]", "-eps[abc] e[a] e[b] e[c]",
-        "+ 3 eps[abc] k[a _g] h[g] e[b] e[c]"]
-    assert [t.text for t in targets._parse_terms("- a0 eps[abc] e[a] e[b] e[c]")] == [
-        "- a0 eps[abc] e[a] e[b] e[c]"]
-    assert targets._parse_terms(" \n ") == []
