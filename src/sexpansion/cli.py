@@ -20,7 +20,7 @@ from typing import Optional
 
 from .expansion import ExpansionError
 from .fixtures import algebra_by_name, build_connection, connection_chain, tensor_by_name
-from .forms import LieValuedForm, scalar_form_latex, scalar_form_to_json_dict
+from .forms import FIELDS, LieValuedForm, scalar_form_latex, scalar_form_to_json_dict
 from .goldens import compare_golden, load_golden
 from .invariant_tensor import (InvariantTensor, TensorError, latex_family_table,
                                lift_0s, lift_h, require_fit, verify_invariance)
@@ -310,10 +310,10 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     alphas = config.get("alphas", "general")
     if alphas != "general":
         tensor = _specialize(tensor, alphas)
-    fields = tuple(_name_list(config, "fields", ["w", "e", "k", "h"]))
-    unknown = sorted(set(fields) - {"w", "e", "k", "h"})
+    fields = tuple(_name_list(config, "fields", list(FIELDS)))
+    unknown = sorted(set(fields) - FIELDS.keys())
     if unknown:
-        raise ConfigError(f"unknown fields {unknown}; fields are a subset of w e k h")
+        raise ConfigError(f"unknown fields {unknown}; fields are a subset of {' '.join(FIELDS)}")
     goldens = []
     for name in _name_list(config, "compare", []) + extra_compare:
         try:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .expansion import ResonanceSpec, h_reduce, resonant_subalgebra, s_expand, zero_reduce
-from .forms import IntForm, LieValuedForm, component_symbol
+from .forms import FIELDS, IntForm, LieValuedForm, component_symbol
 from .invariant_tensor import (InvariantTensor, epsilon_tensor, lift_0s, lift_h,
                                rotate_tensor)
 from .lie_algebra import (Label, LieAlgebra, LieAlgebraError, change_basis,
@@ -22,21 +22,24 @@ from .semigroup import Semigroup, make_cyclic, make_klein, make_se
 # -- the halved-Z4 gravity algebras --------------------------------------------
 
 
-def _relabel_c(L: LieAlgebra) -> list[Label]:
-    """Pretty labels for the halved Z4 expansion of an AdS-type algebra:
-    tag 0 keeps the base name, tag 1 becomes the Z partner."""
-    out = []
+def partner_labels(L: LieAlgebra) -> list[Label]:
+    """L's labels for an expansion that keeps two tags per label base: the
+    lower tag keeps the base name and the higher one becomes its Z partner
+    (J@0, Z@1 in the halved Z4 algebras; J@0, Z@2 and P@1, Z@3 in b5)."""
+    tags: dict[str, set[int]] = {}
     for lab in L.labels:
-        base = {"J": ("J", "Z"), "P": ("P", "Z")}[lab.base][lab.tags[0]]
-        out.append(Label(base, lab.index, lab.tags))
-    return out
+        tags.setdefault(lab.base, set()).add(lab.tags[0])
+    if any(len(t) != 2 for t in tags.values()):
+        raise ValueError(f"{L.name}: partner labels need two tags per label base")
+    return [Label(lab.base if lab.tags[0] == min(tags[lab.base]) else "Z", lab.index, lab.tags)
+            for lab in L.labels]
 
 
 def make_c_algebra(d: int) -> LieAlgebra:
     """Halved Z4 expansion of the AdS-type algebra: generators J, Z (pairs)
     and P, Z (vectors)."""
     L = h_reduce(2, make_ads(d), name=f"c{d}")
-    return LieAlgebra._adopt(f"c{d}", _relabel_c(L), L.constants)
+    return LieAlgebra._adopt(f"c{d}", partner_labels(L), L.constants)
 
 
 def mixing_rotation(d: int) -> list[list[Q2]]:
@@ -63,9 +66,8 @@ def mixing_rotation(d: int) -> list[list[Q2]]:
 
 def make_c_algebra_rotated(d: int) -> LieAlgebra:
     base = make_c_algebra(d)
-    rotated = change_basis(base, mixing_rotation(d), name=f"c{d}_rotated",
-                           labels=[Label(l.base, l.index) for l in base.labels])
-    return rotated
+    return change_basis(base, mixing_rotation(d), name=f"c{d}_rotated",
+                        labels=[Label(l.base, l.index) for l in base.labels])
 
 
 def c_tensor(d: int) -> InvariantTensor:
@@ -96,12 +98,7 @@ def make_b5() -> LieAlgebra:
     expanded = s_expand(s, ads)
     res = resonant_subalgebra(expanded, s, ads, b5_resonance_spec())
     out = zero_reduce(res, s, name="b5")
-    labels = []
-    for lab in out.labels:
-        base = {("J", 0): "J", ("J", 2): "Z", ("P", 1): "P", ("P", 3): "Z"}[
-            (lab.base, lab.tags[0])]
-        labels.append(Label(base, lab.index, lab.tags))
-    return LieAlgebra._adopt("b5", labels, out.constants)
+    return LieAlgebra._adopt("b5", partner_labels(out), out.constants)
 
 
 def b5_tensor() -> InvariantTensor:
@@ -111,45 +108,35 @@ def b5_tensor() -> InvariantTensor:
 # -- gauge connections ----------------------------------------------------------
 
 
-FIELD_BLOCKS = {
-    # base label -> (field symbol, ell power of the component prefactor)
-    ("J", 2): ("w", 0),
-    ("Z", 2): ("k", 0),
-    ("P", 1): ("e", -1),
-    ("Z", 1): ("h", -1),
-}
-
-
-def build_connection(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h"),
+def build_connection(L: LieAlgebra, fields: Iterable[str] = tuple(FIELDS),
                      ) -> LieValuedForm:
     """The standard gauge connection on a gravity-type algebra: one component
-    symbol per generator, with the vector blocks carrying 1/ell.
+    symbol per generator, at its field's ell power.
 
-    Components attach by label: pair-index generators named J carry w, pair
-    generators named Z carry k, vector P carries e, vector Z carries h.
+    Components attach by label: a generator carries the field of
+    `forms.FIELDS` with its label base and index count, so J pairs carry w,
+    P vectors e, Z pairs k and Z vectors h.
     """
     wanted = set(fields)
+    blocks = {(f.base, f.arity): name for name, f in FIELDS.items()}
     components = {}
     for i, lab in enumerate(L.labels):
-        key = (lab.base, len(lab.index))
-        if key not in FIELD_BLOCKS:
+        fieldname = blocks.get((lab.base, len(lab.index)))
+        if fieldname is None:
             raise ValueError(f"no field assignment for generator {lab}")
-        fieldname, ellpow = FIELD_BLOCKS[key]
-        if fieldname not in wanted:
-            continue
         s, symbol = component_symbol(fieldname, lab.index)
-        if s:
-            components[i] = IntForm({(None, ellpow, 0): {(symbol,): s}})
+        if s and fieldname in wanted:
+            components[i] = IntForm({(None, FIELDS[fieldname].ell_pow, 0): {(symbol,): s}})
     return LieValuedForm(components)
 
 
-def connection_chain(L: LieAlgebra, fields: Iterable[str] = ("w", "e", "k", "h"),
+def connection_chain(L: LieAlgebra, fields: Iterable[str] = tuple(FIELDS),
                      ) -> list[LieValuedForm]:
     """The nested connections used by subspace separation,
     [w+e+k+h, w+e, w, 0], each keeping only the given fields."""
     wanted = set(fields)
     chain = [build_connection(L, wanted.intersection(subset))
-             for subset in (("w", "e", "k", "h"), ("w", "e"), ("w",))]
+             for subset in (FIELDS, ("w", "e"), ("w",))]
     return chain + [LieValuedForm.zero()]
 
 

@@ -1,10 +1,10 @@
 """Exact graded-commutative exterior algebra over concrete component symbols.
 
-The algebra is freely generated by 1-form symbols (vielbein e^a, spin
-connection w^ab, and the extra fields k^ab, h^a) together with their exterior
-derivatives, which are 2-form symbols.  Odd symbols anticommute, even symbols
-commute, and every monomial is kept in a canonical sorted order with the
-Koszul sign applied at construction time.
+The algebra is freely generated by the 1-form symbols of the `FIELDS` table
+(vielbein e^a, spin connection w^ab, and the extra fields k^ab, h^a) together
+with their exterior derivatives, which are 2-form symbols.  Odd symbols
+anticommute, even symbols commute, and every monomial is kept in a canonical
+sorted order with the Koszul sign applied at construction time.
 
 Inside the library there is one form type, the integer kernel's `IntForm`,
 and a `LieValuedForm` holds one `IntForm` per generator.  `ScalarForm`, with
@@ -18,13 +18,26 @@ import itertools
 import operator
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lie_algebra import LieAlgebra
 from .scalars import (AlphaLinearityError, Q2, ScalarExpr, common_denominator,
                       int_parts)
 
-_FIELD_ORDER = {"w": 0, "e": 1, "k": 2, "h": 3}
+
+class Field(NamedTuple):
+    """A gauge field's label base, index count, component ell power and TeX."""
+    base: str
+    arity: int
+    ell_pow: int
+    tex: str
+
+
+# the gauge fields in symbol order: w and e on the J pairs and P vectors, k
+# and h on their Z partners; a pair field (arity 2) is antisymmetric
+FIELDS = {"w": Field("J", 2, 0, r"\omega"), "e": Field("P", 1, -1, "e"),
+          "k": Field("Z", 2, 0, "k"), "h": Field("Z", 1, -1, "h")}
+_FIELD_ORDER = {f: i for i, f in enumerate(FIELDS)}
 _INTERNED: dict[tuple, "FormSymbol"] = {}  # (field, indices, differentiated) -> symbol
 
 
@@ -47,12 +60,11 @@ class FormSymbol(int):
             return s
         if field not in _FIELD_ORDER:
             raise ValueError(f"unknown field symbol {field!r}")
-        if field in ("w", "k"):
+        if FIELDS[field].arity == 2:
             if len(indices) != 2 or not indices[0] < indices[1]:
                 raise ValueError(f"{field} needs an ordered index pair")
-        else:
-            if len(indices) != 1:
-                raise ValueError(f"{field} needs exactly one index")
+        elif len(indices) != 1:
+            raise ValueError(f"{field} needs exactly one index")
         # the int value and monomial_name hold each index as one digit, and
         # parse_symbol reads it so
         if indices[0] < 0 or indices[-1] > 9:
@@ -234,11 +246,11 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
     that list share.  The memo key holds each value's type beside it, so
     values that Python calls equal but the JSON rules tell apart (1, 1.0
     and true) never meet; a list it cannot key is read on its own.  A
-    monomial that is not canonical, or is stated twice, raises ValueError."""
+    monomial that is not canonical, is stated twice or has a zero
+    coefficient (`"coeff": []` too) raises ValueError, a repeat first."""
     symbols: dict[str, FormSymbol] = {}
     exprs: dict[tuple, ScalarExpr] = {}
     out = ScalarForm()
-    zeros = set()  # the monomials stated with a zero coefficient
     for item in d["monomials"]:
         name = item["monomial"]
         mono = []
@@ -252,7 +264,7 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
                     raise ValueError(f"monomial {name!r} is not canonical")
                 mono.append(s)
         mono = tuple(mono)
-        if mono in out.terms or mono in zeros:
+        if mono in out.terms:
             raise ValueError(f"monomial {name!r} is stated twice")
         coeff = item["coeff"]
         try:
@@ -264,18 +276,15 @@ def scalar_form_from_json_dict(d: dict) -> ScalarForm:
             expr = ScalarExpr.from_json_list(coeff)
             if key is not None:
                 exprs[key] = expr
-        if expr.is_zero():
-            zeros.add(mono)
-        else:
-            out.terms[mono] = expr
+        out.terms[mono] = expr
+    zero = next((m for m, c in out.terms.items() if c.is_zero()), None)
+    if zero is not None:
+        raise ValueError(f"monomial {monomial_name(zero)!r} has a zero coefficient")
     return out
 
 
-_FIELD_TEX = {"w": r"\omega", "e": "e", "k": "k", "h": "h"}
-
-
 def _symbol_tex(s: FormSymbol) -> str:
-    core = _FIELD_TEX[s.field] + "^{" + "".join(map(str, s.indices)) + "}"
+    core = FIELDS[s.field].tex + "^{" + "".join(map(str, s.indices)) + "}"
     return (r"\mathrm{d}" + core) if s.differentiated else core
 
 

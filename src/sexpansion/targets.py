@@ -40,8 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .forms import (IntForm, Monomial, ScalarForm, _odd_bits, canonical_monomial,
-                    component_symbol)
+from .forms import (FIELDS, IntForm, Monomial, ScalarForm, _odd_bits,
+                    canonical_monomial, component_symbol)
 from .lie_algebra import lorentz_eta, perm_sign
 from .scalars import Q2, ScalarExpr
 
@@ -53,7 +53,14 @@ class TargetParseError(ValueError):
         super().__init__(f"{message} at position {pos}: ...{snippet!r}...")
 
 
-_FACTOR_ARITY = {"R": 2, "Dk": 2, "k": 2, "w": 2, "T": 1, "e": 1, "h": 1, "Dh": 1}
+# factor -> (field, rotated slots): D X = d X + eta_cc w^{i_p c} X^{..c..},
+# summed over c and the rotated slots p.  R rotates one slot only: rotating
+# both would count w^ac w^cb twice.
+_COVARIANT = {"T": ("e", (0,)), "Dh": ("h", (0,)), "R": ("w", (0,)), "Dk": ("k", (0, 1))}
+
+# factor -> index count: a field's own, for the field and its derivative
+_FACTOR_ARITY = {**{name: f.arity for name, f in FIELDS.items()},
+                 **{name: FIELDS[field].arity for name, (field, _) in _COVARIANT.items()}}
 
 # one atom of a term; a sign starts the next term.  The alternatives are
 # tried in order, so 'l' and 'a0' at the start of a word are never a name
@@ -99,7 +106,7 @@ class _Term:
 def _parse_terms(text: str) -> list[_Term]:
     """The terms of the expression, read one `_ATOM_RE` atom at a time.  A
     term's text runs from its sign ('+ ' when the first term has none) to
-    its last atom."""
+    its last atom.  Text with no term raises TargetParseError."""
     terms: list[_Term] = []
     term = sign = None  # the term being read; the sign that opens the next one
     pos = 0
@@ -118,6 +125,8 @@ def _parse_terms(text: str) -> list[_Term]:
                 raise TargetParseError("dangling sign" if kind == "end" else "empty term",
                                        at, text)
             if kind == "end":
+                if not terms:  # no text but whitespace: not the zero form
+                    raise TargetParseError("empty expression", 0, text)
                 return terms
             term, sign = None, m
             continue
@@ -182,19 +191,13 @@ def _validate_term(term: _Term, dimension: int, text: str) -> tuple[list[str], l
     return eps_letters, sorted(dummies)
 
 
-# factor -> (field, rotated slots): D X = d X + eta_cc w^{i_p c} X^{..c..},
-# summed over c and the rotated slots p.  R rotates one slot only: rotating
-# both would count w^ac w^cb twice.
-_COVARIANT = {"T": ("e", (0,)), "Dh": ("h", (0,)), "R": ("w", (0,)), "Dk": ("k", (0, 1))}
-
-
 @lru_cache(maxsize=None)
 def _integer_factor(name: str, indices: tuple[int, ...],
                     dimension: int) -> tuple[tuple[Monomial, int], ...]:
     """The factor's expansion as (monomial, integer coefficient) pairs: every
     factor of the grammar expands with alpha-free, ell^0, integer (in fact
     +-1) coefficients, which the expansion multiplies as plain ints."""
-    if name in ("e", "h", "k", "w"):
+    if name in FIELDS:
         s, symbol = component_symbol(name, indices)
         return (((symbol,), s),) if s else ()
     if name not in _COVARIANT:

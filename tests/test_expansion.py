@@ -8,10 +8,10 @@ from sexpansion.expansion import (ExpansionError, PairingError, ResonanceSpec,
                                   impose_sign_identification,
                                   resonant_subalgebra, s_expand, zero_reduce)
 from sexpansion.fixtures import (b5_resonance_spec, make_b5, make_c_algebra,
-                                 make_c_algebra_rotated, random_nilpotent,
+                                 make_c_algebra_rotated, partner_labels, random_nilpotent,
                                  random_solvable_4d)
-from sexpansion.lie_algebra import (LieAlgebra, check_axioms, killing_profile, make_ads,
-                                   make_named)
+from sexpansion.lie_algebra import (Label, LieAlgebra, check_axioms, killing_profile,
+                                   make_ads, make_named)
 from sexpansion.scalars import Q2
 from sexpansion.semigroup import Semigroup, direct_product, make_cyclic, make_klein, make_se
 
@@ -470,3 +470,48 @@ def test_adopted_tables_are_canonical():
         again = LieAlgebra(L.name, L.labels, L.constants)
         assert [(k, list(row.items())) for k, row in again.constants.items()] == \
             [(k, list(row.items())) for k, row in L.constants.items()], L.name
+
+
+# -- the Z partner labels --------------------------------------------------------
+
+
+def reference_relabel_c(L):
+    """The halved Z4 relabel that `partner_labels` replaced: tag 0 keeps the
+    base name, tag 1 becomes the Z partner."""
+    out = []
+    for lab in L.labels:
+        base = {"J": ("J", "Z"), "P": ("P", "Z")}[lab.base][lab.tags[0]]
+        out.append(Label(base, lab.index, lab.tags))
+    return out
+
+
+def reference_b5_labels(L):
+    """`make_b5`'s relabel map that `partner_labels` replaced."""
+    return [Label({("J", 0): "J", ("J", 2): "Z", ("P", 1): "P", ("P", 3): "Z"}[
+        (lab.base, lab.tags[0])], lab.index, lab.tags) for lab in L.labels]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_partner_labels_equal_the_halved_z4_relabel(d):
+    L = h_reduce(2, make_ads(d))
+    assert partner_labels(L) == reference_relabel_c(L)
+    assert make_c_algebra(d).labels == reference_relabel_c(L)
+    assert {(lab.base, lab.tags[0]) for lab in make_c_algebra(d).labels} == \
+        {("J", 0), ("P", 0), ("Z", 1)}
+
+
+def test_partner_labels_equal_the_b5_relabel():
+    s, ads5 = make_se(3), make_named("ads5")
+    res = resonant_subalgebra(s_expand(s, ads5), s, ads5, b5_resonance_spec())
+    L = zero_reduce(res, s, name="b5")
+    assert partner_labels(L) == reference_b5_labels(L)
+    assert make_b5().labels == reference_b5_labels(L)
+    assert {(lab.base, lab.tags[0]) for lab in make_b5().labels} == \
+        {("J", 0), ("P", 1), ("Z", 2), ("Z", 3)}
+
+
+def test_partner_labels_need_two_tags_per_base():
+    with pytest.raises(ValueError, match="two tags per label base"):
+        partner_labels(h_reduce(3, make_ads(3)))
+    with pytest.raises(ValueError, match="two tags per label base"):
+        partner_labels(LieAlgebra("x", [Label("J", (0, 1), (0,))], {}))

@@ -8,13 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from sexpansion.fixtures import (build_connection, c_tensor_rotated,
+from sexpansion.fixtures import (build_connection, c_tensor_rotated, make_b5,
                                  make_c_algebra_rotated)
-from sexpansion.forms import (FormSymbol, IntForm, LieValuedForm, ScalarForm,
+from sexpansion.forms import (FIELDS, FormSymbol, IntForm, LieValuedForm, ScalarForm,
                               _odd_bits, canonical_monomial, contract, curvature,
                               exterior_d, int_d, int_wedge, lie_bracket_form,
                               monomial_degree, parse_symbol,
-                              scalar_form_from_json_dict,
+                              scalar_form_from_json_dict, scalar_form_latex,
                               scalar_form_to_json_dict, sym, wedge)
 from sexpansion.invariant_tensor import InvariantTensor, epsilon_tensor
 from sexpansion.scalars import AlphaLinearityError, Q2, ScalarExpr
@@ -367,6 +367,13 @@ def test_a_monomial_stated_twice_raises(coeffs):
                                                   for c in coeffs]})
 
 
+@pytest.mark.parametrize("coeff", [[_item(alpha=None, ell_pow=0, q="0")], []])
+def test_the_form_reader_refuses_a_zero_coefficient(coeff):
+    """No writer states a zero coefficient; the reader does not drop one."""
+    with pytest.raises(ValueError, match="'e1' has a zero coefficient"):
+        _read([_item()], coeff, [_item()])
+
+
 def test_a_coefficient_the_reader_cannot_key_is_read_on_its_own():
     """A list holding an unhashable extra value is read as before; a coeff
     that is not a list of dicts raises as `from_json_list` does."""
@@ -403,6 +410,44 @@ def test_symbol_validation():
         with pytest.raises(ValueError, match="must lie in 0..9"):
             FormSymbol(field, indices)
     assert str(FormSymbol("w", (0, 9), True)) == "dw09"
+
+
+# -- the field table ---------------------------------------------------------------
+
+# `forms.FIELDS` as the literal it replaced: letter -> (label base, index
+# count, ell power, TeX name).  A changed row fails the tests below.
+PARENT_FIELDS = {"w": ("J", 2, 0, r"\omega"), "e": ("P", 1, -1, "e"),
+                 "k": ("Z", 2, 0, "k"), "h": ("Z", 1, -1, "h")}
+
+
+@pytest.mark.parametrize("field", list(PARENT_FIELDS))
+def test_a_field_symbol_takes_its_rows_index_count_and_tex(field):
+    _, arity, _, tex = PARENT_FIELDS[field]
+    good, bad = ((0, 1), (0,)) if arity == 2 else ((0,), (0, 1))
+    need = "an ordered index pair" if arity == 2 else "exactly one index"
+    for indices in (bad, (0, 1, 2)):
+        with pytest.raises(ValueError, match=f"^{field} needs {need}$"):
+            FormSymbol(field, indices)
+    s = FormSymbol(field, good)
+    digits = "".join(map(str, good))
+    assert scalar_form_latex(ScalarForm({(s, s.d_image): ScalarExpr.const(1)})) == \
+        rf"(1)\, {tex}^{{{digits}}} \wedge \mathrm{{d}}{tex}^{{{digits}}}"
+    assert list(FIELDS) == list(PARENT_FIELDS)
+
+
+@pytest.mark.parametrize("build", [lambda: make_c_algebra_rotated(5), make_b5])
+def test_each_field_sits_on_its_rows_generators(build):
+    """Every generator carries the field whose row has its label base and
+    index count, one component at that row's ell power."""
+    L = build()
+    for field, (base, arity, ell_pow, _) in PARENT_FIELDS.items():
+        A = build_connection(L, (field,))
+        assert sorted(A.components) == [i for i, lab in enumerate(L.labels)
+                                        if (lab.base, len(lab.index)) == (base, arity)]
+        for i, comp in A.components.items():
+            assert (comp.parts, comp.den) == (
+                {(None, ell_pow, 0): {(sym(field, *L.labels[i].index),): 1}}, 1)
+    assert sorted(build_connection(L).components) == list(range(L.dim))
 
 
 def _random_scalar(rng, alpha: bool) -> ScalarExpr:

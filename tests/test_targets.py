@@ -508,6 +508,23 @@ def test_both_readers_reject_malformed_text(text):
         targets._parse_terms(text)
 
 
+@pytest.mark.parametrize("text", ["", " \n ", "\t"])
+def test_text_with_no_term_is_a_parse_error(text):
+    """Not the zero form: an empty golden would compare as zero, with no
+    family to report."""
+    with pytest.raises(TargetParseError, match="^empty expression at position 0"):
+        targets._parse_terms(text)
+    with pytest.raises(TargetParseError, match="at position 0"):
+        expand_target(text, 5)
+
+
+def test_factor_arity_is_the_literal_it_replaced():
+    """`_FACTOR_ARITY` comes from `forms.FIELDS` and `_COVARIANT`;
+    `reference_parse_terms` reads it."""
+    assert targets._FACTOR_ARITY == {"R": 2, "Dk": 2, "k": 2, "w": 2,
+                                     "T": 1, "e": 1, "h": 1, "Dh": 1}
+
+
 def test_a_zero_denominator_is_a_parse_error():
     text = "1/0 eps[abc] e[a] e[b] e[c]"
     with pytest.raises(ZeroDivisionError):
