@@ -314,6 +314,8 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     unknown = sorted(set(fields) - FIELDS.keys())
     if unknown:
         raise ConfigError(f"unknown fields {unknown}; fields are a subset of {' '.join(FIELDS)}")
+    if len(set(fields)) != len(fields):
+        raise ConfigError(f"fields must name each field once, got {list(fields)}")
     goldens = []
     for name in _name_list(config, "compare", []) + extra_compare:
         try:

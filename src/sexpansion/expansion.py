@@ -13,8 +13,7 @@ so the tag-0 block is a verbatim copy of the original ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .lie_algebra import LieAlgebra, PairTable, change_basis, mat_identity
 from .semigroup import Semigroup, make_cyclic
@@ -81,8 +80,7 @@ def zero_reduce(G: LieAlgebra, s: Semigroup, name: Optional[str] = None) -> LieA
     return _quotient(G, keep, image, name or f"{G.name}_0red")
 
 
-@dataclass(frozen=True)
-class ResonanceSpec:
+class ResonanceSpec(NamedTuple):
     """Subspace partition of the base algebra plus a semigroup subset per part.
 
     partition[A] is the part index of base generator A; subsets[p] is the set

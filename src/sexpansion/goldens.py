@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .forms import IntForm, Monomial, ScalarForm, sorted_coefficients
 from .lagrangian import ComparisonReport, compare_int_forms
@@ -19,8 +18,7 @@ def golden_names() -> list[str]:
     return sorted(registry()["goldens"])
 
 
-@dataclass(frozen=True)
-class Golden:
+class Golden(NamedTuple):
     name: str
     dimension: int
     text: str
@@ -44,16 +42,14 @@ def load_golden(name: str) -> Golden:
     return Golden(name, entry["dimension"], text)
 
 
-@dataclass
-class TermAgreement:
+class TermAgreement(NamedTuple):
     term: str
     vanishes: bool  # the printed term expands to zero, so it spans no family
     machine_coefficient: Optional[ScalarExpr]  # None: dependent on earlier terms, or vanishing
     agrees: bool
 
 
-@dataclass
-class FamilyReport:
+class FamilyReport(NamedTuple):
     agreements: list[TermAgreement]
     residual_monomials: int
     scale: Optional[tuple[Q2, int]]

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .lie_algebra import LieAlgebra, integer_constants, pair_basis, perm_sign
 from .scalars import Q2, ScalarExpr, common_denominator, int_parts
@@ -402,7 +401,7 @@ def family_table(T: InvariantTensor, L: LieAlgebra) -> list[tuple[tuple[str, ...
 def latex_family_table(T: InvariantTensor, L: LieAlgebra) -> str:
     """The family table as LaTeX; a rank-r tensor contracts the 2r - 1
     letters of the epsilon symbol."""
-    eps_name = string.ascii_lowercase[:2 * T.rank - 1]
+    eps_name = "abcdefghijklmnopqrstuvwxyz"[:2 * T.rank - 1]
     lines = [r"\begin{array}{l}"]
     for names, coeff in family_table(T, L):
         slots = ", ".join(names)

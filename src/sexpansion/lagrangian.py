@@ -8,10 +8,9 @@ final integral over [0, 1] is taken coefficient-wise as 1/(m+1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .expansion import h_reduce
 from .forms import (HALF, MINUS_ONE, IntForm, IntLieForm, LieValuedForm,
@@ -136,18 +135,16 @@ def is_d_exact(f: ScalarForm) -> bool:
 # -- comparisons -----------------------------------------------------------------
 
 
-@dataclass
-class TermDiff:
+class TermDiff(NamedTuple):
     monomial: str
     computed: str
     expected: str
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     matched: bool
-    scale: Optional[tuple[Q2, int]] = None
-    diffs: list[TermDiff] = field(default_factory=list)
+    scale: Optional[tuple[Q2, int]]
+    diffs: list[TermDiff]
     note: str = ""
 
     def __bool__(self):
@@ -173,7 +170,7 @@ def compare_int_forms(lhs: IntForm, rhs: IntForm,
         anchor = min(_monomials(lhs) & _monomials(rhs), default=None)
         if anchor is None:
             if lhs.is_zero() and rhs.is_zero():
-                return ComparisonReport(True, scale)
+                return ComparisonReport(True, scale, [])
             computed, expected = (str(f.into_scalar_form()) for f in (lhs, rhs))
             return ComparisonReport(False, None, [TermDiff("<none shared>", computed, expected)])
         # c and k from the computed first term and the lowest ell power of
@@ -212,8 +209,7 @@ def compare_forms(computed: ScalarForm, expected: ScalarForm,
 # -- dual (Maurer-Cartan) verification --------------------------------------------
 
 
-@dataclass
-class DualMCReport:
+class DualMCReport(NamedTuple):
     constants_match_doubled: bool
     shift_consistent: bool
     witness_ok: bool

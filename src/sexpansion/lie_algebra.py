@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .scalars import Q2, common_denominator, int_parts, json_rational
 
 PairTable = dict[tuple[int, int], dict[int, Q2]]
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """Structured generator name: base symbol, index tuple, expansion tags.
 
     Tags accumulate outermost-first: tags[0] is the tag added by the most
@@ -196,8 +194,7 @@ class LieAlgebra:
 # -- axiom verification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     antisymmetry_ok: bool
     jacobi_ok: bool
@@ -462,8 +459,7 @@ def symmetric_signature(m: list[list[Q2]]) -> tuple[int, int, int]:
 # -- invariants ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KillingProfile:
+class KillingProfile(NamedTuple):
     signature: tuple[int, int, int]
     derived_dim: int
     center_dim: int

@@ -11,9 +11,8 @@ where an integer belongs is a config error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .expansion import (ResonanceSpec, h_reduce, impose_sign_identification,
                         resonant_subalgebra, s_expand, zero_reduce)
@@ -141,8 +140,7 @@ def resonance_spec_from_config(cfg: dict, base: LieAlgebra, s: Semigroup,
     return ResonanceSpec.make(partition, subsets)
 
 
-@dataclass
-class PipelineState:
+class PipelineState(NamedTuple):
     algebra: LieAlgebra
     base: Optional[LieAlgebra] = None
     semigroup: Optional[Semigroup] = None

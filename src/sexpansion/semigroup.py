@@ -8,28 +8,31 @@ and commutativity eagerly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class SemigroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Semigroup:
+class _SemigroupFields(NamedTuple):
+    name: str
+    order: int
+    table: tuple[tuple[int, ...], ...]
+    zero_index: Optional[int] = None
+
+
+class Semigroup(_SemigroupFields):
     """Finite abelian semigroup given by its multiplication table.
 
     table[a][b] is the index of the product of elements a and b; zero_index,
     when set, marks an absorbing element (0_S * x = 0_S for every x).
     """
 
-    name: str
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    zero_index: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = self.order
         if n <= 0:
             raise SemigroupError("semigroup order must be positive")
@@ -54,6 +57,7 @@ class Semigroup:
                 raise SemigroupError("zero index out of range")
             if any(self.table[z][a] != z for a in range(n)):
                 raise SemigroupError("designated zero is not absorbing")
+        return self
 
     def product(self, indices: Sequence[int]) -> int:
         """Product of a nonempty chain of elements."""
@@ -86,16 +90,21 @@ class Semigroup:
         )
 
 
-@dataclass(frozen=True)
-class SelectorQuery:
-    """Lower index chain and upper index of an r-selector lookup."""
-
+class _SelectorQueryFields(NamedTuple):
     lower_indices: tuple[int, ...]
     upper_index: int
 
-    def __post_init__(self):
+
+class SelectorQuery(_SelectorQueryFields):
+    """Lower index chain and upper index of an r-selector lookup."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.lower_indices) < 2:
             raise SemigroupError("selector needs at least two lower indices")
+        return self
 
 
 def make_cyclic(n: int) -> Semigroup:
@@ -162,8 +171,7 @@ def selector_of(s: Semigroup, lowers: Sequence[int], upper: int) -> int:
     return selector(s, SelectorQuery(tuple(lowers), upper))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     ok: bool
     counterexample: Optional[tuple[str, tuple[int, ...]]] = None
 

@@ -35,10 +35,9 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .forms import (FIELDS, IntForm, Monomial, ScalarForm, _odd_bits,
                     canonical_monomial, component_symbol)
@@ -77,21 +76,22 @@ _ALPHA_RE = re.compile(r"([+-]?)\s*a(\d+)")
 _INDEX_RE = re.compile(r"([\s,_]*)([A-Za-z])")  # a '_' before a letter lowers it
 
 
-@dataclass
-class _Factor:
+class _Factor(NamedTuple):
     name: str
     indices: list[tuple[bool, str]]  # (lowered, letter)
     pos: int
 
 
-@dataclass
 class _Term:
-    rational: Fraction  # carries the term's sign
-    ell: int
-    alphas: Optional[list[tuple[int, int]]]  # [(sign, alpha index)], None = no alpha
-    factors: list[_Factor]
-    pos: int
-    text: str = ""  # the signed source text, each run of whitespace one space
+    __slots__ = ("rational", "ell", "alphas", "factors", "pos", "text")
+
+    def __init__(self, rational: Fraction, pos: int):
+        self.rational = rational  # carries the term's sign
+        self.ell = 0
+        self.alphas: Optional[list[tuple[int, int]]] = None  # [(sign, alpha index)], None = no alpha
+        self.factors: list[_Factor] = []
+        self.pos = pos
+        self.text = ""  # the signed source text, each run of whitespace one space
 
     def coefficient(self) -> ScalarExpr:
         base = Q2(self.rational)
@@ -132,7 +132,7 @@ def _parse_terms(text: str) -> list[_Term]:
             continue
         if term is None:
             start, prefix = (sign.start(), "") if sign else (at, "+ ")
-            term = _Term(Fraction(-1 if sign and sign[0] == "-" else 1), 0, None, [], at)
+            term = _Term(Fraction(-1 if sign and sign[0] == "-" else 1), at)
         end = pos
         if kind == "rational":
             term.rational *= Fraction(m[kind])

@@ -431,6 +431,8 @@ _C5_SECTOR = dict(_C5, alphas=[1, -1, -1, -1], fields=["w", "e"],
     # a float that equals the right dimension is not an integer
     ({"dimension": 3.0, "algebra": "c3_rotated", "tensor": "c3_rotated"},
      "dimension must be 2 * rank - 1 = 3 for the rank-2 tensor, got 3.0"),
+    # a field named twice, like an unknown one, is refused before any work
+    (dict(_C5, fields=["w", "w"]), "fields must name each field once, got ['w', 'w']"),
 ])
 def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)

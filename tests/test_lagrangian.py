@@ -15,8 +15,8 @@ from sexpansion.forms import (FormSymbol, IntForm, LieValuedForm, ScalarForm,
                               monomial_name, scalar_form_to_json_dict, sym)
 from sexpansion.goldens import load_golden
 from sexpansion.invariant_tensor import InvariantTensor
-from sexpansion.lagrangian import (ComparisonReport, TermDiff, chern_simons,
-                                   compare_forms, dual_mc_check,
+from sexpansion.lagrangian import (ComparisonReport, DualMCReport, TermDiff,
+                                   chern_simons, compare_forms, dual_mc_check,
                                    homotopy_curvature, is_d_exact,
                                    subspace_separation, transgression)
 from sexpansion.lie_algebra import Label, LieAlgebra, make_named
@@ -384,7 +384,7 @@ def reference_compare_forms(computed, expected, up_to_scale=False):
         anchor = min((m for m in expected.terms if m in computed.terms), default=None)
         if anchor is None:
             if expected.is_zero() and computed.is_zero():
-                return ComparisonReport(True, scale)
+                return ComparisonReport(True, scale, [])
             return ComparisonReport(False, None,
                                     [TermDiff("<none shared>", str(computed), str(expected))])
         base, target = computed.terms[anchor], expected.terms[anchor]
@@ -523,6 +523,28 @@ def test_dual_formulation(n, name):
     assert rep.shift_consistent
     assert rep.witness_ok
     assert rep.ok
+
+
+def test_a_report_is_true_exactly_when_its_verdict_is():
+    assert bool(ComparisonReport(True, (Q2(1), 0), []))
+    assert not ComparisonReport(False, None, [TermDiff("e0", "1", "2")])
+    assert not ComparisonReport(False, None, [], "no admissible scalar on the anchor term")
+    reduced = dual_mc_check(1, make_named("so3")).reduced
+    for flags in itertools.product((True, False), repeat=3):
+        assert bool(DualMCReport(*flags, reduced)) is all(flags)
+
+
+def test_two_reports_never_share_a_diffs_list():
+    _, mono = canonical_monomial((sym("e", 0), sym("e", 1), sym("e", 2)))
+    f = ScalarForm({mono: ScalarExpr.const(2)})
+    zero = ScalarForm({})
+    reports = [compare_forms(f, f), compare_forms(f, f, up_to_scale=True),
+               compare_forms(zero, zero, up_to_scale=True),
+               compare_forms(zero, zero, up_to_scale=True)]
+    assert all(rep.matched and rep.diffs == [] for rep in reports)
+    assert len({id(rep.diffs) for rep in reports}) == len(reports)
+    reports[0].diffs.append(TermDiff("e0", "1", "2"))
+    assert all(rep.diffs == [] for rep in reports[1:])
 
 
 def ordered_transgression(A, Abar, T, k, L):

@@ -420,3 +420,23 @@ def test_make_ads_matches_the_reference(d):
     order, as the triple loop."""
     new, ref = make_ads(d), reference_make_ads(d)
     assert (new.name, new.labels, _table(new)) == (ref.name, ref.labels, _table(ref))
+
+
+# -- the record classes: text, hash and truth ----------------------------------
+
+
+def test_label_repr_and_hash_are_those_of_its_fields():
+    lab = Label("P", (0,))
+    assert repr(lab) == "Label(base='P', index=(0,), tags=())"
+    assert repr(lab.tagged(2)) == "Label(base='P', index=(0,), tags=(2,))"
+    assert str(lab.tagged(2)) == "P(0)@2"
+    for label in (lab, lab.tagged(2), Label("J", (0, 1), (1, 0)), Label("Z")):
+        assert hash(label) == hash((label.base, label.index, label.tags))
+    assert lab == Label("P", (0,), ()) and lab != lab.tagged(0)
+
+
+def test_axiom_report_is_true_exactly_when_ok():
+    assert bool(AxiomReport(True, True, True))
+    assert not AxiomReport(False, True, False, (0, 1, 2))
+    assert not AxiomReport(False, False, True)
+    assert bool(check_axioms(make_named("so3")))

@@ -160,6 +160,41 @@ def test_constructed_semigroups_validate():
         Semigroup("bad", 2, ((0, 1), (1, 0)), zero_index=0)  # 0 not absorbing
 
 
+@pytest.mark.parametrize("args, message", [
+    (("bad", 0, ()), "semigroup order must be positive"),
+    (("bad", 2, ((0, 1),)), "table shape does not match order"),
+    (("bad", 2, ((0, 1), (1,))), "table shape does not match order"),
+    (("bad", 2, ((0, 2), (2, 0))), "table entry out of range at (0,1)"),
+    (("bad", 2, ((0, 1), (0, 1))), "not commutative at (0,1)"),
+    (("bad", 2, ((1, 1), (1, 0))), "not associative at (0,0,1)"),
+    (("bad", 2, ((0, 1), (1, 1)), 2), "zero index out of range"),
+    (("bad", 2, ((0, 1), (1, 0)), 0), "designated zero is not absorbing"),
+])
+def test_each_bad_table_raises_its_error(args, message):
+    with pytest.raises(SemigroupError) as info:
+        Semigroup(*args)
+    assert str(info.value) == message
+    with pytest.raises(SemigroupError):
+        Semigroup(**dict(zip(("name", "order", "table", "zero_index"), args)))
+
+
+def test_a_semigroup_keeps_its_fields_text_and_hash():
+    s = Semigroup("SE0", 2, ((0, 1), (1, 1)), zero_index=1)
+    assert s == make_se(0)
+    assert repr(s) == "Semigroup(name='SE0', order=2, table=((0, 1), (1, 1)), zero_index=1)"
+    assert hash(s) == hash(("SE0", 2, ((0, 1), (1, 1)), 1))
+    assert make_cyclic(3).zero_index is None
+
+
+def test_a_selector_query_needs_two_lower_indices():
+    for lowers in ((), (1,)):
+        with pytest.raises(SemigroupError, match="at least two lower indices"):
+            SelectorQuery(lowers, 0)
+        with pytest.raises(SemigroupError, match="at least two lower indices"):
+            selector_of(make_cyclic(4), lowers, 0)
+    assert SelectorQuery((1, 2), 3) == SelectorQuery(lower_indices=(1, 2), upper_index=3)
+
+
 def test_json_round_trip_is_canonical():
     s = make_se(2)
     text = json.dumps(s.to_json_dict())
