@@ -59,6 +59,8 @@ class Semigroup(_SemigroupFields):
                 raise SemigroupError("designated zero is not absorbing")
         return self
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` runs the checks too
+
     def product(self, indices: Sequence[int]) -> int:
         """Product of a nonempty chain of elements."""
         it = iter(indices)
@@ -105,6 +107,8 @@ class SelectorQuery(_SelectorQueryFields):
         if len(self.lower_indices) < 2:
             raise SemigroupError("selector needs at least two lower indices")
         return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` runs the check too
 
 
 def make_cyclic(n: int) -> Semigroup:

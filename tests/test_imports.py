@@ -1,5 +1,6 @@
-"""What importing `sexpansion` costs: every imported name is used, and the
-package loads no module that only its record classes once needed."""
+"""What importing `sexpansion` costs: every imported name is used, the
+package imports no module that only its record classes once needed, and
+importing it loads nothing beyond what its own standard-library imports load."""
 
 import ast
 import os
@@ -15,7 +16,14 @@ PACKAGE = Path(sexpansion.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 # what `dataclasses` pulled in, with `string` for the old alphabet constant
-NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "string")
+NOT_IMPORTED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "string"}
+
+
+def imports(tree: ast.Module, top_level: bool = False) -> list[ast.stmt]:
+    """The absolute import statements of a module, or of its top level only."""
+    nodes = tree.body if top_level else ast.walk(tree)
+    return [node for node in nodes if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.level == 0]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,11 +52,31 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: os", "line 3: Sequence"]
 
 
-def test_importing_the_cli_loads_no_dataclass_machinery():
-    """A fresh interpreter: the test run itself has imported `dataclasses`."""
+def test_no_module_imports_the_dataclass_machinery():
+    for path in [PACKAGE / "__init__.py", *MODULES]:
+        for node in imports(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            assert not {n.split(".")[0] for n in names} & NOT_IMPORTED, (path.name, node.lineno)
+
+
+def test_importing_the_cli_loads_only_what_its_stdlib_imports_load():
+    """A fresh interpreter runs the package's top-level standard-library
+    imports, then `import sexpansion.cli`, which must add only its own
+    modules. What those stdlib modules load differs between Python versions
+    (from 3.12 `importlib.resources` may load `inspect`), so it is the baseline
+    rather than a fixed list. The test run itself has imported `dataclasses`."""
+    calls = set()
+    for path in [PACKAGE / "__init__.py", *MODULES]:
+        for node in imports(ast.parse(path.read_text()), top_level=True):
+            if isinstance(node, ast.Import):
+                calls.update(f"__import__({a.name!r})" for a in node.names)
+            else:
+                calls.add(f"__import__({node.module!r}, fromlist={[a.name for a in node.names]!r})")
+    code = "\n".join(["import sys", *sorted(calls), "before = set(sys.modules)",
+                      "import sexpansion.cli",
+                      "print(sorted(m for m in set(sys.modules) - before"
+                      " if m.partition('.')[0] != 'sexpansion'))"])
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = ("import sys, sexpansion.cli\n"
-            f"print(sorted(set({NOT_LOADED!r}) & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -171,11 +171,12 @@ def test_constructed_semigroups_validate():
     (("bad", 2, ((0, 1), (1, 0)), 0), "designated zero is not absorbing"),
 ])
 def test_each_bad_table_raises_its_error(args, message):
-    with pytest.raises(SemigroupError) as info:
-        Semigroup(*args)
-    assert str(info.value) == message
-    with pytest.raises(SemigroupError):
-        Semigroup(**dict(zip(("name", "order", "table", "zero_index"), args)))
+    fields = dict(zip(Semigroup._fields, args))
+    for build in (lambda: Semigroup(*args), lambda: Semigroup(**fields),
+                  lambda: Semigroup._make(args), lambda: make_cyclic(1)._replace(**fields)):
+        with pytest.raises(SemigroupError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_a_semigroup_keeps_its_fields_text_and_hash():
@@ -192,7 +193,10 @@ def test_a_selector_query_needs_two_lower_indices():
             SelectorQuery(lowers, 0)
         with pytest.raises(SemigroupError, match="at least two lower indices"):
             selector_of(make_cyclic(4), lowers, 0)
+        with pytest.raises(SemigroupError, match="at least two lower indices"):
+            SelectorQuery((1, 2), 3)._replace(lower_indices=lowers)
     assert SelectorQuery((1, 2), 3) == SelectorQuery(lower_indices=(1, 2), upper_index=3)
+    assert SelectorQuery._make(((1, 2), 3)) == SelectorQuery((1, 2), 3)
 
 
 def test_json_round_trip_is_canonical():
