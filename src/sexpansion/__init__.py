@@ -1,22 +1,2 @@
 """Semigroup expansions of Lie algebras, invariant tensor lifting, and
 Chern-Simons Lagrangians by exact component expansion."""
-
-from .scalars import Q2, SQRT2, AlphaLinearityError, ScalarExpr
-from .semigroup import (Semigroup, SelectorQuery, check_even_cyclic_identities,
-                        direct_product, find_isomorphism, make_cyclic, make_klein,
-                        make_se, selector, selector_of)
-from .lie_algebra import (Label, LieAlgebra, KillingProfile, check_axioms,
-                          change_basis, killing_profile, make_named)
-from .expansion import (ResonanceSpec, ResonanceViolation, PairingError,
-                        greater_interval_algebra, h_reduce,
-                        impose_sign_identification, resonant_subalgebra,
-                        s_expand, zero_reduce)
-from .invariant_tensor import (InvariantTensor, epsilon_tensor, lift_0s, lift_h,
-                               rotate_tensor, verify_invariance)
-from .forms import (FormSymbol, LieValuedForm, ScalarForm, curvature,
-                    exterior_d, lie_bracket_form, wedge)
-from .lagrangian import (chern_simons, compare_forms, dual_mc_check, is_d_exact,
-                         subspace_separation, transgression)
-from .targets import TargetParseError, expand_target
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,8 +26,8 @@ from .invariant_tensor import (InvariantTensor, TensorError, latex_family_table,
                                lift_0s, lift_h, require_fit, verify_invariance)
 from .lagrangian import int_separation
 from .lie_algebra import LieAlgebra, check_axioms
-from .pipeline import (ConfigError, by_name, read_json_path, required, required_int,
-                       run_pipeline, semigroup_from_config)
+from .pipeline import (ConfigError, by_name, check_keys, read_json_path, required,
+                       required_int, run_pipeline, semigroup_from_config)
 from .scalars import Q2, ScalarExpr
 from .semigroup import SemigroupError, find_isomorphism
 
@@ -42,6 +42,8 @@ _CONFIG_KEYS = {
     "semigroup": ("action", "semigroup", "first", "second"),
     "check": ("algebra", "tensor"),
 }
+# the keys of each tensor lift kind
+_LIFT_KEYS = {"h": ("kind", "n"), "zero": ("kind", "semigroup", "base_dim")}
 
 
 class VerificationFailure(Exception):
@@ -61,13 +63,6 @@ def _load_config(path: Optional[str]) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     return config
-
-
-def _check_keys(config: dict, command: str) -> None:
-    unknown = sorted(set(config) - set(_CONFIG_KEYS[command]))
-    if unknown:
-        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))} for "
-                          f"{command}; its keys are {', '.join(_CONFIG_KEYS[command])}")
 
 
 def _flag(config: dict, key: str, default: bool) -> bool:
@@ -104,22 +99,24 @@ def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
     elif isinstance(spec, dict) and "path" in spec:
         tensor = _decode_path(spec, "tensor", InvariantTensor.from_json_dict)
     elif isinstance(spec, dict) and "lift" in spec:
+        check_keys(spec, ("base", "lift"), "tensor")
         base = by_name(tensor_by_name, required(spec, "base", "tensor"))
         lift = spec["lift"]
         if not isinstance(lift, dict):
             raise ConfigError(f"tensor: 'lift' must be an object with a 'kind', got {lift!r}")
         kind = required(lift, "kind", "tensor lift")
+        if not isinstance(kind, str) or kind not in _LIFT_KEYS:
+            raise ConfigError(f"unknown lift kind {kind!r}")
+        check_keys(lift, _LIFT_KEYS[kind], "tensor lift")
         try:
             if kind == "h":
                 return lift_h(required_int(lift, "n", "tensor lift"), algebra, base)
-            if kind == "zero":
-                s = semigroup_from_config(required(lift, "semigroup", "tensor lift"))
-                if s.zero_index is None:
-                    raise ConfigError(f"tensor lift: semigroup {s.name!r} has no zero element")
-                return lift_0s(s, algebra, required_int(lift, "base_dim", "tensor lift"), base)
+            s = semigroup_from_config(required(lift, "semigroup", "tensor lift"))
+            if s.zero_index is None:
+                raise ConfigError(f"tensor lift: semigroup {s.name!r} has no zero element")
+            return lift_0s(s, algebra, required_int(lift, "base_dim", "tensor lift"), base)
         except TensorError as exc:  # the lift does not fit the algebra
             raise ConfigError(f"tensor lift: {exc}")
-        raise ConfigError(f"unknown lift kind {kind!r}")
     else:
         raise ConfigError("tensor must be a name, {'path': ...}, or a lift spec")
     try:
@@ -251,7 +248,7 @@ class Output:
 
 def cmd_expand(config: dict, out: Output) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
-    _check_keys(config, "expand")
+    check_keys(config, _CONFIG_KEYS["expand"], "expand")
     steps = config.get("steps", [])
     result = run_pipeline(algebra, steps)
     report = check_axioms(result)
@@ -268,7 +265,7 @@ def cmd_expand(config: dict, out: Output) -> None:
 def cmd_invariants(config: dict, out: Output) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
     tensor = _resolve_tensor(config.get("tensor"), algebra)
-    _check_keys(config, "invariants")
+    check_keys(config, _CONFIG_KEYS["invariants"], "invariants")
     if config.get("alphas") not in (None, "general"):
         tensor = _specialize(tensor, config["alphas"])
     if _flag(config, "verify", True):
@@ -302,7 +299,7 @@ def lovelock_json() -> dict:
 def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
     tensor = _resolve_tensor(config.get("tensor"), algebra)
-    _check_keys(config, "lagrangian")
+    check_keys(config, _CONFIG_KEYS["lagrangian"], "lagrangian")
     dimension = config.get("dimension")
     if type(dimension) is not int or dimension != 2 * tensor.rank - 1:
         raise ConfigError(f"dimension must be 2 * rank - 1 = {2 * tensor.rank - 1} "
@@ -385,7 +382,7 @@ def cmd_lagrangian(config: dict, out: Output, extra_compare: list[str]) -> None:
 
 
 def cmd_semigroup(config: dict, out: Output) -> None:
-    _check_keys(config, "semigroup")
+    check_keys(config, _CONFIG_KEYS["semigroup"], "semigroup")
     action = config.get("action", "construct")
     if action == "construct":
         s = semigroup_from_config(config.get("semigroup"))
@@ -413,7 +410,7 @@ def cmd_semigroup(config: dict, out: Output) -> None:
 def cmd_check(config: dict, out: Output) -> None:
     algebra = _resolve_algebra(config.get("algebra"))
     tensor = _resolve_tensor(config["tensor"], algebra) if "tensor" in config else None
-    _check_keys(config, "check")
+    check_keys(config, _CONFIG_KEYS["check"], "check")
     rep = check_axioms(algebra)
     lines = [f"axioms: {'ok' if rep.ok else f'Jacobi fails at {rep.violation}'}"]
     ok = rep.ok

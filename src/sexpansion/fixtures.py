@@ -15,6 +15,7 @@ from .invariant_tensor import (InvariantTensor, epsilon_tensor, lift_0s, lift_h,
                                rotate_tensor)
 from .lie_algebra import (Label, LieAlgebra, LieAlgebraError, change_basis,
                           make_ads, make_named, mat_inverse, pair_basis)
+from .pipeline import registry, resonance_spec_from_config
 from .scalars import HALF_SQRT2, Q2, SQRT2, ScalarExpr
 from .semigroup import Semigroup, make_cyclic, make_klein, make_se
 
@@ -87,9 +88,10 @@ def c_tensor_rotated(d: int) -> InvariantTensor:
 def b5_resonance_spec() -> ResonanceSpec:
     """Subset split of ads5 pairing the rotation block with the even truncated-
     power elements and the translation block with the odd ones; the top element
-    sits in both subsets.  Always re-validated by the resonance checker."""
-    partition = [0] * len(pair_basis(5)) + [1] * 5
-    return ResonanceSpec.make(partition, [[0, 2, 4], [1, 3, 4]])
+    sits in both subsets.  Read from the registry's `b5` resonance, the one a
+    pipeline config names, and always re-validated by the resonance checker."""
+    return resonance_spec_from_config(registry()["resonances"]["b5"], make_ads(5),
+                                      make_se(3), "b5")
 
 
 def make_b5() -> LieAlgebra:

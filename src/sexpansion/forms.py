@@ -216,20 +216,28 @@ def parse_symbol(text: str) -> FormSymbol:
     return FormSymbol(field, tuple(int(ch) for ch in digits), d)
 
 
-def sorted_coefficients(f: ScalarForm | IntForm, render=None):
-    """Yield (monomial, coefficient) of f in sorted monomial order, the
-    coefficient through `render` when one is given.  Each distinct
-    coefficient is built as one ScalarExpr, and rendered once, from its
-    `IntForm.rows` row, and shared by every monomial that carries it.  A
-    ScalarForm is read through its `IntForm.of`; f itself is unchanged."""
-    k = f if isinstance(f, IntForm) else IntForm.of(f)
+def _shared_coefficients(k: IntForm, render=None) -> dict:
+    """monomial -> coefficient of k, in `rows` order: each distinct row is
+    built once by `row_scalar`, passed through `render` when one is given,
+    and shared by every monomial that carries it."""
     done: dict[tuple, object] = {}
-    for m, row in k.rows():
+    out = {}
+    for m, row in k.rows().items():
         c = done.get(row)
         if c is None:
             c = k.row_scalar(row)
             c = done[row] = c if render is None else render(c)
-        yield m, c
+        out[m] = c
+    return out
+
+
+def sorted_coefficients(f: ScalarForm | IntForm, render=None):
+    """(monomial, coefficient) of f in sorted monomial order, each distinct
+    coefficient built and rendered once (`_shared_coefficients`).  A
+    ScalarForm is read through its `IntForm.of`; f itself is unchanged."""
+    k = f if isinstance(f, IntForm) else IntForm.of(f)
+    shared = _shared_coefficients(k, render)
+    return [(m, shared[m]) for m in sorted(shared)]
 
 
 def scalar_form_to_json_dict(f: ScalarForm | IntForm) -> dict:
@@ -313,8 +321,8 @@ def scalar_form_latex(f: ScalarForm | IntForm) -> str:
 # alpha_a * ell^k * sqrt2^r, keyed (a or None, k, r) with r in {0, 1}, a map
 # monomial -> int, all over one positive int denominator.  A scalar is the
 # IntForm of a 0-form, whose only monomial is ().  ScalarExpr, Q2 and Fraction
-# appear only at the edges: `IntForm.of`, `IntForm.scalar`, `into_scalar_form`
-# and `row_scalar`.
+# appear only at the edges: `IntForm.of` and `IntForm.scalar` on the way in,
+# `row_scalar` on the way out.
 
 KernelKey = tuple[Optional[int], int, int]
 
@@ -339,24 +347,11 @@ class IntForm:
         return _int_form({(): ScalarExpr.of(c)})
 
     def into_scalar_form(self) -> ScalarForm:
-        """The ScalarForm of this kernel form, which stays as it is."""
+        """The ScalarForm of this kernel form, which stays as it is: one
+        ScalarExpr per distinct `rows` row, shared by every monomial that
+        carries it."""
         out = ScalarForm()
-        rationals: dict[int, Q2] = {}  # equal coefficients share one Q2
-        for (a, e, r), part in self.parts.items():
-            for m, c in part.items():
-                coeff = out.terms.get(m)
-                if coeff is None:
-                    coeff = out.terms[m] = ScalarExpr()
-                old = coeff.terms.get((a, e))
-                if r:
-                    q = Q2(old.a if old else _ZERO, Fraction(c, self.den))
-                elif old:
-                    q = Q2(Fraction(c, self.den), old.b)
-                else:
-                    q = rationals.get(c)
-                    if q is None:
-                        q = rationals[c] = Q2(Fraction(c, self.den))
-                coeff.terms[(a, e)] = q
+        out.terms = _shared_coefficients(self)
         return out
 
     @property
@@ -372,11 +367,11 @@ class IntForm:
             return NotImplemented
         return _times(self, other.den) == _times(other, self.den)
 
-    def rows(self) -> list[tuple[Monomial, tuple]]:
-        """(monomial, row) in sorted monomial order, where a row is the
-        monomial's key, int, key, int, ... over its parts in one fixed key
-        order: two monomials of this form have one row iff their
-        coefficients are equal."""
+    def rows(self) -> dict[Monomial, tuple]:
+        """monomial -> row, in part order, where a row is the monomial's key,
+        int, key, int, ... over its parts in one fixed key order: two
+        monomials of this form have one row iff their coefficients are
+        equal."""
         rows: dict[Monomial, list] = {}
         for key in sorted(self.parts, key=lambda k: (k[0] is not None, k[0] or 0, k[1:])):
             for m, c in self.parts[key].items():
@@ -385,7 +380,7 @@ class IntForm:
                     rows[m] = [key, c]
                 else:
                     row += key, c
-        return [(m, tuple(rows[m])) for m in sorted(rows)]
+        return {m: tuple(row) for m, row in rows.items()}
 
     def row_scalar(self, row: tuple) -> ScalarExpr:
         """The coefficient that a `rows` row of this form stands for."""

@@ -30,6 +30,23 @@ def registry() -> dict:
         return json.load(fh)
 
 
+# the keys of each config object; any other key is a config error
+SEMIGROUP_KEYS = ("name", "order", "table", "zero")
+RESONANCE_KEYS = ("partition", "partition_by_base", "subsets")
+# the keys of each step op; a resonant step names its resonance or states it
+STEP_KEYS = {"s_expand": ("op", "semigroup"), "h_reduce": ("op", "n"),
+             "zero_reduce": ("op",), "resonant": ("op", *RESONANCE_KEYS),
+             "sign_identify": ("op", "pairing")}
+
+
+def check_keys(spec: dict, keys, where: str) -> None:
+    """A key of spec outside keys is a config error that names where it is."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))} for "
+                          f"{where}; its keys are {', '.join(keys)}")
+
+
 def required(spec: dict, key: str, where: str):
     """spec[key]; a missing key is a config error that names where it is."""
     if key not in spec:
@@ -65,6 +82,7 @@ def by_name(lookup, name: str):
 def read_json_path(spec: dict, what: str):
     """The JSON value in the file at spec['path']; a file that cannot be read
     or is not JSON is a config error naming the file."""
+    check_keys(spec, ("path",), what)
     path = spec["path"]
     if not isinstance(path, str):
         raise ConfigError(f"{what}: 'path' must be a string, got {path!r}")
@@ -88,8 +106,9 @@ def semigroup_from_config(spec) -> Semigroup:
         spec = read_json_path(spec, "semigroup")
     if not isinstance(spec, dict):
         raise ConfigError("semigroup must be a name, a descriptor, or {'path': ...}")
+    check_keys(spec, SEMIGROUP_KEYS, "semigroup")
     name, order, table, zero = (required(spec, key, "semigroup")
-                                for key in ("name", "order", "table", "zero"))
+                                for key in SEMIGROUP_KEYS)
     if not isinstance(name, str):
         raise ConfigError(f"semigroup: 'name' must be a string, got {name!r}")
     if type(order) is not int:
@@ -156,6 +175,10 @@ def run_pipeline(start: LieAlgebra, steps: list[dict]) -> LieAlgebra:
         if not isinstance(step, dict):
             raise ConfigError(f"{where}: a step is an object with an 'op' key, got {step!r}")
         op = step.get("op")
+        if not isinstance(op, str) or op not in STEP_KEYS:
+            raise ConfigError(f"step {i}: unknown op {op!r}")
+        check_keys(step, ("op", "resonance") if op == "resonant" and "resonance" in step
+                   else STEP_KEYS[op], where)
         if op == "s_expand":
             sg = required(step, "semigroup", where)
             try:
@@ -175,13 +198,16 @@ def run_pipeline(start: LieAlgebra, steps: list[dict]) -> LieAlgebra:
         elif op == "resonant":
             if state.semigroup is None or state.base is None:
                 raise ConfigError(f"step {i}: resonant without a preceding s_expand")
-            cfg = step.get("resonance")
+            cfg = step.get("resonance", step)
             if isinstance(cfg, str):
                 name, cfg = cfg, registry()["resonances"].get(cfg)
                 if cfg is None:
                     raise ConfigError(f"{where}: unknown resonance {name!r}")
-            elif cfg is None:
-                cfg = step
+            elif cfg is not step:
+                if not isinstance(cfg, dict):
+                    raise ConfigError(f"{where}: 'resonance' must be a name or an object, "
+                                      f"got {cfg!r}")
+                check_keys(cfg, RESONANCE_KEYS, f"{where} resonance")
             spec = resonance_spec_from_config(cfg, state.base, state.semigroup, where)
             reduced = resonant_subalgebra(state.algebra, state.semigroup,
                                           state.base, spec)
@@ -201,6 +227,4 @@ def run_pipeline(start: LieAlgebra, steps: list[dict]) -> LieAlgebra:
                     f"of {state.semigroup.name}, got {pairs!r}")
             state = PipelineState(impose_sign_identification(
                 state.algebra, state.semigroup, pairing))
-        else:
-            raise ConfigError(f"step {i}: unknown op {op!r}")
     return state.algebra

@@ -543,6 +543,49 @@ def test_lagrangian_bad_config_is_usage_error(tmp_path, capsys, payload, message
         {"op": "s_expand", "semigroup": "Z2"},
         {"op": "resonant", "partition": [0, 0, 0], "subsets": [[0]]}]},
      "step 1: 'subsets' must cover every tag 0..1 of Z2, got [[0]]"),
+    # a key that its step, lift or spec does not take; each ran with the key ignored
+    ("expand", {"algebra": "so3", "steps": [{"op": "h_reduce", "n": 2, "nn": 3}]},
+     "unknown config key 'nn' for step 0; its keys are op, n"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": "SE3",
+                                             "semigrup": "Z4"}]},
+     "unknown config key 'semigrup' for step 0; its keys are op, semigroup"),
+    ("expand", {"algebra": "ads5", "steps": [
+        {"op": "s_expand", "semigroup": "SE3"},
+        {"op": "resonant", "resonance": "b5", "subsets": [[0]]}]},
+     "unknown config key 'subsets' for step 1; its keys are op, resonance"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": "SE3"},
+                                            {"op": "zero_reduce", "n": 7}]},
+     "unknown config key 'n' for step 1; its keys are op"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "partition": [0, 0, 0], "subsets": [[0, 1]], "subset": []}]},
+     "unknown config key 'subset' for step 1; its keys are op, partition, "
+     "partition_by_base, subsets"),
+    ("expand", {"algebra": "so3", "steps": [
+        {"op": "s_expand", "semigroup": "Z2"},
+        {"op": "resonant", "resonance": {"partition": [0, 0, 0], "subsets": [[0, 1]],
+                                         "op": "resonant"}}]},
+     "unknown config key 'op' for step 1 resonance; its keys are partition, "
+     "partition_by_base, subsets"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": "Z2"},
+                                            {"op": "resonant", "resonance": 5}]},
+     "step 1: 'resonance' must be a name or an object, got 5"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps",
+                                                "lift": {"kind": "h", "n": 2, "extra": 1}}},
+     "unknown config key 'extra' for tensor lift; its keys are kind, n"),
+    ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
+        "kind": "zero", "semigroup": "SE3", "base_dim": 15, "n": 1}}},
+     "unknown config key 'n' for tensor lift; its keys are kind, semigroup, base_dim"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps", "n": 2,
+                                                "lift": {"kind": "h", "n": 2}}},
+     "unknown config key 'n' for tensor; its keys are base, lift"),
+    ("invariants", {"algebra": "c5", "tensor": {"base": "ads5_eps",
+                                                "lift": {"kind": "H", "n": 2}}},
+     "unknown lift kind 'H'"),
+    ("check", {"algebra": {"path": "so3.json", "name": "so3"}},
+     "unknown config key 'name' for algebra; its keys are path"),
+    ("check", {"algebra": "so3", "tensor": {"path": "t.json", "base": "ads3_eps"}},
+     "unknown config key 'base' for tensor; its keys are path"),
 ])
 def test_malformed_step_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)
@@ -619,6 +662,16 @@ _SG = {"name": "x", "order": 2, "table": [[0, 1], [1, 0]], "zero": None}
     ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": {
         "name": "x", "order": 2, "table": [[0, 1], [1, 0]]}}]},
      "step 0: semigroup: missing 'zero'"),
+    # a key that a descriptor or a path spec does not take
+    ("semigroup", {"action": "construct", "semigroup": dict(_SG, extra=5)},
+     "unknown config key 'extra' for semigroup; its keys are name, order, table, zero"),
+    ("expand", {"algebra": "so3", "steps": [{"op": "s_expand", "semigroup": dict(_SG, extra=5)}]},
+     "step 0: unknown config key 'extra' for semigroup"),
+    ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
+        "kind": "zero", "semigroup": dict(_SG, extra=5), "base_dim": 15}}},
+     "unknown config key 'extra' for semigroup"),
+    ("semigroup", {"action": "verify", "semigroup": {"path": "sg.json", "zero": None}},
+     "unknown config key 'zero' for semigroup; its keys are path"),
 ])
 def test_malformed_semigroup_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)

@@ -100,6 +100,13 @@ def test_resonance_checker_accepts_b5_split():
     check_resonance(make_se(3), ads5, b5_resonance_spec())
 
 
+def test_the_b5_split_is_the_registry_entry_a_pipeline_names():
+    """The registry's b5 resonance pairs the ten rotations with the even
+    tags and the five translations with the odd ones; the top tag 4 is in both."""
+    assert b5_resonance_spec() == ResonanceSpec.make([0] * 10 + [1] * 5,
+                                                     [[0, 2, 4], [1, 3, 4]])
+
+
 def test_resonance_checker_reports_violations():
     ads5 = make_named("ads5")
     spec = b5_resonance_spec()

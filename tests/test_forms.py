@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from sexpansion.fixtures import (build_connection, c_tensor_rotated, make_b5,
-                                 make_c_algebra_rotated)
+from sexpansion.fixtures import (b5_tensor, build_connection, c_tensor_rotated,
+                                 connection_chain, make_b5, make_c_algebra_rotated)
 from sexpansion.forms import (FIELDS, FormSymbol, IntForm, LieValuedForm, ScalarForm,
                               _odd_bits, canonical_monomial, contract, curvature,
                               exterior_d, int_d, int_wedge, lie_bracket_form,
@@ -17,6 +17,7 @@ from sexpansion.forms import (FIELDS, FormSymbol, IntForm, LieValuedForm, Scalar
                               scalar_form_from_json_dict, scalar_form_latex,
                               scalar_form_to_json_dict, sym, wedge)
 from sexpansion.invariant_tensor import InvariantTensor, epsilon_tensor
+from sexpansion.lagrangian import int_separation
 from sexpansion.scalars import AlphaLinearityError, Q2, ScalarExpr
 
 
@@ -942,6 +943,96 @@ def test_into_scalar_form_leaves_its_form_as_it_was():
         assert not comp.into_scalar_form().is_zero()
         assert (comp.parts, comp.den) == (before.parts, before.den)
     assert A == build_connection(L) and F == curvature(build_connection(L), L)
+
+
+def reference_into_scalar_form(k: IntForm) -> ScalarForm:
+    """The body `IntForm.into_scalar_form` had before it read `rows`: each
+    part's int lands in its monomial's ScalarExpr, an r = 1 int as the sqrt2
+    half of its Q2, and equal rationals share one Q2."""
+    out = ScalarForm()
+    rationals: dict[int, Q2] = {}
+    for (a, e, r), part in k.parts.items():
+        for m, c in part.items():
+            coeff = out.terms.get(m)
+            if coeff is None:
+                coeff = out.terms[m] = ScalarExpr()
+            old = coeff.terms.get((a, e))
+            if r:
+                q = Q2(old.a if old else Fraction(0), Fraction(c, k.den))
+            elif old:
+                q = Q2(Fraction(c, k.den), old.b)
+            else:
+                q = rationals.get(c)
+                if q is None:
+                    q = rationals[c] = Q2(Fraction(c, k.den))
+            coeff.terms[(a, e)] = q
+    return out
+
+
+def _decodes_as_the_reference(k: IntForm) -> None:
+    """into_scalar_form equals the reference and builds one ScalarExpr per
+    distinct coefficient."""
+    got = k.into_scalar_form()
+    assert got == reference_into_scalar_form(k)
+    coefficients = got.terms.values()
+    assert len({id(c) for c in coefficients}) == len({str(c) for c in coefficients})
+
+
+def test_into_scalar_form_equals_the_reference_on_random_kernel_forms():
+    """Alpha, ell and sqrt2 parts over random denominators; each monomial
+    takes one of a few random (key, int) rows, so coefficients repeat.  One
+    part is cancelled to empty, and the zero form is read with and without
+    an empty part."""
+    rng = random.Random(33)
+    shared = 0
+    for _ in range(300):
+        rows = [[((rng.choice([None, 0, 2]), rng.randint(-2, 2), rng.randint(0, 1)),
+                  rng.choice([-2, -1, 1, 3])) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 3))]
+        parts = {}
+        for _ in range(rng.randint(1, 8)):
+            sign, mono = canonical_monomial(rng.sample(_KERNEL_SYMBOLS, rng.randint(0, 3)))
+            if sign:
+                for key, c in rng.choice(rows):
+                    parts.setdefault(key, {})[mono] = c
+        k = IntForm(parts, rng.randint(1, 6))
+        if parts:
+            key = rng.choice(sorted(parts, key=repr))
+            k.add(IntForm({key: dict(parts[key])}, k.den), n=-1)
+            assert k.parts[key] == {}
+        _decodes_as_the_reference(k)
+        terms = k.into_scalar_form().terms
+        shared += len({id(c) for c in terms.values()}) < len(terms)
+    assert shared > 100, shared
+    for k in (IntForm(), IntForm({(None, 0, 0): {}})):
+        assert k.into_scalar_form() == reference_into_scalar_form(k) == ScalarForm()
+
+
+_CHAINS = {"c3": lambda: (make_c_algebra_rotated(3), c_tensor_rotated(3)),
+           "c5": lambda: (make_c_algebra_rotated(5), c_tensor_rotated(5)),
+           "b5": lambda: (make_b5(), b5_tensor())}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_into_scalar_form_equals_the_reference_on_every_chain_link(name):
+    """Every component of each connection of the separation chain and of its
+    curvature, and the transgression along each link of the chain."""
+    L, T = _CHAINS[name]()
+    chain = connection_chain(L)
+    for A in chain:
+        for comp in [*A.components.values(), *curvature(A, L).components.values()]:
+            _decodes_as_the_reference(comp)
+    for link in zip(chain, chain[1:]):
+        _decodes_as_the_reference(int_separation(link, T, 2 * T.rank - 1, L))
+
+
+def test_the_c5_general_lagrangian_shares_one_scalar_per_coefficient():
+    """The general-alpha c5 Lagrangian's 6,247 monomials carry 116 distinct
+    coefficients, and into_scalar_form builds 116 ScalarExprs for them."""
+    L = make_c_algebra_rotated(5)
+    form = int_separation(connection_chain(L), c_tensor_rotated(5), 5, L).into_scalar_form()
+    assert len(form.terms) == 6247
+    assert len({id(c) for c in form.terms.values()}) == 116
 
 
 def test_equality_reads_through_the_denominator():

@@ -1,6 +1,7 @@
 """What importing `sexpansion` costs: every imported name is used, the
-package imports no module that only its record classes once needed, and
-importing it loads nothing beyond what its own standard-library imports load."""
+package imports no module that only its record classes once needed,
+importing it loads nothing beyond what its own standard-library imports load,
+and importing one module loads no package module it does not import."""
 
 import ast
 import os
@@ -81,3 +82,29 @@ def test_importing_the_cli_loads_only_what_its_stdlib_imports_load():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that a module's top level imports."""
+    return {f"sexpansion.{node.module}" for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_importing_a_module_loads_only_the_package_modules_it_imports(path):
+    """The package root imports nothing, so a fresh interpreter that imports
+    one module loads the root, that module and what its imports reach, and
+    no other package module: `import sexpansion.semigroup` loads two."""
+    expected, todo = {"sexpansion"}, [f"sexpansion.{path.stem}"]
+    while todo:
+        name = todo.pop()
+        if name not in expected:
+            expected.add(name)
+            todo.extend(package_imports(PACKAGE / f"{name.partition('.')[2]}.py"))
+    code = (f"import sys, sexpansion.{path.stem}\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'sexpansion'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(sorted(expected))
