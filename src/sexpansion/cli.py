@@ -111,7 +111,11 @@ def _resolve_tensor(spec, algebra: LieAlgebra) -> InvariantTensor:
         try:
             if kind == "h":
                 return lift_h(required_int(lift, "n", "tensor lift"), algebra, base)
-            s = semigroup_from_config(required(lift, "semigroup", "tensor lift"))
+            sg = required(lift, "semigroup", "tensor lift")
+            try:
+                s = semigroup_from_config(sg)
+            except ConfigError as exc:
+                raise ConfigError(f"tensor lift: {exc}")
             if s.zero_index is None:
                 raise ConfigError(f"tensor lift: semigroup {s.name!r} has no zero element")
             return lift_0s(s, algebra, required_int(lift, "base_dim", "tensor lift"), base)

@@ -250,6 +250,98 @@ def _eps_fold(factors: list[tuple[str, list[str]]],
     return order, weight
 
 
+@lru_cache(maxsize=None)
+def _eps_assignments(order: tuple[tuple[int, int], ...],
+                     dimension: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The eps value permutations that ascend on every `_eps_fold` position
+    pair, each with its sign."""
+    return tuple((values, perm_sign(values)) for values in itertools.permutations(range(dimension))
+                 if all(values[i] < values[j] for i, j in order))
+
+
+def _masked(pairs) -> list[tuple[Monomial, int, int, int]]:
+    """(monomial, odd mask, par, count) pieces of (monomial, count) pairs."""
+    return [(m, *_odd_bits(m), c) for m, c in pairs]
+
+
+class _FactorPieces(dict):
+    """One factor name's masked pieces by its index values, built on first
+    read; a key is a tuple, or one int for one index."""
+    __slots__ = ("name", "dimension")
+
+    def __init__(self, name: str, dimension: int):
+        self.name, self.dimension = name, dimension
+
+    def __missing__(self, key):
+        piece = self[key] = _masked(_integer_factor(
+            self.name, key if type(key) is tuple else (key,), self.dimension))
+        return piece
+
+
+class _GroupPieces(dict):
+    """A factor group's masked pieces by its outer (eps) values, built on
+    first read: the ordered product of its factors, summed over its dummy
+    values with their metric weights.  A key is as in `_FactorPieces`."""
+    __slots__ = ("readers", "dweights")
+
+    def __init__(self, readers, dweights: list[tuple[tuple[int, ...], int]]):
+        self.readers, self.dweights = readers, dweights
+
+    def __missing__(self, key):
+        outer = key if type(key) is tuple else (key,)
+        piece = self[key] = _masked(_sum_products(
+            self.readers, ((outer + dvals, weight) for dvals, weight in self.dweights)).items())
+        return piece
+
+
+def _multiply(readers, values):
+    """The ordered product of the readers' pieces at `values`, as
+    (symbols, odd mask, par, count) with the symbols unsorted; empty when
+    it vanishes.  A reader is (getter of its key from values, its pieces by
+    key).  A product is the concatenation, zero when two odd masks meet,
+    with the sign of the masks (as in `int_wedge`); par is read on a
+    reader's pieces only, so a partial product carries 0."""
+    products = None
+    for get, table in readers:
+        piece = table[get(values)]
+        if products is None:
+            products = piece
+        else:
+            products = [(s + m, mask | mk, 0,
+                         -n * c if (mask & par).bit_count() & 1 else n * c)
+                        for s, mask, _, n in products
+                        for m, mk, par, c in piece if not mask & mk]
+        if not products:
+            return ()
+    return products
+
+
+def _sum_products(readers, weighted) -> dict[Monomial, int]:
+    """The sum of weight times the readers' product at values, over the
+    (values, weight) pairs, as canonical monomial -> nonzero count."""
+    totals: dict[Monomial, int] = {}
+    for values, weight in weighted:
+        for s, _, _, n in _multiply(readers, values):
+            mono = tuple(sorted(s))
+            totals[mono] = totals.get(mono, 0) + n * weight
+    return {m: n for m, n in totals.items() if n}
+
+
+def _dummy_groups(factors: list[tuple[str, list[str]]], dummies: list[str]) -> list[list[int]]:
+    """The factor positions joined by shared dummy letters, each group in
+    factor order: first the factors with no dummy letter, one group each,
+    then the dummy groups in the order of their first factors."""
+    first = list(range(len(factors)))  # a factor's group, named by its first factor
+    for ch in dummies:
+        joined = {first[k] for k, (_, letters) in enumerate(factors) if ch in letters}
+        first = [min(joined) if g in joined else g for g in first]
+    groups: dict[int, list[int]] = {}
+    for k, g in enumerate(first):
+        groups.setdefault(g, []).append(k)
+    return sorted(groups.values(), key=lambda members: any(
+        ch in dummies for k in members for ch in factors[k][1]))
+
+
 def expand_terms(text: str, dimension: int) -> list[tuple[ScalarExpr, dict[Monomial, int]]]:
     """Parse and expand a curvature-basis expression term by term, to concrete
     monomials over 0..dimension-1 Lorentz indices.
@@ -257,62 +349,49 @@ def expand_terms(text: str, dimension: int) -> list[tuple[ScalarExpr, dict[Monom
     Within one term every summand is an integer multiple of the term's
     coefficient, so each term comes back as its coefficient and its
     monomial -> nonzero int counts: the sum over the eps permutations (one
-    per `_eps_fold` orbit, weighed by the orbit size), the dummy values and
-    the products of the factors' terms.  Each factor's pieces are read once
-    per call, with the `_odd_bits` masks of their monomials, so a product is
-    the sorted concatenation, zero when two odd masks meet, with the sign of
-    the masks (as in `int_wedge`).  Each term's eps carries exactly
-    `dimension` letters, which ties the text to the dimension.
+    per `_eps_fold` orbit, weighed by the orbit size) of the products of
+    the factors' pieces.  Factors that share a dummy letter are one group,
+    taken next to each other at one sign (the odd factors' permutation):
+    a group's product is summed over its dummy values once per tuple of its
+    eps values, before the eps sum multiplies the group pieces.  A factor
+    with no dummy letter is a group of its own.  Pieces are read once per
+    call with the `_odd_bits` masks of their monomials (see `_multiply`).
+    Each term's eps carries exactly `dimension` letters, which ties the
+    text to the dimension.
     """
     eta = lorentz_eta(dimension)
+    tables: dict[str, _FactorPieces] = {}  # by factor name, shared by every term
     out = []
     for term in _parse_terms(text):
         eps_letters, dummies = _validate_term(term, dimension, text)
         factors = [(f.name, [ch for (_, ch) in f.indices])
                    for f in term.factors if f.name != "eps"]
         order, fold = _eps_fold(factors, eps_letters)
-        slot = {ch: i for i, ch in enumerate(eps_letters + dummies)}
-        # per factor: whether it takes an index pair, a getter of its indices
-        # from values + dvals (one int for a vector factor), and the table of
-        # its pieces with their `_odd_bits` masks, shared by the factors of
-        # one name
-        tables: dict[str, dict] = {}
-        readers = [(name, len(letters) > 1, operator.itemgetter(*(slot[ch] for ch in letters)),
-                    tables.setdefault(name, {})) for name, letters in factors]
-        dweights = [(dvals, math.prod(eta[v] for v in dvals))
-                    for dvals in itertools.product(range(dimension), repeat=len(dummies))]
-        totals: dict[Monomial, int] = {}
-        for values in itertools.permutations(range(dimension)):
-            if any(values[i] > values[j] for i, j in order):
-                continue
-            eps_sign = fold * perm_sign(values)
-            for dvals, weight in dweights:
-                full = values + dvals
-                # the partial products as (symbols, odd mask, par, count); par
-                # is read on a factor's pieces only, so a partial carries 0
-                products = None
-                for name, pair, get, table in readers:
-                    key = get(full)
-                    piece = table.get(key)
-                    if piece is None:
-                        piece = table[key] = [
-                            (m, *_odd_bits(m), c)
-                            for m, c in _integer_factor(name, key if pair else (key,), dimension)]
-                    if products is None:
-                        products = piece
-                    else:
-                        products = [(s + m, mask | mk, 0,
-                                     -n * c if (mask & par).bit_count() & 1 else n * c)
-                                    for s, mask, _, n in products
-                                    for m, mk, par, c in piece if not mask & mk]
-                    if not products:
-                        break
-                else:
-                    weight *= eps_sign
-                    for s, _, _, n in products:
-                        mono = tuple(sorted(s))
-                        totals[mono] = totals.get(mono, 0) + n * weight
-        out.append((term.coefficient(), {m: n for m, n in totals.items() if n}))
+        for name, _ in factors:
+            if name not in tables:
+                tables[name] = _FactorPieces(name, dimension)
+        # a reader per factor with no dummy letter, then one per dummy group
+        eps_slot = {ch: i for i, ch in enumerate(eps_letters)}
+        readers = [(operator.itemgetter(*(eps_slot[ch] for ch in letters)), tables[name])
+                   for name, letters in factors if eps_slot.keys() >= set(letters)]
+        if dummies:
+            groups = _dummy_groups(factors, dummies)
+            for members in groups[len(readers):]:
+                letters = [ch for k in members for ch in factors[k][1]]
+                outer = [ch for ch in letters if ch in eps_slot]
+                inner = sorted(set(letters).difference(outer))
+                slot = {ch: i for i, ch in enumerate(outer + inner)}
+                dweights = [(dvals, math.prod(eta[v] for v in dvals)) for dvals
+                            in itertools.product(range(dimension), repeat=len(inner))]
+                group = _GroupPieces([(operator.itemgetter(*(slot[ch] for ch in factors[k][1])),
+                                       tables[factors[k][0]]) for k in members], dweights)
+                readers.append((operator.itemgetter(*(eps_slot[ch] for ch in outer)) if outer
+                                else lambda values: (), group))
+            # the sign of moving the odd (one-form) factors into reader order
+            fold *= perm_sign([k for members in groups for k in members
+                               if factors[k][0] not in _COVARIANT])
+        out.append((term.coefficient(), _sum_products(readers, (
+            (values, fold * sign) for values, sign in _eps_assignments(tuple(order), dimension)))))
     return out
 
 

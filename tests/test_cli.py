@@ -672,6 +672,13 @@ _SG = {"name": "x", "order": 2, "table": [[0, 1], [1, 0]], "zero": None}
      "unknown config key 'extra' for semigroup"),
     ("semigroup", {"action": "verify", "semigroup": {"path": "sg.json", "zero": None}},
      "unknown config key 'zero' for semigroup; its keys are path"),
+    # a lift's semigroup errors say where they are, as a step's do
+    ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
+        "kind": "zero", "semigroup": dict(_SG, extra=5), "base_dim": 15}}},
+     "error: tensor lift: unknown config key 'extra' for semigroup"),
+    ("invariants", {"algebra": "b5", "tensor": {"base": "ads5_eps", "lift": {
+        "kind": "zero", "semigroup": "Q7", "base_dim": 15}}},
+     "error: tensor lift: unknown semigroup name: 'Q7'"),
 ])
 def test_malformed_semigroup_is_usage_error(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path, "cfg.json", payload)

@@ -206,9 +206,50 @@ def test_folded_expansion_matches_unfolded_on_every_golden_term():
     ("eps[abc] k[a _g] h[g] k[b _f] h[f] e[c]", 3),    # two dummies
     ("eps[abcdf] T[a] T[b] h[c] e[d] e[f]", 5),        # T, h and e blocks
     ("eps[abcdf] k[ab] k[cd] h[f]", 5),                # vanishes identically
+    # dummy partners apart: grouping them moves a 1-form past one of them
+    ("eps[abc] k[a _g] e[b] k[g c]", 3),
+    ("eps[abcdf] k[a _g] T[b] e[c] k[g d] h[f]", 5),
+    ("eps[abcdf] k[a _g] e[b] e[c] k[g d] h[f]", 5),   # two 1-forms between: sign +1
+    # one group over three factors
+    ("eps[abcdf] e[a] k[b _g] w[g _m] w[m c] h[d] h[f]", 5),
+    ("eps[abcdf] w[a _g] w[g _m] k[m b] e[c] k[df]", 5),
+    ("eps[abc] e[a] w[g _m] e[b] k[m _g] e[c]", 3),    # a group with no eps letter
 ])
 def test_folded_expansion_matches_unfolded_on_edge_terms(text, d):
     assert expand_terms(text, d) == reference_expand_terms(text, d)
+
+
+def test_three_factor_groups_do_not_vanish():
+    for text, size in [("eps[abcdf] e[a] k[b _g] w[g _m] w[m c] h[d] h[f]", 540),
+                       ("eps[abcdf] w[a _g] w[g _m] k[m b] e[c] k[df]", 360)]:
+        ((_, counts),) = expand_terms(text, 5)
+        assert len(counts) == size, text
+
+
+def random_dummy_term(rng):
+    """A d = 3 term: eps[abc] and factors whose slots hold a, b, c once each
+    and one or two dummy pairs, the lowered partner at a random slot."""
+    pairs = rng.choice(["g", "gm"])
+    slots = 3 + 2 * len(pairs)
+    arities = []
+    while sum(arities) < slots:
+        arities.append(rng.choice([1, 2] if slots - sum(arities) > 1 else [1]))
+    letters = list("abc" + pairs) + ["_" + ch for ch in pairs]
+    rng.shuffle(letters)
+    factors = []
+    for n in arities:
+        name = rng.choice(["e", "h", "T", "Dh"] if n == 1 else ["k", "w", "R", "Dk"])
+        factors.append(f"{name}[{' '.join(letters[:n])}]")
+        letters = letters[n:]
+    return "eps[abc] " + " ".join(factors)
+
+
+def test_grouped_expansion_matches_unfolded_on_random_dummy_terms():
+    rng = random.Random(20160501)
+    texts = [random_dummy_term(rng) for _ in range(40)]
+    assert sum(1 for text in texts if expand_terms(text, 3)[0][1]) >= 10
+    for text in texts:
+        assert expand_terms(text, 3) == reference_expand_terms(text, 3), text
 
 
 def test_every_golden_parses_to_one_term_per_line():
